@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .flow import Foliation, advected_derivative, drift_fields
-from .surfgeom import CurvedGeometry
+from .flow import (Foliation, advected_derivative, drift_fields,
+                   neighbour_windows)
+from .surfgeom import CurvedGeometry, reaction_coefficient
 
 __all__ = [
     "StepRejected",
@@ -31,11 +32,6 @@ __all__ = [
 
 class StepRejected(RuntimeError):
     """A step left the maximum-principle bounds; retry with a smaller ds."""
-
-
-def reaction_coefficient(geom: CurvedGeometry) -> np.ndarray:
-    """c = detA0 + T/2 − Ric(ν,ν); positivity drives u monotonically to 1."""
-    return geom.det_a0 + 0.5 * geom.t_field - geom.ric_nu
 
 
 def initial_u(h_physical, h_background) -> np.ndarray:
@@ -158,8 +154,8 @@ def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3, gmres_tol=1e-12):
         def cb(_):
             count[0] += 1
 
-        A = LinearOperator((n, n), matvec=matvec)
-        M = LinearOperator((n, n), matvec=precond)
+        A = LinearOperator((n, n), matvec=matvec, dtype=float)
+        M = LinearOperator((n, n), matvec=precond, dtype=float)
         sol, info = gmres(A, rhs.ravel(), x0=v.ravel(), M=M,
                           rtol=gmres_tol, atol=1e-14, restart=30, maxiter=60,
                           callback=cb, callback_type="legacy")
@@ -243,8 +239,8 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
     break the maximum-principle bounds are retried with halved substeps.
     """
     n = len(fol)
-    if n < 2:
-        raise ValueError("foliation must hold at least 2 slices")
+    if n < 3:
+        raise ValueError("foliation must hold at least 3 slices")
     grid = fol.surfaces[0].grid
     u = np.broadcast_to(np.asarray(u0, dtype=float), fol.surfaces[0].G.shape).copy()
     if np.any(u <= 0.0):
@@ -253,32 +249,23 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
     lo = min(1.0, float(np.min(u)))
     hi = max(1.0, float(np.max(u)))
 
-    bundles: dict[int, _Bundle] = {}
+    min_c_list = []
 
-    def bundle(i):
-        if i not in bundles:
-            if len(bundles) > 4:
-                bundles.pop(min(bundles))
-            bundles[i] = _make_bundle(fol.geometry(i))
-        return bundles[i]
+    def checked_bundles():
+        for i in range(n):
+            b = _make_bundle(fol.geometry(i))
+            min_c_list.append(float(np.min(b.c)))
+            if min_c_list[-1] <= 0.0:
+                raise ValueError(
+                    f"coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice {i}")
+            yield b
 
     us = [u.copy()]
-    min_c_list = [float(np.min(bundle(0).c))]
-    if min_c_list[0] <= 0.0:
-        raise ValueError(
-            "coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice 0")
     halvings = 0
     gmax = 0
     dev0 = float(np.max(np.abs(u - 1.0)))
-    for k in range(n - 1):
-        j = int(np.clip(k, 1, n - 2))
-        nodes = (fol.s[j - 1], fol.s[j], fol.s[j + 1])
-        nb = (bundle(j - 1), bundle(j), bundle(j + 1))
-        c_next = float(np.min(bundle(k + 1).c))
-        if c_next <= 0.0:
-            raise ValueError(
-                f"coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice {k + 1}")
-
+    for k, nodes, nb in zip(range(n - 1), neighbour_windows(fol.s),
+                            neighbour_windows(checked_bundles())):
         window = fol.s[k + 1] - fol.s[k]
         dt_allow = dt_max
         if adapt:
@@ -310,7 +297,6 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
                 halvings += 1
         u = v
         us.append(u.copy())
-        min_c_list.append(c_next)
 
     s = np.asarray(fol.s, dtype=float)
     dev = np.array([float(np.max(np.abs(ui - 1.0))) for ui in us])
@@ -321,7 +307,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
         foliation=fol, s=s, u=us, decay=decay,
         min_coefficient=np.asarray(min_c_list), bounds=(lo, hi),
         decay_bounded=bounded, halvings=halvings, max_gmres_iters=gmax)
-    if with_residual and n >= 3:
+    if with_residual:
         out.residual = scalar_residual(fol, out)
     return out
 
@@ -344,24 +330,22 @@ def scalar_residual(fol: Foliation, ufield: UField,
     if n < 3:
         raise ValueError("need at least 3 slices for s-derivatives")
     grid = fol.surfaces[0].grid
-    s = np.asarray(fol.s, dtype=float)
-    ones = [np.ones_like(ui) for ui in ufield.u]
+    ones = (np.ones_like(ufield.u[0]),) * 3
 
     out = np.empty((n,) + ufield.u[0].shape)
-    for k in range(n):
-        if k == 0:
-            idx, kind = (0, 1, 2), "left"
-        elif k == n - 1:
-            idx, kind = (n - 3, n - 2, n - 1), "right"
-        else:
-            idx, kind = (k - 1, k, k + 1), "center"
-        g = fol.geometry(k)
+    windows = zip(neighbour_windows(fol.s),
+                  neighbour_windows(map(fol.geometry, range(n))),
+                  neighbour_windows(ufield.u))
+    for k, (nodes, geoms, u_win) in enumerate(windows):
+        at = 0 if k == 0 else 2 if k == n - 1 else 1   # slice k in its window
+        g = geoms[at]
+        gauss_k = g.gauss_k
         tau_t, tau_p = drift_fields(g)
 
         def traj_dh(w):
-            h0, h1, h2 = (fol.geometry(i).H0 / w[i] for i in idx)
-            s0, s1, s2 = (s[i] for i in idx)
-            if kind == "center":
+            h0, h1, h2 = (gi.H0 / wi for gi, wi in zip(geoms, w))
+            s0, s1, s2 = nodes
+            if at == 1:
                 dsm, dsp = s1 - s0, s2 - s1
                 tot = dsm + dsp
                 fd = (h2 * dsm / (dsp * tot) - h0 * dsp / (dsm * tot)
@@ -369,22 +353,22 @@ def scalar_residual(fol: Foliation, ufield: UField,
             else:
                 # 3-point one-sided, second order on a uniform pair
                 d = s1 - s0
-                if kind == "left":
+                if at == 0:
                     fd = (-3.0 * h0 + 4.0 * h1 - h2) / (2.0 * d)
                 else:
                     fd = (3.0 * h2 - 4.0 * h1 + h0) / (2.0 * d)
-            here = g.H0 / w[k]
+            here = g.H0 / w[at]
             return fd - advected_derivative(grid, here, tau_t, tau_p)
 
-        def num(w_list):
+        def num(w):
             # one functional for both fields so the two evaluations cancel
             # bitwise when u is exactly 1
-            w = w_list[k]
-            return (2.0 * g.gauss_k
-                    - (2.0 / w) * (traj_dh(w_list) + g.laplacian(w))
-                    - (g.a0_sq + g.H0**2) / w**2)
+            wk = w[at]
+            return (2.0 * gauss_k
+                    - (2.0 / wk) * (traj_dh(w) + g.laplacian(wk))
+                    - (g.a0_sq + g.H0**2) / wk**2)
 
-        u = ufield.u[k]
+        u = u_win[at]
         target = (1.0 / u**2 - 1.0) * g.t_field if include_coupling else 0.0
-        out[k] = (num(ufield.u) - num(ones)) - target
+        out[k] = (num(u_win) - num(ones)) - target
     return out

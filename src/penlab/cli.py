@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bartnik import solve_u
+from .bartnik import StepRejected, solve_u
 from .energy import (Scenario, adm_extrapolate, monotonicity_check,
                      penrose_report, quasilocal_energy)
 from .flow import FlowConfig, FlowError, compute_constants, run_flow
@@ -438,8 +438,8 @@ def _scenario_kwargs(block: dict, cfg: dict, args) -> dict:
     return kw
 
 
-def _scenario_worker(kw: dict):
-    rep = penrose_report(Scenario(**kw))
+def _scenario_worker(sc: Scenario):
+    rep = penrose_report(sc)
     csv = None if rep.trace is None else rep.trace.series_csv()
     return rep.report, csv
 
@@ -453,17 +453,16 @@ def cmd_scenario(cfg: dict, args) -> int:
                           {"kind": "schwarzschild_interior",
                            "inner_m": 1.2, "r0": 4.0, "s_max": 40.0})]
     try:
-        kwargs = [_scenario_kwargs(b, cfg, args) for b in blocks]
-        scenarios = [Scenario(**kw) for kw in kwargs]
+        scenarios = [Scenario(**_scenario_kwargs(b, cfg, args))
+                     for b in blocks]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schema error: {exc}") from exc
-    del scenarios
 
-    if args.jobs > 1 and len(kwargs) > 1:
+    if args.jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_scenario_worker, kwargs))
+            outputs = list(pool.map(_scenario_worker, scenarios))
     else:
-        outputs = [_scenario_worker(kw) for kw in kwargs]
+        outputs = [_scenario_worker(sc) for sc in scenarios]
 
     single = len(outputs) == 1
     worst = 0
@@ -517,9 +516,9 @@ def console_main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except FlowError as exc:
-        print(f"flow failed: {exc}", file=sys.stderr)
-        return 1
+    except (FlowError, StepRejected) as exc:
+        print(f"run aborted ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bartnik import UField, initial_u, reaction_coefficient, solve_u
+from .bartnik import UField, initial_u, solve_u
 from .flow import (FlowConfig, FlowError, Foliation, compute_constants,
-                   run_flow)
+                   hypothesis_minima, run_flow)
 from .refgeom import isothermal_profile, make_reference
 from .sphere import SphereGrid
 from .surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
@@ -117,10 +117,9 @@ def monotonicity_check(fol: Foliation, ufield: UField) -> EnergyTrace:
     s = np.asarray(fol.s, dtype=float)
     energy = np.empty(n)
     formula = np.empty(n)
-    for k in range(n):
-        g = fol.geometry(k)
-        energy[k] = quasilocal_energy(g, ufield.u[k])
-        formula[k] = _rate_formula(g, ufield.u[k])
+    for k, (g, u) in enumerate(zip(map(fol.geometry, range(n)), ufield.u)):
+        energy[k] = quasilocal_energy(g, u)
+        formula[k] = _rate_formula(g, u)
     numeric = np.gradient(energy, s, edge_order=2)
     return EnergyTrace(
         s=s, energy=energy, rate_numeric=numeric, rate_formula=formula,
@@ -285,23 +284,18 @@ def _boundary_u0(sc: Scenario, geom: CurvedGeometry):
     return initial_u(h_phys, geom.H0)
 
 
-def _hypothesis_block(geoms, monitors_ok: bool, aborted: bool,
+def _hypothesis_block(summaries, monitors_ok: bool, aborted: bool,
                       abort_reason, reference_kind: str, profile) -> dict:
     """Slice-by-slice foliation conditions plus the angle threshold.
 
-    The flow monitors carry the vacuum-family thresholds; for charged
-    or tabulated references the angle condition is re-gated against the
-    bound from compute_constants, which is the one the general argument
-    needs.
+    summaries carry each slice's hypothesis_minima.  The flow monitors
+    carry the vacuum-family thresholds; for charged or tabulated
+    references the angle condition is re-gated against the bound from
+    compute_constants, which is the one the general argument needs.
     """
-    min_coef = np.inf
-    min_shear = np.inf
-    min_cos = np.inf
-    for g in geoms:
-        min_coef = min(min_coef, float(np.min(reaction_coefficient(g))))
-        min_shear = min(min_shear,
-                        float(np.min(g.det_a0 - 0.5 * g.t_field)))
-        min_cos = min(min_cos, float(np.min(g.cos_theta)))
+    min_coef, min_shear, min_cos = (
+        min([np.inf] + [sm[key] for sm in summaries])
+        for key in ("min_coefficient", "min_shear", "min_cos_theta"))
     gates = {
         "surface_conditions": {"passed": bool(monitors_ok),
                                "aborted": bool(aborted),
@@ -357,15 +351,15 @@ def penrose_report(sc: Scenario) -> PenroseReport:
 
     if fol is not None:
         g0 = fol.geometry(0)
-        geoms = (fol.geometry(k) for k in range(len(fol)))
         hypotheses = _hypothesis_block(
-            geoms, fol.all_passed() and not fol.aborted, fol.aborted,
+            fol.summaries, fol.all_passed() and not fol.aborted, fol.aborted,
             fol.abort_reason, ref_kind, profile)
         n_slices = len(fol)
     else:
         g0 = curved_geometry(surf, profile)
         hypotheses = _hypothesis_block(
-            [g0], False, True, flow_error, ref_kind, profile)
+            [hypothesis_minima(g0)], False, True, flow_error, ref_kind,
+            profile)
         n_slices = 1
     u0 = _boundary_u0(sc, g0)
 

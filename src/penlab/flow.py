@@ -6,7 +6,7 @@ normal.  In the isothermal chart this is the graph evolution
 star-shaped and makes the swept metric ds² + σ_s have unit lapse.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,15 @@ from .surfgeom import (
     StarSurface,
     condition_report,
     curved_geometry,
+    reaction_coefficient,
 )
 
 __all__ = [
     "FlowError",
     "FlowConfig",
     "Foliation",
+    "neighbour_windows",
+    "hypothesis_minima",
     "flow_speed",
     "step_flow",
     "run_flow",
@@ -137,13 +140,30 @@ def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p):
     return tau_t * grid.synthesize(C, dtheta=1) + tau_p * grid.synthesize(C, dphi=1)
 
 
+def neighbour_windows(items):
+    """Yield (x[j-1], x[j], x[j+1]) with j = clip(k, 1, n-2) for k = 0..n-1.
+
+    Each item is pulled from the iterable once, so a pass over
+    map(fol.geometry, range(n)) builds every slice once.  Needs n >= 3.
+    """
+    it = iter(items)
+    window = (next(it), next(it), next(it))
+    yield window
+    yield window
+    for item in it:
+        window = window[1:] + (item,)
+        yield window
+    yield window
+
+
 @dataclass
 class Foliation:
     """Stored slices of a flow run plus per-slice summaries.
 
-    Surfaces are kept for every stored slice; full geometry is
-    recomputed on demand through geometry() with a small cache, which
-    keeps long runs at a few kilobytes per slice.
+    Surfaces are kept for every stored slice; full geometry is rebuilt
+    on demand through geometry(), which keeps long runs at a few
+    kilobytes per slice.  Passes that need every slice walk them in
+    order, building each once.
     """
 
     profile: ConformalProfile
@@ -154,7 +174,6 @@ class Foliation:
     aborted: bool = False
     abort_index: int | None = None
     abort_reason: str | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.surfaces)
@@ -164,11 +183,7 @@ class Foliation:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        if i not in self._cache:
-            if len(self._cache) >= 8:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[i] = curved_geometry(self.surfaces[i], self.profile)
-        return self._cache[i]
+        return curved_geometry(self.surfaces[i], self.profile)
 
     def report(self, i: int) -> dict:
         return condition_report(self.geometry(i))
@@ -186,6 +201,15 @@ class Foliation:
         return "\n".join(lines) + "\n"
 
 
+def hypothesis_minima(geom: CurvedGeometry) -> dict:
+    """Slice minima of the fields the inequality's hypotheses gate on."""
+    return {
+        "min_coefficient": float(np.min(reaction_coefficient(geom))),
+        "min_shear": float(np.min(geom.det_a0 - 0.5 * geom.t_field)),
+        "min_cos_theta": float(np.min(geom.flat.cos_theta)),
+    }
+
+
 def _slice_summary(geom: CurvedGeometry) -> dict:
     rep = condition_report(geom)
     G = geom.flat.surface.G
@@ -193,7 +217,6 @@ def _slice_summary(geom: CurvedGeometry) -> dict:
     return {
         "min_rho": float(np.min(G)),
         "max_rho": float(np.max(G)),
-        "min_cos_theta": float(np.min(geom.flat.cos_theta)),
         "min_kappa_rho2": float(np.min(geom.flat.kappa_min * G**2)),
         "min_H0": rep["monitors"]["mean_curvature"]["min"],
         "angle_margin": rep["monitors"]["angle"]["min_margin"],
@@ -202,6 +225,7 @@ def _slice_summary(geom: CurvedGeometry) -> dict:
         "passed": not failed,
         "failed_monitors": failed,
         "report": rep,
+        **hypothesis_minima(geom),
     }
 
 
@@ -281,10 +305,12 @@ def _is_axisymmetric(fol: Foliation) -> bool:
     return True
 
 
-def _second_form_residual(fol: Foliation, k: int, ds: float) -> float:
-    """Flat second-fundamental-form law, axisymmetric closed forms."""
-    geom = fol.geometry(k)
-    prof = fol.profile
+def _second_form_residual(prof: ConformalProfile, geoms, ds: float) -> float:
+    """Flat second-fundamental-form law, axisymmetric closed forms.
+
+    geoms holds the slice and its two neighbours, ds half their s-span.
+    """
+    prev, geom, nxt = geoms
     g = geom.grid
     surf = geom.flat.surface
     p = surf.partials(third=True)
@@ -330,10 +356,8 @@ def _second_form_residual(fol: Foliation, k: int, ds: float) -> float:
     lie_tt = tau * da_tt + 2.0 * a_tt * dtau
     lie_pp = tau * da_pp
 
-    prev = fol.geometry(k - 1).flat
-    nxt = fol.geometry(k + 1).flat
-    fd_tt = (nxt.a_tt - prev.a_tt) / (2.0 * ds)
-    fd_pp = (nxt.a_pp - prev.a_pp) / (2.0 * ds)
+    fd_tt = (nxt.flat.a_tt - prev.flat.a_tt) / (2.0 * ds)
+    fd_pp = (nxt.flat.a_pp - prev.flat.a_pp) / (2.0 * ds)
     return float(max(np.max(np.abs(fd_tt - lie_tt - law_tt)),
                      np.max(np.abs(fd_pp - lie_pp - law_pp))))
 
@@ -352,10 +376,12 @@ def evolution_diagnostics(fol: Foliation) -> dict:
     m_ref = fol.profile.ref.m
     axisym = _is_axisymmetric(fol)
 
+    n = len(fol)
+    windows = neighbour_windows(map(fol.geometry, range(n)))
+    next(windows)   # slice 0 has no centred stencil
     res_a, res_c, marg_d1, marg_d2, res_b = [], [], [], [], []
-    for k in range(1, len(fol) - 1):
+    for k, (gm, geom, gp) in zip(range(1, n - 1), windows):
         ds = 0.5 * (fol.s[k + 1] - fol.s[k - 1])
-        geom = fol.geometry(k)
         flat = geom.flat
         G = flat.surface.G
         tau_t, tau_p = drift_fields(geom)
@@ -363,8 +389,6 @@ def evolution_diagnostics(fol: Foliation) -> dict:
         def traj(prev_f, next_f, field_now):
             fd = (next_f - prev_f) / (2.0 * ds)
             return fd - advected_derivative(grid, field_now, tau_t, tau_p)
-
-        gm, gp = fol.geometry(k - 1), fol.geometry(k + 1)
 
         da = traj(gm.flat.surface.G, gp.flat.surface.G, G)
         res_a.append(np.max(np.abs(da - flat.cos_theta / geom.F**2)))
@@ -386,7 +410,7 @@ def evolution_diagnostics(fol: Foliation) -> dict:
         marg_d2.append(np.min(dkr2 - rhs2))
 
         if axisym:
-            res_b.append(_second_form_residual(fol, k, ds))
+            res_b.append(_second_form_residual(fol.profile, (gm, geom, gp), ds))
 
     out = {
         "radial_rate": {"max_residual": float(np.max(res_a))},

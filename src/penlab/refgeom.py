@@ -319,11 +319,6 @@ class ConformalProfile:
     def d2h_drho2(self, rho):
         return self.radial_factors(rho).d2h
 
-    def drho_dr(self, r):
-        r = np.asarray(r, dtype=float)
-        self._check_r(r)
-        return self.rho_of_r(r) / (r * np.sqrt(self.ref.phi(r)))
-
     def _check_r(self, r):
         if np.any(r < self.r_lo * (1 - 1e-12)) or np.any(r > self.r_hi * (1 + 1e-12)):
             raise ValueError("r outside the profile range")

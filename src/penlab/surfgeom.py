@@ -16,7 +16,6 @@ from scipy.special import lpmv
 from .sphere import SphereGrid
 from .refgeom import (
     ConformalProfile,
-    RadialFactors,
     angle_threshold,
     ricci_normal,
     scalar_curvature,
@@ -33,6 +32,7 @@ __all__ = [
     "surface_from_csv",
     "flat_geometry",
     "curved_geometry",
+    "reaction_coefficient",
     "brioschi_curvature",
     "metric_partials",
     "condition_report",
@@ -56,9 +56,6 @@ class StarSurface:
 
     def partials(self, third: bool = False) -> dict:
         return self.grid.partials(self.G, third=third)
-
-    def copy_with(self, G: np.ndarray) -> "StarSurface":
-        return StarSurface(self.grid, G)
 
 
 def round_surface(grid: SphereGrid, rho0: float) -> StarSurface:
@@ -216,17 +213,14 @@ def brioschi_curvature(E, F, G, E_u, E_v, E_vv, F_u, F_v, F_uv, G_u, G_v, G_uu):
     return (det1 - det2) / (E * G - F * F) ** 2
 
 
-def metric_partials(surface: StarSurface, profile: ConformalProfile | None = None,
-                    radial: RadialFactors | None = None):
+def metric_partials(surface: StarSurface, profile: ConformalProfile | None = None):
     """Induced-metric components and the partials the curvature formula needs.
 
     Everything is assembled by the product rule from spectral derivatives
     of the smooth scalar G (tensor components themselves are not
     pole-regular, so they are never differentiated spectrally).  With a
     profile the metric is the physical one, F⁴(G) × flat; without, the
-    flat-chart metric itself.  A caller that already holds
-    profile.radial_factors(surface.G) passes it as `radial` so the
-    profile is not inverted again.
+    flat-chart metric itself.
     """
     g = surface.grid
     G0 = surface.G
@@ -242,8 +236,7 @@ def metric_partials(surface: StarSurface, profile: ConformalProfile | None = Non
         f1 = np.zeros_like(G0)
         f2 = np.zeros_like(G0)
     else:
-        if radial is None:
-            radial = profile.radial_factors(G0)
+        radial = profile.radial_factors(G0)
         f, f1, f2 = radial.F, radial.dF, radial.d2F
 
     w4 = f**4
@@ -283,15 +276,6 @@ def metric_partials(surface: StarSurface, profile: ConformalProfile | None = Non
     }
 
 
-def _brioschi_from(parts: dict) -> np.ndarray:
-    return brioschi_curvature(
-        parts["E"], parts["F"], parts["G"],
-        parts["E_u"], parts["E_v"], parts["E_vv"],
-        parts["F_u"], parts["F_v"], parts["F_uv"],
-        parts["G_u"], parts["G_v"], parts["G_uu"],
-    )
-
-
 # ----------------------------------------------------------------------
 # physical geometry
 
@@ -302,7 +286,8 @@ class CurvedGeometry:
     Carries the flat-chart data it was built from plus the conformally
     rescaled forms and the reference curvature fields along the surface.
     The area density is per unit solid angle (√det σ / sinθ), so surface
-    integrals are grid.integrate(field * area_density).
+    integrals are grid.integrate(field * area_density).  gauss_k needs third
+    derivatives of G, so it and gauss_residual are computed on each read.
     """
 
     flat: FlatGeometry
@@ -315,9 +300,6 @@ class CurvedGeometry:
     H0: np.ndarray
     kappa_min: np.ndarray
     kappa_max: np.ndarray
-    a0_tt: np.ndarray
-    a0_tp: np.ndarray
-    a0_pp: np.ndarray
     sig_tt: np.ndarray
     sig_tp: np.ndarray
     sig_pp: np.ndarray
@@ -328,12 +310,22 @@ class CurvedGeometry:
     ric_nu: np.ndarray
     t_field: np.ndarray
     scalar_curv: np.ndarray
-    gauss_k: np.ndarray
-    gauss_residual: np.ndarray
 
     @property
     def grid(self) -> SphereGrid:
         return self.flat.grid
+
+    @property
+    def gauss_k(self) -> np.ndarray:
+        """Intrinsic curvature of the induced metric (Brioschi formula)."""
+        return brioschi_curvature(**metric_partials(self.flat.surface,
+                                                    self.profile))
+
+    @property
+    def gauss_residual(self) -> np.ndarray:
+        """Gauss-equation defect 2K − (R̄ − 2 Ric(ν,ν) + H0² − |A0|²)."""
+        return 2.0 * self.gauss_k - (self.scalar_curv - 2.0 * self.ric_nu
+                                     + self.H0**2 - self.a0_sq)
 
     @property
     def cos_theta(self) -> np.ndarray:
@@ -378,9 +370,6 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     kappa_min = (flat.kappa_min + ratio) / F2
     kappa_max = (flat.kappa_max + ratio) / F2
     H0 = (flat.H + 2.0 * ratio) / F2
-    a0_tt = F2 * (flat.a_tt + ratio * flat.sig_tt)
-    a0_tp = F2 * (flat.a_tp + ratio * flat.sig_tp)
-    a0_pp = F2 * (flat.a_pp + ratio * flat.sig_pp)
 
     F4 = F2 * F2
     sig_tt = F4 * flat.sig_tt
@@ -395,22 +384,23 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     tfield = t_function(ref, r, flat.cos_theta)
     rbar = scalar_curvature(ref, r)
 
-    gauss_k = _brioschi_from(metric_partials(surface, profile, radial))
     det_a0 = kappa_min * kappa_max
     a0_sq = kappa_min**2 + kappa_max**2
-    residual = 2.0 * gauss_k - (rbar - 2.0 * ric + H0**2 - a0_sq)
 
     return CurvedGeometry(
         flat=flat, profile=profile, r=r, F=F, dF_dnu=dF_dnu,
         V=V, dV_dnu=dV_dnu, H0=H0,
         kappa_min=kappa_min, kappa_max=kappa_max,
-        a0_tt=a0_tt, a0_tp=a0_tp, a0_pp=a0_pp,
         sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,
         det_sig=det_sig, area_density=area_density,
         det_a0=det_a0, a0_sq=a0_sq,
         ric_nu=ric, t_field=tfield, scalar_curv=rbar,
-        gauss_k=gauss_k, gauss_residual=residual,
     )
+
+
+def reaction_coefficient(geom: CurvedGeometry) -> np.ndarray:
+    """c = detA0 + T/2 − Ric(ν,ν); positivity drives u monotonically to 1."""
+    return geom.det_a0 + 0.5 * geom.t_field - geom.ric_nu
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import penlab.cli
+from penlab.bartnik import StepRejected
 from penlab.cli import console_main
+from penlab.flow import FlowError
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -213,3 +216,29 @@ def test_normalized_units(tmp_path):
     report = json.loads((tmp_path / "scenario.json").read_text())
     assert report["scenario"]["r0"] == 8.0
     assert abs(report["margin"] - 2 * 0.0111456) < 4e-4
+
+
+def _raise(exc):
+    def stage(*args, **kwargs):
+        raise exc
+    return stage
+
+
+def test_flow_abort_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(penlab.cli, "run_flow",
+                        _raise(FlowError("step 7 (s = 0.14): G <= 0")))
+    assert console_main(["flow", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "run aborted (FlowError): step 7 (s = 0.14): G <= 0\n"
+
+
+def test_exhausted_lapse_step_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(penlab.cli, "penrose_report",
+                        _raise(StepRejected("linear solve stalled")))
+    cfg = write_config(tmp_path, {
+        "scenario": {"kind": "schwarzschild_interior", "inner_m": 1.2,
+                     "r0": 4.0, "s_max": 1.0}})
+    code = console_main(["scenario", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "run aborted (StepRejected): linear solve stalled\n"

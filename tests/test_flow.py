@@ -9,6 +9,7 @@ from penlab.flow import (
     compute_constants,
     evolution_diagnostics,
     flow_speed,
+    neighbour_windows,
     run_flow,
     step_flow,
 )
@@ -185,6 +186,20 @@ def test_diagnostics_need_three_slices(grid, flat_profile):
                    FlowConfig(ds=0.1, s_max=0.1))
     with pytest.raises(ValueError, match="3 stored slices"):
         evolution_diagnostics(fol)
+
+
+def test_neighbour_windows_clip_and_pull_once():
+    pulled = []
+
+    def items():
+        for i in range(5):
+            pulled.append(i)
+            yield i
+
+    windows = list(neighbour_windows(items()))
+    assert windows == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (2, 3, 4), (2, 3, 4)]
+    assert pulled == [0, 1, 2, 3, 4]
+    assert list(neighbour_windows("abc")) == [tuple("abc")] * 3
 
 
 # ---------------------------------------------------------------- constants

@@ -1,0 +1,75 @@
+"""One geometry build per slice per pass, and hypothesis minima from the flow."""
+
+import numpy as np
+import pytest
+
+import penlab.flow
+import penlab.surfgeom
+from penlab.bartnik import solve_u
+from penlab.energy import Scenario, penrose_report
+from penlab.flow import FlowConfig, run_flow
+from penlab.oracle import schwarzschild_rho
+from penlab.refgeom import isothermal_profile, make_reference
+from penlab.sphere import SphereGrid
+from penlab.surfgeom import reaction_coefficient, round_surface
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count calls through flow's curved_geometry and surfgeom's metric_partials."""
+    calls = {"curved_geometry": 0, "metric_partials": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(penlab.flow, "curved_geometry")
+    counting(penlab.surfgeom, "metric_partials")
+    return calls
+
+
+def test_penrose_report_builds_each_slice_three_times(counted):
+    sc = Scenario(kind="schwarzschild_interior", m=1.0, inner_m=1.2, r0=4.0,
+                  n_theta=8, n_phi=16, ds=0.05, s_max=3.0, store_every=5,
+                  profile_points=700)
+    rep = penrose_report(sc)
+    leaves = len(rep.foliation)
+    assert leaves == 13 and rep.trace is not None
+    # store in run_flow, solve_u, monotonicity_check, plus slice 0 for u0
+    assert counted["curved_geometry"] <= 3 * leaves + 1
+    assert counted["metric_partials"] == 0
+    assert np.all(np.isfinite(rep.foliation.geometry(0).gauss_k))
+    assert counted["metric_partials"] == 1
+
+
+def test_flow_and_solve_build_each_slice_twice(counted):
+    ref = make_reference("schwarzschild", m=1.0)
+    profile = isothermal_profile(ref, np.geomspace(2.02, 200.0, 500))
+    grid = SphereGrid(8, 16)
+    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)), profile,
+                   FlowConfig(ds=0.05, s_max=0.5, store_every=1))
+    solve_u(fol, 1.2, dt_max=0.05, with_residual=False)
+    assert counted["curved_geometry"] <= 2 * len(fol)
+    assert counted["metric_partials"] == 0
+
+
+def test_hypothesis_minima_match_slice_geometry():
+    sc = Scenario(kind="rn_interior", m=1.0, e=0.5, inner_m=1.2, r0=6.0,
+                  perturbation={(2, 0): 0.05, (3, 2): 0.01},
+                  n_theta=8, n_phi=16, ds=0.05, s_max=1.5, store_every=5,
+                  profile_points=700)
+    rep = penrose_report(sc)
+    fol = rep.foliation
+    geoms = [fol.geometry(k) for k in range(len(fol))]
+    hyp = rep.report["hypotheses"]
+    assert hyp["coefficient_positive"]["min"] == min(
+        float(np.min(reaction_coefficient(g))) for g in geoms)
+    assert hyp["shear_dominates_matter"]["min"] == min(
+        float(np.min(g.det_a0 - 0.5 * g.t_field)) for g in geoms)
+    assert hyp["angle_vs_constant"]["min_cos_theta"] == min(
+        float(np.min(g.cos_theta)) for g in geoms)
