@@ -105,14 +105,7 @@ def _lagrange3(s_nodes, t):
 
 
 def _laplacian(grid, b: _Bundle, v: np.ndarray) -> np.ndarray:
-    C = grid.analyze(v)
-    vt = grid.synthesize(C, dtheta=1)
-    vp = grid.synthesize(C, dphi=1)
-    flux_t = b.p_tt * vt + b.p_tp * vp
-    flux_p = b.p_tp * vt + b.p_pp * vp
-    div = (grid.synthesize(grid.analyze(flux_t), dtheta=1)
-           + grid.synthesize(grid.analyze(flux_p), dphi=1))
-    return b.inv_root * div
+    return b.inv_root * grid.div_grad(v, b.p_tt, b.p_tp, b.p_pp)
 
 
 def _rate(grid, b: _Bundle, u: np.ndarray, advect: bool) -> np.ndarray:
@@ -143,11 +136,7 @@ def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3, gmres_tol=1e-12):
         alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
 
         def precond(x):
-            # the spectral inverse band-limits; act as identity on whatever
-            # falls outside the band so the preconditioner stays invertible
-            f = x.reshape(shape)
-            smooth = grid.round_helmholtz_inverse(f, alpha)
-            return (smooth + (f - grid.project(f))).ravel()
+            return grid.round_helmholtz_inverse(x.reshape(shape), alpha).ravel()
 
         count = [0]
 

@@ -438,8 +438,16 @@ def _scenario_kwargs(block: dict, cfg: dict, args) -> dict:
     return kw
 
 
+def _abort_message(exc: Exception) -> str:
+    return f"run aborted ({type(exc).__name__}): {exc}"
+
+
 def _scenario_worker(sc: Scenario):
-    rep = penrose_report(sc)
+    # an aborted run becomes this scenario's verdict, so a batch finishes
+    try:
+        rep = penrose_report(sc)
+    except (FlowError, StepRejected) as exc:
+        return {"verdict": "error", "error": _abort_message(exc)}, None
     csv = None if rep.trace is None else rep.trace.series_csv()
     return rep.report, csv
 
@@ -473,10 +481,14 @@ def cmd_scenario(cfg: dict, args) -> int:
             (out / f"{stem.replace('scenario', 'energy_trace')}.csv"
              ).write_text(csv)
         verdict = report["verdict"]
-        print(f"{stem}: {verdict}; margin {report['margin']:.6g}")
+        if verdict == "error":
+            print(f"{stem}: error")
+            print(report["error"], file=sys.stderr)
+        else:
+            print(f"{stem}: {verdict}; margin {report['margin']:.6g}")
         if verdict == "inequality violated":
             worst = max(worst, 2)
-        elif verdict == "hypotheses not met":
+        elif verdict in ("hypotheses not met", "error"):
             worst = max(worst, 1)
     return {0: 0, 1: 3, 2: 1}[worst]
 
@@ -517,7 +529,7 @@ def console_main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except (FlowError, StepRejected) as exc:
-        print(f"run aborted ({type(exc).__name__}): {exc}", file=sys.stderr)
+        print(_abort_message(exc), file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

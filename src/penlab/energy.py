@@ -292,9 +292,10 @@ def _hypothesis_block(summaries, monitors_ok: bool, aborted: bool,
     carry the vacuum-family thresholds; for charged or tabulated
     references the angle condition is re-gated against the bound from
     compute_constants, which is the one the general argument needs.
+    A NaN minimum propagates and fails its gate.
     """
     min_coef, min_shear, min_cos = (
-        min([np.inf] + [sm[key] for sm in summaries])
+        float(np.min([np.inf] + [sm[key] for sm in summaries]))
         for key in ("min_coefficient", "min_shear", "min_cos_theta"))
     gates = {
         "surface_conditions": {"passed": bool(monitors_ok),

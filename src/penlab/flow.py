@@ -67,16 +67,19 @@ class FlowConfig:
             raise ValueError("store_every must be >= 1")
 
 
+def _speed_and_gradient(surface: StarSurface, profile: ConformalProfile):
+    """Flow speed of a surface plus the gradient (G_θ, G_φ) it was built from."""
+    g = surface.grid
+    G = surface.G
+    Gt, Gp = g.gradient(G)
+    W = np.sqrt(G**2 + Gt**2 + (Gp / g.sin_theta[:, None]) ** 2)
+    F = profile.F_of_rho(G)
+    return W / (G * F * F), Gt, Gp
+
+
 def flow_speed(surface: StarSurface, profile: ConformalProfile) -> np.ndarray:
     """Graph speed Ġ = W/(G F²), the unit normal speed written radially."""
-    g = surface.grid
-    C = g.analyze(surface.G)
-    Gt = g.synthesize(C, dtheta=1)
-    Gp = g.synthesize(C, dphi=1)
-    s = g.sin_theta[:, None]
-    W = np.sqrt(surface.G**2 + Gt**2 + (Gp / s) ** 2)
-    F = profile.F_of_rho(surface.G)
-    return W / (surface.G * F * F)
+    return _speed_and_gradient(surface, profile)[0]
 
 
 def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
@@ -84,8 +87,9 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
     """One classical RK4 step of the graph flow.
 
     Returns (new surface, info); info carries a CFL-style advection
-    number for the tangential drift and whether it is within the safety
-    factor.  Raises FlowError if the update loses star-shapedness.
+    number for the tangential drift, whether it is within the safety
+    factor, and the flow speed of the input surface (the first stage).
+    Raises FlowError if the update loses star-shapedness.
     """
     g = surface.grid
 
@@ -94,7 +98,8 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
 
     G0 = surface.G
     try:
-        k1 = rate(G0)
+        # the first stage's gradient also sets the CFL number below
+        k1, Gt, Gp = _speed_and_gradient(surface, profile)
         k2 = rate(G0 + 0.5 * ds * k1)
         k3 = rate(G0 + 0.5 * ds * k2)
         k4 = rate(G0 + ds * k3)
@@ -108,16 +113,13 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
         raise FlowError("flow update lost star-shapedness (G <= 0 or non-finite)")
 
     # tangential label drift limits the usable step, not the normal motion
-    C = g.analyze(G0)
-    Gt = g.synthesize(C, dtheta=1)
-    Gp = g.synthesize(C, dphi=1)
     s = g.sin_theta[:, None]
     d_theta = float(np.min(np.diff(g.theta)))
     d_phi = 2.0 * np.pi / g.n_phi
     tau_t = k1 * Gt / (G0**2 + Gt**2)
     tau_p = k1 * (Gp / s**2) / G0**2
     cfl = ds * float(np.max(np.abs(tau_t)) / d_theta + np.max(np.abs(tau_p)) / d_phi)
-    return StarSurface(g, G1), {"cfl": cfl, "cfl_ok": cfl <= cfl_safety}
+    return StarSurface(g, G1), {"cfl": cfl, "cfl_ok": cfl <= cfl_safety, "speed": k1}
 
 
 def drift_fields(geom: CurvedGeometry):
@@ -136,8 +138,8 @@ def drift_fields(geom: CurvedGeometry):
 
 def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p):
     """τ^a ∂_a field, the drift correction for trajectory derivatives."""
-    C = grid.analyze(fieldval)
-    return tau_t * grid.synthesize(C, dtheta=1) + tau_p * grid.synthesize(C, dphi=1)
+    d_t, d_p = grid.gradient(fieldval)
+    return tau_t * d_t + tau_p * d_p
 
 
 def neighbour_windows(items):
@@ -241,27 +243,27 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
     ds = config.s_max / n_steps
 
     fol = Foliation(profile=profile, config=config, s=[], surfaces=[], summaries=[])
-
-    prev_speed = None  # flow speed of the last stored slice
+    # flow speed of each stored slice: the first RK stage of the step that
+    # leaves it, so no surface's speed is computed twice
+    speeds = []
 
     def store(s_val, surf):
-        nonlocal prev_speed
-        geom = curved_geometry(surf, profile)
-        summary = _slice_summary(geom)
-        gdot = flow_speed(surf, profile)
-        # discrete unit-lapse residual vs the previous stored slice
-        if fol.surfaces:
-            ds_window = s_val - fol.s[-1]
-            fd = (surf.G - fol.surfaces[-1].G) / ds_window
-            summary["unit_lapse_residual"] = float(
-                np.max(np.abs(fd / (0.5 * (gdot + prev_speed)) - 1.0)))
-        else:
-            summary["unit_lapse_residual"] = 0.0
-        prev_speed = gdot
+        summary = _slice_summary(curved_geometry(surf, profile))
+        summary["unit_lapse_residual"] = 0.0
         fol.s.append(s_val)
         fol.surfaces.append(surf)
         fol.summaries.append(summary)
         return summary
+
+    def record_speed(gdot):
+        # discrete unit-lapse residual of the newest stored slice vs the
+        # slice before it
+        j = len(speeds)
+        if j:
+            fd = (fol.surfaces[j].G - fol.surfaces[j - 1].G) / (fol.s[j] - fol.s[j - 1])
+            fol.summaries[j]["unit_lapse_residual"] = float(
+                np.max(np.abs(fd / (0.5 * (gdot + speeds[-1])) - 1.0)))
+        speeds.append(gdot)
 
     summary = store(0.0, surface)
     if config.abort_on_condition_failure and not summary["passed"]:
@@ -279,6 +281,8 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
                                       cfl_safety=config.cfl_safety)
         except FlowError as exc:
             raise FlowError(f"step {k} (s = {k * ds:.6g}): {exc}") from exc
+        if len(speeds) < len(fol):
+            record_speed(info["speed"])
         max_cfl = max(max_cfl, info["cfl"])
         if k % config.store_every == 0 or k == n_steps:
             summary = store(k * ds, current)
@@ -290,6 +294,8 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
                     f"condition failure at s = {k * ds:.6g}: "
                     f"{summary['failed_monitors']}")
                 break
+    # the last stored slice is left by no step
+    record_speed(flow_speed(fol.surfaces[-1], profile))
     fol.summaries[0]["max_cfl"] = max_cfl
     return fol
 

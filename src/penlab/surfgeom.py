@@ -345,15 +345,9 @@ class CurvedGeometry:
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami of a scalar in the induced physical metric."""
         g = self.grid
-        s = g.sin_theta[:, None]
         inv_tt, inv_tp, inv_pp = self.inverse_metric()
-        dens = self.area_density * s  # √det σ
-        p = g.partials(field)
-        flux_t = dens * (inv_tt * p["t"] + inv_tp * p["p"])
-        flux_p = dens * (inv_tp * p["t"] + inv_pp * p["p"])
-        div = (g.synthesize(g.analyze(flux_t), dtheta=1)
-               + g.synthesize(g.analyze(flux_p), dphi=1))
-        return div / dens
+        dens = self.area_density * g.sin_theta[:, None]  # √det σ
+        return g.div_grad(field, dens * inv_tt, dens * inv_tp, dens * inv_pp) / dens
 
 
 def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGeometry:

@@ -8,6 +8,7 @@ import pytest
 import penlab.cli
 from penlab.bartnik import StepRejected
 from penlab.cli import console_main
+from penlab.energy import PenroseReport
 from penlab.flow import FlowError
 
 
@@ -242,3 +243,36 @@ def test_exhausted_lapse_step_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "run aborted (StepRejected): linear solve stalled\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("other, code", [("inequality holds", 3),
+                                         ("inequality violated", 1)])
+def test_scenario_batch_records_error(tmp_path, monkeypatch, capsys, jobs,
+                                      other, code):
+    # the second of two scenarios aborts; the first still gets its report
+    def report(sc):
+        if sc.r0 == 8.0:
+            raise FlowError("step 3 (s = 0.06): G <= 0")
+        return PenroseReport(report={"verdict": other, "margin": 0.5},
+                             trace=None, foliation=None, ufield=None)
+
+    monkeypatch.setattr(penlab.cli, "penrose_report", report)
+    cfg = write_config(tmp_path, {
+        "flow": {"resolution": [8, 16]},
+        "scenarios": [
+            {"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": 4.0},
+            {"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": 8.0},
+        ],
+    })
+    out = tmp_path / "out"
+    assert console_main(["scenario", "--config", cfg, "--out", str(out),
+                         "--jobs", jobs]) == code
+    first = json.loads((out / "scenario_0.json").read_text())
+    assert first["verdict"] == other
+    message = "run aborted (FlowError): step 3 (s = 0.06): G <= 0"
+    assert json.loads((out / "scenario_1.json").read_text()) == {
+        "verdict": "error", "error": message}
+    streams = capsys.readouterr()
+    assert "scenario_1: error" in streams.out
+    assert streams.err == message + "\n"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from penlab.bartnik import UField, solve_u
-from penlab.energy import (EnergyTrace, Scenario, adm_extrapolate,
-                           monotonicity_check, penrose_report,
-                           quasilocal_energy)
+from penlab.energy import (EnergyTrace, Scenario, _hypothesis_block,
+                           adm_extrapolate, monotonicity_check,
+                           penrose_report, quasilocal_energy)
 from penlab.flow import FlowConfig, run_flow
 from penlab.oracle import scenario_closed_form, schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
@@ -232,3 +232,17 @@ def test_scenario_declared_violation():
     assert rep.verdict == "inequality violated"
     assert rep.report["margin"] < 0.0
     assert rep.report["hypotheses"]["all_passed"]
+
+
+@pytest.mark.parametrize("key, gate", [
+    ("min_coefficient", "coefficient_positive"),
+    ("min_shear", "shear_dominates_matter"),
+])
+def test_hypothesis_block_fails_nan_minimum(key, gate):
+    summary = {"min_coefficient": 1.0, "min_shear": 1.0, "min_cos_theta": 1.0}
+    summary[key] = np.nan
+    gates = _hypothesis_block([summary, dict(summary, **{key: 0.5})], True,
+                              False, None, "schwarzschild", None)
+    assert np.isnan(gates[gate]["min"])
+    assert gates[gate]["passed"] is False
+    assert gates["all_passed"] is False

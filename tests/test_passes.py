@@ -1,4 +1,5 @@
-"""One geometry build per slice per pass, and hypothesis minima from the flow."""
+"""One geometry build per slice per pass, one flow speed per surface, and
+hypothesis minima from the flow."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import penlab.flow
 import penlab.surfgeom
 from penlab.bartnik import solve_u
 from penlab.energy import Scenario, penrose_report
-from penlab.flow import FlowConfig, run_flow
+from penlab.flow import FlowConfig, flow_speed, run_flow
 from penlab.oracle import schwarzschild_rho
-from penlab.refgeom import isothermal_profile, make_reference
+from penlab.refgeom import ConformalProfile, isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
-from penlab.surfgeom import reaction_coefficient, round_surface
+from penlab.surfgeom import (perturbed_surface, reaction_coefficient,
+                             round_surface)
 
 
 @pytest.fixture
@@ -73,3 +75,28 @@ def test_hypothesis_minima_match_slice_geometry():
         float(np.min(g.det_a0 - 0.5 * g.t_field)) for g in geoms)
     assert hyp["angle_vs_constant"]["min_cos_theta"] == min(
         float(np.min(g.cos_theta)) for g in geoms)
+
+
+def test_flow_speed_once_per_surface(monkeypatch):
+    # F_of_rho is read by the speed alone: 4 RK stages per step plus the
+    # last stored slice, whose speed no step computes
+    calls = [0]
+    original = ConformalProfile.F_of_rho
+
+    def counting(self, rho):
+        calls[0] += 1
+        return original(self, rho)
+
+    ref = make_reference("schwarzschild", m=1.0)
+    profile = isothermal_profile(ref, np.geomspace(2.02, 200.0, 500))
+    surf = perturbed_surface(SphereGrid(8, 16), schwarzschild_rho(1.0, 4.0),
+                             {(2, 0): 0.05})
+    monkeypatch.setattr(ConformalProfile, "F_of_rho", counting)
+    fol = run_flow(surf, profile, FlowConfig(ds=0.05, s_max=0.3, store_every=2))
+    assert len(fol) == 4 and calls[0] == 4 * 6 + 1
+    speeds = [flow_speed(sf, profile) for sf in fol.surfaces]
+    assert fol.summaries[0]["unit_lapse_residual"] == 0.0
+    for j in range(1, len(fol)):
+        fd = (fol.surfaces[j].G - fol.surfaces[j - 1].G) / (fol.s[j] - fol.s[j - 1])
+        assert fol.summaries[j]["unit_lapse_residual"] == float(
+            np.max(np.abs(fd / (0.5 * (speeds[j] + speeds[j - 1])) - 1.0)))

@@ -119,6 +119,63 @@ def test_round_helmholtz_inverse(grid):
     assert np.allclose(u, f / (1 + 0.1 * 20.0), atol=1e-12)
 
 
+def test_round_helmholtz_inverse_is_identity_off_band(grid):
+    # the resolved part is inverted, the unresolved remainder passes through
+    f = np.random.default_rng(5).standard_normal((grid.n_theta, grid.n_phi))
+    ells = np.arange(grid.lmax + 1)
+    inverted = grid.synthesize(grid.analyze(f) / (1 + 0.1 * ells * (ells + 1)))
+    u = grid.round_helmholtz_inverse(f, 0.1)
+    assert np.allclose(u, inverted + (f - grid.project(f)), rtol=0.0, atol=1e-13)
+
+
+def test_stacked_analysis_matches_per_field(grid):
+    fields = np.random.default_rng(11).standard_normal(
+        (2, 3, grid.n_theta, grid.n_phi))
+    C = grid.analyze(fields)
+    assert C.shape == (2, 3, grid.mmax + 1, grid.lmax + 1)
+    for i in range(2):
+        for j in range(3):
+            ref = grid.analyze(fields[i, j])
+            assert np.allclose(C[i, j], ref, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(ref)))
+
+
+def test_stacked_synthesis_matches_single_orders(grid):
+    Cs = grid.analyze(np.random.default_rng(12).standard_normal(
+        (3, grid.n_theta, grid.n_phi)))
+    # one order pair per stacked set, then many pairs sharing one set
+    stacked = grid.synthesize(Cs, (1, 0, 3), (0, 2, 1))
+    orders = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3))
+    shared = grid.synthesize(Cs[1], *zip(*orders))
+    assert stacked.shape == (3, grid.n_theta, grid.n_phi)
+    assert shared.shape == (len(orders), grid.n_theta, grid.n_phi)
+    pairs = [(Cs[0], 1, 0, stacked[0]), (Cs[1], 0, 2, stacked[1]),
+             (Cs[2], 3, 1, stacked[2])]
+    pairs += [(Cs[1], a, b, out) for (a, b), out in zip(orders, shared)]
+    for C, a, b, out in pairs:
+        ref = grid.synthesize(C, a, b)
+        assert np.allclose(out, ref, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(ref))), (a, b)
+    with pytest.raises(ValueError, match="0..3"):
+        grid.synthesize(Cs[0], (1, 4), (0, 0))
+    with pytest.raises(ValueError, match="one length"):
+        grid.synthesize(Cs[:2], (1, 0, 2), 0)
+
+
+def test_div_grad_matches_single_order_transforms(grid):
+    rng = np.random.default_rng(13)
+    f = grid.project(rng.standard_normal((grid.n_theta, grid.n_phi)))
+    a_tt, a_tp, a_pp = 1.0 + 0.1 * rng.random((3, grid.n_theta, grid.n_phi))
+    C = grid.analyze(f)
+    ft, fp = grid.synthesize(C, 1, 0), grid.synthesize(C, 0, 1)
+    ref = (grid.synthesize(grid.analyze(a_tt * ft + a_tp * fp), 1, 0)
+           + grid.synthesize(grid.analyze(a_tp * ft + a_pp * fp), 0, 1))
+    out = grid.div_grad(f, a_tt, a_tp, a_pp)
+    assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+    assert np.allclose(grid.gradient(f), [ft, fp], rtol=0.0,
+                       atol=1e-13 * np.max(np.abs(ft)))
+
+
 @pytest.mark.parametrize("shape", [(16, 32), (12, 16)])
 def test_transforms_match_einsum_reference(shape):
     # the matmul transforms against the plain contraction over the same
