@@ -11,11 +11,12 @@ verifies discretely.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .flow import (Foliation, advected_derivative, drift_fields,
+from .flow import (Foliation, advected_derivative, drift_fields, lagrange3,
                    neighbour_windows)
 from .surfgeom import CurvedGeometry, reaction_coefficient
 
@@ -28,6 +29,12 @@ __all__ = [
     "solve_u",
     "scalar_residual",
 ]
+
+
+# relative GMRES tolerance of each frozen-coefficient solve, and how many
+# times solve_u halves a window's substep before giving up
+_GMRES_RTOL = 1e-12
+_MAX_HALVINGS = 8
 
 
 class StepRejected(RuntimeError):
@@ -53,8 +60,7 @@ def initial_u(h_physical, h_background) -> np.ndarray:
 # ----------------------------------------------------------------------
 # coefficient bundles: everything one step needs, interpolable in s
 
-@dataclass
-class _Bundle:
+class _Bundle(NamedTuple):
     H0: np.ndarray
     c: np.ndarray
     tau_t: np.ndarray
@@ -84,24 +90,8 @@ def _make_bundle(geom: CurvedGeometry) -> _Bundle:
 
 
 def _blend(bundles, weights) -> _Bundle:
-    def mix(name):
-        return sum(w * getattr(b, name) for b, w in zip(bundles, weights))
-
-    return _Bundle(
-        H0=mix("H0"), c=mix("c"), tau_t=mix("tau_t"), tau_p=mix("tau_p"),
-        p_tt=mix("p_tt"), p_tp=mix("p_tp"), p_pp=mix("p_pp"),
-        inv_root=mix("inv_root"),
-        area_radius=float(mix("area_radius")),
-    )
-
-
-def _lagrange3(s_nodes, t):
-    s0, s1, s2 = s_nodes
-    return (
-        (t - s1) * (t - s2) / ((s0 - s1) * (s0 - s2)),
-        (t - s0) * (t - s2) / ((s1 - s0) * (s1 - s2)),
-        (t - s0) * (t - s1) / ((s2 - s0) * (s2 - s1)),
-    )
+    return _Bundle(*(sum(w * f for w, f in zip(weights, fields))
+                     for fields in zip(*bundles)))
 
 
 def _laplacian(grid, b: _Bundle, v: np.ndarray) -> np.ndarray:
@@ -115,7 +105,7 @@ def _rate(grid, b: _Bundle, u: np.ndarray, advect: bool) -> np.ndarray:
     return out
 
 
-def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3, gmres_tol=1e-12):
+def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient."""
     shape = u0.shape
     n = u0.size
@@ -146,7 +136,7 @@ def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3, gmres_tol=1e-12):
         A = LinearOperator((n, n), matvec=matvec, dtype=float)
         M = LinearOperator((n, n), matvec=precond, dtype=float)
         sol, info = gmres(A, rhs.ravel(), x0=v.ravel(), M=M,
-                          rtol=gmres_tol, atol=1e-14, restart=30, maxiter=60,
+                          rtol=_GMRES_RTOL, atol=1e-14, restart=30, maxiter=60,
                           callback=cb, callback_type="legacy")
         if info != 0:
             # non-convergence means the step size overwhelmed the
@@ -216,16 +206,16 @@ class UField:
         return "\n".join(lines) + "\n"
 
 
-def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
-            gmres_tol: float = 1e-12, max_halvings: int = 8,
-            adapt: bool = True, with_residual: bool = True) -> UField:
+def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
+            with_residual: bool = True) -> UField:
     """March the lapse equation across every stored window of a foliation.
 
     Coefficients are interpolated quadratically in s through the three
-    nearest stored slices, so the substep size dt_max is decoupled from the
-    slice spacing.  With adapt on, the substep grows as |u − 1| decays
-    (local error scales with the deviation), up to 4x dt_max.  Steps that
-    break the maximum-principle bounds are retried with halved substeps.
+    nearest stored slices, once per substep node, so the substep size
+    dt_max is decoupled from the slice spacing.  With adapt on, the
+    substep grows as |u − 1| decays (local error scales with the
+    deviation), up to 4x dt_max.  Steps that break the maximum-principle
+    bounds are retried with halved substeps.
     """
     n = len(fol)
     if n < 3:
@@ -264,23 +254,22 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, n_fixed: int = 2,
             else:
                 dt_allow = dt_max * min(4.0, (dev0 / dev) ** (1.0 / 3.0))
         n_sub = max(1, int(np.ceil(window / dt_allow - 1e-12)))
-        for attempt in range(max_halvings + 1):
+        b_start = _blend(nb, lagrange3(nodes, fol.s[k])[0])
+        for attempt in range(_MAX_HALVINGS + 1):
             try:
-                v = u
+                v, b0 = u, b_start
                 dt = window / n_sub
-                for i in range(n_sub):
-                    t0 = fol.s[k] + i * dt
-                    w0 = _lagrange3(nodes, t0)
-                    w1 = _lagrange3(nodes, t0 + dt)
-                    b0 = _blend(nb, w0)
-                    b1 = _blend(nb, w1)
+                for i in range(1, n_sub + 1):
+                    # each substep starts from the previous one's end blend
+                    b1 = _blend(nb, lagrange3(nodes, fol.s[k] + i * dt)[0])
                     v, it = _imex_step(grid, v, b0, b1, dt, advect=True,
-                                       n_fixed=n_fixed, gmres_tol=gmres_tol)
+                                       n_fixed=2)
+                    b0 = b1
                     gmax = max(gmax, it)
                     _check_bounds(v, lo, hi)
                 break
             except StepRejected:
-                if attempt == max_halvings:
+                if attempt == _MAX_HALVINGS:
                     raise
                 n_sub *= 2
                 halvings += 1
@@ -310,7 +299,7 @@ def scalar_residual(fol: Foliation, ufield: UField,
 
     Evaluates the 3D scalar curvature of u²ds² + σ_s through the
     mean-curvature first-variation identity plus the Gauss equation, with
-    s-derivatives from second-order differences of the stored slices.  The
+    s-derivatives from lagrange3 slopes on the stored slices.  The
     same discrete functional evaluated at u ≡ 1 reproduces the reference
     background, so that case vanishes identically; with include_coupling
     False the matter term (1/u² − 1)T is left in the returned field.
@@ -330,22 +319,10 @@ def scalar_residual(fol: Foliation, ufield: UField,
         g = geoms[at]
         gauss_k = g.gauss_k
         tau_t, tau_p = drift_fields(g)
+        slopes = lagrange3(nodes, nodes[at])[1]
 
         def traj_dh(w):
-            h0, h1, h2 = (gi.H0 / wi for gi, wi in zip(geoms, w))
-            s0, s1, s2 = nodes
-            if at == 1:
-                dsm, dsp = s1 - s0, s2 - s1
-                tot = dsm + dsp
-                fd = (h2 * dsm / (dsp * tot) - h0 * dsp / (dsm * tot)
-                      + h1 * (dsp - dsm) / (dsm * dsp))
-            else:
-                # 3-point one-sided, second order on a uniform pair
-                d = s1 - s0
-                if at == 0:
-                    fd = (-3.0 * h0 + 4.0 * h1 - h2) / (2.0 * d)
-                else:
-                    fd = (3.0 * h2 - 4.0 * h1 + h0) / (2.0 * d)
+            fd = sum(d * gi.H0 / wi for d, gi, wi in zip(slopes, geoms, w))
             here = g.H0 / w[at]
             return fd - advected_derivative(grid, here, tau_t, tau_p)
 

@@ -7,6 +7,7 @@ star-shaped and makes the swept metric ds² + σ_s have unit lapse.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "FlowConfig",
     "Foliation",
     "neighbour_windows",
+    "lagrange3",
     "hypothesis_minima",
     "flow_speed",
     "step_flow",
@@ -45,6 +47,9 @@ ESSENTIAL_MONITORS = (
     "potential_slope",
 )
 
+# largest tangential-drift CFL number step_flow reports as within bounds
+CFL_SAFETY = 0.75
+
 
 class FlowError(RuntimeError):
     """Surface update broke a flow precondition."""
@@ -56,9 +61,6 @@ class FlowConfig:
     s_max: float = 10.0
     store_every: int = 1
     abort_on_condition_failure: bool = True
-    tolerance: float = 1e-8
-    project_each_step: bool = True
-    cfl_safety: float = 0.75
 
     def __post_init__(self):
         if self.ds <= 0.0 or self.s_max <= 0.0:
@@ -82,13 +84,12 @@ def flow_speed(surface: StarSurface, profile: ConformalProfile) -> np.ndarray:
     return _speed_and_gradient(surface, profile)[0]
 
 
-def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
-              project: bool = True, cfl_safety: float = 0.75):
-    """One classical RK4 step of the graph flow.
+def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
+    """One classical RK4 step of the graph flow, projected onto the band.
 
     Returns (new surface, info); info carries a CFL-style advection
-    number for the tangential drift, whether it is within the safety
-    factor, and the flow speed of the input surface (the first stage).
+    number for the tangential drift, whether it is within CFL_SAFETY,
+    and the flow speed of the input surface (the first stage).
     Raises FlowError if the update loses star-shapedness.
     """
     g = surface.grid
@@ -106,9 +107,7 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
     except ValueError as exc:
         # stage surfaces losing positivity or leaving profile coverage
         raise FlowError(f"flow step failed: {exc}") from exc
-    G1 = G0 + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if project:
-        G1 = g.project(G1)
+    G1 = g.project(G0 + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     if not np.all(np.isfinite(G1)) or np.min(G1) <= 0.0:
         raise FlowError("flow update lost star-shapedness (G <= 0 or non-finite)")
 
@@ -119,7 +118,7 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float,
     tau_t = k1 * Gt / (G0**2 + Gt**2)
     tau_p = k1 * (Gp / s**2) / G0**2
     cfl = ds * float(np.max(np.abs(tau_t)) / d_theta + np.max(np.abs(tau_p)) / d_phi)
-    return StarSurface(g, G1), {"cfl": cfl, "cfl_ok": cfl <= cfl_safety, "speed": k1}
+    return StarSurface(g, G1), {"cfl": cfl, "cfl_ok": cfl <= CFL_SAFETY, "speed": k1}
 
 
 def drift_fields(geom: CurvedGeometry):
@@ -158,6 +157,22 @@ def neighbour_windows(items):
     yield window
 
 
+def lagrange3(nodes, t):
+    """Quadratic Lagrange weights on three nodes at t, and their t-slopes.
+
+    Σ values_i f_i interpolates f and Σ slopes_i f_i differentiates the
+    interpolant; the nodes need not be evenly spaced.  This is the one
+    s-stencil of every pass over a neighbour window.
+    """
+    s0, s1, s2 = nodes
+    values, slopes = [], []
+    for si, a, b in ((s0, s1, s2), (s1, s0, s2), (s2, s0, s1)):
+        d = (si - a) * (si - b)
+        values.append((t - a) * (t - b) / d)
+        slopes.append(((t - a) + (t - b)) / d)
+    return tuple(values), tuple(slopes)
+
+
 @dataclass
 class Foliation:
     """Stored slices of a flow run plus per-slice summaries.
@@ -186,9 +201,6 @@ class Foliation:
         if not 0 <= i < len(self):
             raise IndexError(i)
         return curved_geometry(self.surfaces[i], self.profile)
-
-    def report(self, i: int) -> dict:
-        return condition_report(self.geometry(i))
 
     def all_passed(self) -> bool:
         return all(s["passed"] for s in self.summaries)
@@ -243,9 +255,10 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
     ds = config.s_max / n_steps
 
     fol = Foliation(profile=profile, config=config, s=[], surfaces=[], summaries=[])
-    # flow speed of each stored slice: the first RK stage of the step that
-    # leaves it, so no surface's speed is computed twice
-    speeds = []
+    # flow speed of a stored slice: the first RK stage of the step that
+    # leaves it, so no surface's speed is computed twice; only the newest
+    # known speed is kept
+    n_speeds, prev_speed = 0, None
 
     def store(s_val, surf):
         summary = _slice_summary(curved_geometry(surf, profile))
@@ -256,14 +269,15 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
         return summary
 
     def record_speed(gdot):
-        # discrete unit-lapse residual of the newest stored slice vs the
-        # slice before it
-        j = len(speeds)
+        # discrete unit-lapse residual of stored slice j (the first with
+        # no known speed) vs the slice before it
+        nonlocal n_speeds, prev_speed
+        j = n_speeds
         if j:
             fd = (fol.surfaces[j].G - fol.surfaces[j - 1].G) / (fol.s[j] - fol.s[j - 1])
             fol.summaries[j]["unit_lapse_residual"] = float(
-                np.max(np.abs(fd / (0.5 * (gdot + speeds[-1])) - 1.0)))
-        speeds.append(gdot)
+                np.max(np.abs(fd / (0.5 * (gdot + prev_speed)) - 1.0)))
+        n_speeds, prev_speed = j + 1, gdot
 
     summary = store(0.0, surface)
     if config.abort_on_condition_failure and not summary["passed"]:
@@ -276,12 +290,10 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
     max_cfl = 0.0
     for k in range(1, n_steps + 1):
         try:
-            current, info = step_flow(current, profile, ds,
-                                      project=config.project_each_step,
-                                      cfl_safety=config.cfl_safety)
+            current, info = step_flow(current, profile, ds)
         except FlowError as exc:
             raise FlowError(f"step {k} (s = {k * ds:.6g}): {exc}") from exc
-        if len(speeds) < len(fol):
+        if n_speeds < len(fol):
             record_speed(info["speed"])
         max_cfl = max(max_cfl, info["cfl"])
         if k % config.store_every == 0 or k == n_steps:
@@ -311,12 +323,13 @@ def _is_axisymmetric(fol: Foliation) -> bool:
     return True
 
 
-def _second_form_residual(prof: ConformalProfile, geoms, ds: float) -> float:
+def _second_form_residual(prof: ConformalProfile, geoms, slopes) -> float:
     """Flat second-fundamental-form law, axisymmetric closed forms.
 
-    geoms holds the slice and its two neighbours, ds half their s-span.
+    geoms holds the slice and its two neighbours, slopes their lagrange3
+    s-derivative weights at the slice.
     """
-    prev, geom, nxt = geoms
+    geom = geoms[1]
     g = geom.grid
     surf = geom.flat.surface
     p = surf.partials(third=True)
@@ -362,14 +375,14 @@ def _second_form_residual(prof: ConformalProfile, geoms, ds: float) -> float:
     lie_tt = tau * da_tt + 2.0 * a_tt * dtau
     lie_pp = tau * da_pp
 
-    fd_tt = (nxt.flat.a_tt - prev.flat.a_tt) / (2.0 * ds)
-    fd_pp = (nxt.flat.a_pp - prev.flat.a_pp) / (2.0 * ds)
+    fd_tt = sum(w * gi.flat.a_tt for w, gi in zip(slopes, geoms))
+    fd_pp = sum(w * gi.flat.a_pp for w, gi in zip(slopes, geoms))
     return float(max(np.max(np.abs(fd_tt - lie_tt - law_tt)),
                      np.max(np.abs(fd_pp - lie_pp - law_pp))))
 
 
 def evolution_diagnostics(fol: Foliation) -> dict:
-    """Centered-difference checks of the trajectory evolution laws.
+    """Three-point s-difference checks of the trajectory evolution laws.
 
     (a) dρ/ds = cosθ/F² per trajectory; (b) the flat second-form law
     (axisymmetric runs); (c) the physical mean-curvature first variation
@@ -383,40 +396,41 @@ def evolution_diagnostics(fol: Foliation) -> dict:
     axisym = _is_axisymmetric(fol)
 
     n = len(fol)
-    windows = neighbour_windows(map(fol.geometry, range(n)))
-    next(windows)   # slice 0 has no centred stencil
+    windows = zip(neighbour_windows(fol.s),
+                  neighbour_windows(map(fol.geometry, range(n))))
     res_a, res_c, marg_d1, marg_d2, res_b = [], [], [], [], []
-    for k, (gm, geom, gp) in zip(range(1, n - 1), windows):
-        ds = 0.5 * (fol.s[k + 1] - fol.s[k - 1])
+    # slices 1..n-2, each at the centre of its window
+    for nodes, geoms in islice(windows, 1, n - 1):
+        geom = geoms[1]
+        slopes = lagrange3(nodes, nodes[1])[1]
         flat = geom.flat
         G = flat.surface.G
         tau_t, tau_p = drift_fields(geom)
 
-        def traj(prev_f, next_f, field_now):
-            fd = (next_f - prev_f) / (2.0 * ds)
-            return fd - advected_derivative(grid, field_now, tau_t, tau_p)
+        def traj(field):
+            # trajectory s-derivative of field(slice) at the window centre
+            fd = sum(w * field(gi) for w, gi in zip(slopes, geoms))
+            return fd - advected_derivative(grid, field(geom), tau_t, tau_p)
 
-        da = traj(gm.flat.surface.G, gp.flat.surface.G, G)
+        da = traj(lambda gi: gi.flat.surface.G)
         res_a.append(np.max(np.abs(da - flat.cos_theta / geom.F**2)))
 
-        dc = traj(gm.H0, gp.H0, geom.H0)
+        dc = traj(lambda gi: gi.H0)
         res_c.append(np.max(np.abs(dc + geom.a0_sq + geom.ric_nu)))
 
-        dcos = traj(gm.flat.cos_theta, gp.flat.cos_theta, flat.cos_theta)
+        dcos = traj(lambda gi: gi.flat.cos_theta)
         rhs = ((1.0 - flat.cos_theta**2) / (geom.F**2 * G)
                - np.abs(fol.profile.dh_drho(G)))
         marg_d1.append(np.min(dcos - rhs))
 
         kap = flat.kappa_min
-        dkr2 = traj(gm.flat.kappa_min * gm.flat.surface.G**2,
-                    gp.flat.kappa_min * gp.flat.surface.G**2,
-                    kap * G**2)
+        dkr2 = traj(lambda gi: gi.flat.kappa_min * gi.flat.surface.G**2)
         rhs2 = (2.0 * G**2 * flat.cos_theta * kap - G**3 * kap**2 - m_ref) / (
             G * geom.F**2)
         marg_d2.append(np.min(dkr2 - rhs2))
 
         if axisym:
-            res_b.append(_second_form_residual(fol.profile, (gm, geom, gp), ds))
+            res_b.append(_second_form_residual(fol.profile, geoms, slopes))
 
     out = {
         "radial_rate": {"max_residual": float(np.max(res_a))},

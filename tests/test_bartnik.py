@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import penlab.bartnik as bartnik
 from penlab.bartnik import (
     StepRejected,
     advance_u,
@@ -148,6 +149,28 @@ def test_solve_angular_perturbation_decays(grid, schw_profile):
     assert uf.halvings == 0
 
 
+def test_solve_blends_once_per_substep_node(monkeypatch, round_fol):
+    # the blend at a substep's end is the next substep's start, and each
+    # window blends at its first node once: n_sub + 1 blends per window
+    counts = {"blend": 0, "step": 0}
+    blend, step = bartnik._blend, bartnik._imex_step
+
+    def counted_blend(*args):
+        counts["blend"] += 1
+        return blend(*args)
+
+    def counted_step(*args, **kwargs):
+        counts["step"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(bartnik, "_blend", counted_blend)
+    monkeypatch.setattr(bartnik, "_imex_step", counted_step)
+    uf = solve_u(round_fol, 1.2, with_residual=False)
+    assert uf.halvings == 0
+    assert counts["step"] > len(round_fol)
+    assert counts["blend"] == counts["step"] + len(round_fol) - 1
+
+
 def test_solve_requires_positive_coefficient(grid):
     # a potential well with phi' < -phi/r makes the reaction coefficient negative
     r = np.linspace(1.0, 30.0, 600)
@@ -184,6 +207,17 @@ def test_residual_small_and_second_order(grid, schw_profile):
     assert maxima[1] < 1e-5
     assert 3.0 < maxima[0] / maxima[1] < 5.0
     assert 3.0 < maxima[1] / maxima[2] < 5.0
+
+
+def test_residual_short_last_interval(grid, schw_profile):
+    # the last stored interval is shorter than the others, so the end
+    # slice's s-derivative must not assume even spacing
+    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)), schw_profile,
+                   FlowConfig(ds=0.02, s_max=0.46, store_every=5))
+    assert np.allclose(fol.s, [0.0, 0.1, 0.2, 0.3, 0.4, 0.46], atol=1e-12)
+    uf = solve_u(fol, 1.2)
+    per_slice = np.max(np.abs(uf.residual), axis=(1, 2))
+    assert per_slice[-1] <= 3.0 * np.max(per_slice[:-1])
 
 
 def test_residual_term_isolation_rn(grid):

@@ -9,6 +9,7 @@ from penlab.flow import (
     compute_constants,
     evolution_diagnostics,
     flow_speed,
+    lagrange3,
     neighbour_windows,
     run_flow,
     step_flow,
@@ -181,6 +182,18 @@ def test_diagnostics_skip_second_form_off_axis(grid, schw_profile):
     assert diag["radial_rate"]["max_residual"] < 1e-6
 
 
+def test_diagnostics_uneven_last_interval(grid, schw_profile):
+    # stored s = 0, .002, .004, .005: the window around s = .004 is uneven
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 4.0), {(2, 0): 0.05})
+    fol = run_flow(surf, schw_profile,
+                   FlowConfig(ds=1e-3, s_max=5e-3, store_every=2))
+    assert np.allclose(fol.s, [0.0, 0.002, 0.004, 0.005], atol=1e-15)
+    diag = evolution_diagnostics(fol)
+    assert diag["radial_rate"]["max_residual"] < 1e-6
+    assert diag["mean_curvature_rate"]["max_residual"] < 1e-6
+    assert diag["second_form_rate"]["max_residual"] < 1e-5
+
+
 def test_diagnostics_need_three_slices(grid, flat_profile):
     fol = run_flow(round_surface(grid, 1.0), flat_profile,
                    FlowConfig(ds=0.1, s_max=0.1))
@@ -200,6 +213,21 @@ def test_neighbour_windows_clip_and_pull_once():
     assert windows == [(0, 1, 2), (0, 1, 2), (1, 2, 3), (2, 3, 4), (2, 3, 4)]
     assert pulled == [0, 1, 2, 3, 4]
     assert list(neighbour_windows("abc")) == [tuple("abc")] * 3
+
+
+def test_lagrange3_exact_on_uneven_nodes():
+    nodes = (0.3, 0.4, 0.46)
+
+    def f(s):
+        return 2.0 - 3.0 * s + 5.0 * s**2
+
+    for t in (*nodes, 0.37, 0.5):
+        values, slopes = lagrange3(nodes, t)
+        assert sum(w * f(s) for w, s in zip(values, nodes)) == pytest.approx(
+            f(t), abs=1e-13)
+        assert sum(w * f(s) for w, s in zip(slopes, nodes)) == pytest.approx(
+            -3.0 + 10.0 * t, abs=1e-11)
+    assert lagrange3(nodes, nodes[1])[0] == (0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- constants
