@@ -217,6 +217,8 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
     deviation), up to 4x dt_max.  Steps that break the maximum-principle
     bounds are retried with halved substeps.
     """
+    if not dt_max > 0.0:
+        raise ValueError("dt_max must be positive")
     n = len(fol)
     if n < 3:
         raise ValueError("foliation must hold at least 3 slices")

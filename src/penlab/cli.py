@@ -252,14 +252,17 @@ def cmd_flow(cfg: dict, args) -> int:
 
 def cmd_solve(cfg: dict, args) -> int:
     out = _out_dir(args)
+    block = cfg.get("solver", {})
+    u0 = float(block.get("u0", 1.2))
+    dt_max = float(block.get("dt_max", 0.01))
+    if not dt_max > 0.0:  # an input error, not a foliation failure
+        raise ConfigError("schema error: solver.dt_max must be positive")
     fol, _ = _flow_from_config(cfg, args)
     if fol.aborted:
         print(f"flow aborted: {fol.abort_reason}", file=sys.stderr)
         return 3
-    block = cfg.get("solver", {})
-    u0 = float(block.get("u0", 1.2))
     try:
-        uf = solve_u(fol, u0, dt_max=float(block.get("dt_max", 0.01)),
+        uf = solve_u(fol, u0, dt_max=dt_max,
                      with_residual=bool(block.get("with_residual", False)))
     except ValueError as exc:
         print(f"foliation condition failed: {exc}", file=sys.stderr)
@@ -531,7 +534,8 @@ def console_main(argv=None) -> int:
     except (FlowError, StepRejected) as exc:
         print(_abort_message(exc), file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        # a config value of the wrong type or range reaches float()/int()
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -75,12 +75,11 @@ def _speed_and_gradient(surface: StarSurface, profile: ConformalProfile):
     G = surface.G
     Gt, Gp = g.gradient(G)
     W = np.sqrt(G**2 + Gt**2 + (Gp / g.sin_theta[:, None]) ** 2)
-    F = profile.F_of_rho(G)
-    return W / (G * F * F), Gt, Gp
+    return W / profile.r_of_rho(G), Gt, Gp
 
 
 def flow_speed(surface: StarSurface, profile: ConformalProfile) -> np.ndarray:
-    """Graph speed Ġ = W/(G F²), the unit normal speed written radially."""
+    """Graph speed Ġ = W/(G F²) = W/r, the unit normal speed written radially."""
     return _speed_and_gradient(surface, profile)[0]
 
 
@@ -420,7 +419,7 @@ def evolution_diagnostics(fol: Foliation) -> dict:
 
         dcos = traj(lambda gi: gi.flat.cos_theta)
         rhs = ((1.0 - flat.cos_theta**2) / (geom.F**2 * G)
-               - np.abs(fol.profile.dh_drho(G)))
+               - np.abs(fol.profile.radial_factors(G).dh))
         marg_d1.append(np.min(dcos - rhs))
 
         kap = flat.kappa_min

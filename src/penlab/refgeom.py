@@ -234,12 +234,12 @@ class RadialFactors(NamedTuple):
 class ConformalProfile:
     """Change of radial variable with gbar = F⁴(ρ)(dρ² + ρ² dS²).
 
-    The defining ODE is d ln ρ / d ln r = 1/√φ, anchored so that
-    ρ/r → 1 at the outer end (at infinity for analytic kinds, at the
-    last tabulated radius otherwise), making F = √(r/ρ) → 1.  The
-    solution y = ln(ρ/r) is held as a piecewise polynomial in τ = ln r,
-    built once from the integrator's dense output (rtol 1e-11), so each
-    evaluation is a table lookup plus a quartic, not an ODE-solution call.
+    The defining ODE is d ln r / d ln ρ = √φ, anchored so that ρ/r → 1
+    at the outer end (at infinity for analytic kinds, at the last
+    tabulated radius otherwise), making F = √(r/ρ) → 1.  The solution
+    τ = ln r is held as a piecewise polynomial in σ = ln ρ, built once
+    from the integrator's dense output (rtol 1e-13), so r(ρ) is a table
+    lookup plus a quartic, with no φ call and no inversion.
     """
 
     ref: ReferenceManifold
@@ -248,40 +248,36 @@ class ConformalProfile:
     rho_lo: float
     rho_hi: float
     rho_horizon: float
-    _y_of_tau: Callable      # y = ln(ρ/r) as a function of τ = ln r
+    _tau_of_sigma: PPoly     # τ = ln r as a function of σ = ln ρ
 
     def rho_of_r(self, r):
+        """Inverse of r_of_rho by Newton on the stored τ(σ), slope √φ(r)."""
         r = np.asarray(r, dtype=float)
         self._check_r(r)
-        return r * np.exp(self._y_of_tau(np.log(r)))
+        tau = np.log(r)
+        poly = self._tau_of_sigma
+        # start from the chords between the solver's steps (τ increases
+        # with σ; the breakpoints run inward)
+        sigma_knots = poly.x[::-1]
+        sigma = np.interp(tau, poly(sigma_knots), sigma_knots)
+        slope = np.sqrt(self.ref.phi(r))  # dτ/dσ at the root
+        for _ in range(12):
+            step = (poly(sigma) - tau) / slope
+            sigma = np.clip(sigma - step, sigma_knots[0], sigma_knots[-1])
+            if np.max(np.abs(step)) < 1e-13:
+                break
+        else:
+            raise ValueError("rho_of_r failed to converge")
+        return np.exp(sigma)
 
     def r_of_rho(self, rho):
         rho = np.asarray(rho, dtype=float)
         if np.any(rho < self.rho_lo * (1 - 1e-12)) or np.any(rho > self.rho_hi * (1 + 1e-12)):
             raise ValueError("rho outside the profile range")
-        target = np.log(rho)
-        # Newton in ln r: d ln ρ/d ln r = 1/√φ
-        tau = np.log(np.clip(rho, self.r_lo, self.r_hi))
-        lo, hi = np.log(self.r_lo), np.log(self.r_hi)
-        resid = np.inf
-        for _ in range(12):
-            lnrho = tau + self._y_of_tau(tau)
-            resid = lnrho - target
-            if np.max(np.abs(resid)) < 1e-13:
-                break
-            step = resid * np.sqrt(self.ref.phi(np.exp(tau)))
-            tau = np.clip(tau - step, lo, hi)
-        if np.max(np.abs(resid)) > 1e-9:
-            raise ValueError("r_of_rho failed to converge")
-        return np.exp(tau)
+        return np.exp(self._tau_of_sigma(np.log(rho)))
 
     def radial_factors(self, rho) -> RadialFactors:
-        """r(ρ) with F, F′, F″ and h, h′, h″, all from one inversion.
-
-        Callers that need more than one radial quantity at the same
-        chart radii use this instead of the per-quantity methods, each
-        of which inverts ρ ↦ r again.
-        """
+        """r(ρ) with F, F′, F″ and h, h′, h″, all from one evaluation of r."""
         rho = np.asarray(rho, dtype=float)
         r = self.r_of_rho(rho)
         p = self.ref.phi(r)
@@ -297,27 +293,6 @@ class ConformalProfile:
             dh=(1.0 - sqp) / r,
             d2h=(-0.5 * r * dp + p - sqp) / (rho * r),
         )
-
-    def F_of_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.sqrt(self.r_of_rho(rho) / rho)
-
-    def dF_drho(self, rho):
-        return self.radial_factors(rho).dF
-
-    def d2F_drho2(self, rho):
-        return self.radial_factors(rho).d2F
-
-    def h_of_rho(self, rho):
-        """h = 1/F² = ρ/r, the flat-picture flow speed."""
-        rho = np.asarray(rho, dtype=float)
-        return rho / self.r_of_rho(rho)
-
-    def dh_drho(self, rho):
-        return self.radial_factors(rho).dh
-
-    def d2h_drho2(self, rho):
-        return self.radial_factors(rho).d2h
 
     def _check_r(self, r):
         if np.any(r < self.r_lo * (1 - 1e-12)) or np.any(r > self.r_hi * (1 + 1e-12)):
@@ -366,11 +341,12 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
     """Integrate the isothermal coordinate over the span of r_grid.
 
     The grid sets the represented range only; accuracy comes from the
-    adaptive integrator (rtol 1e-11), integrated inward in ln r from
-    the outer anchor where the normalization is imposed.  The profile
-    evaluates y = ln(ρ/r) from a piecewise polynomial holding the
-    integrator's quartic dense-output pieces, one per accepted step;
-    arguments outside [ln r_lo, ln r_hi] are clamped to the ends.
+    adaptive integrator (rtol 1e-13).  It integrates dτ/dσ = √φ(e^τ),
+    τ = ln r and σ = ln ρ, inward from the outer anchor
+    σ_hi = ln r_hi + y_hi, where the normalization y = ln(ρ/r) = y_hi is
+    imposed, and stops at the event τ = ln r_lo, which fixes ρ_lo.  The
+    profile evaluates τ(σ) from a piecewise polynomial holding the
+    integrator's quartic dense-output pieces, one per accepted step.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
@@ -379,30 +355,35 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
         raise ValueError("r_grid touches the horizon")
     ref.require_exterior(r_grid[[0, -1]])
     r_lo, r_hi = float(r_grid[0]), float(r_grid[-1])
+    tau_lo, tau_hi = np.log(r_lo), np.log(r_hi)
 
     if ref.kind == "tabulated":
         y_hi = 0.0  # normalize at the last tabulated radius
     else:
         y_hi = _tail_anchor(ref, r_hi)
+    sigma_hi = tau_hi + y_hi
 
-    def rhs(tau, y):
-        return 1.0 / np.sqrt(ref.phi(np.exp(tau))) - 1.0
+    def rhs(sigma, tau):
+        return np.sqrt(ref.phi(np.exp(tau)))
 
-    sol = solve_ivp(rhs, (np.log(r_hi), np.log(r_lo)), [y_hi],
-                    method="RK45", rtol=1e-11, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise ValueError(f"profile integration failed: {sol.message}")
-    y_poly = _dense_to_ppoly(sol.sol)
-    tau_lo, tau_hi = np.log(r_lo), np.log(r_hi)
+    def reach_r_lo(sigma, tau):
+        return tau[0] - tau_lo
+    reach_r_lo.terminal = True
 
-    def y_of_tau(tau):
-        return y_poly(np.clip(tau, tau_lo, tau_hi))
-
-    y_lo = float(y_of_tau(tau_lo))
-    rho_lo = r_lo * np.exp(y_lo)
-    rho_hi = r_hi * np.exp(y_hi)
-    rho_h = _horizon_rho(ref, y_lo, r_lo)
-    return ConformalProfile(ref, r_lo, r_hi, rho_lo, rho_hi, rho_h, y_of_tau)
+    phi_min = float(np.min(ref.phi(r_grid)))
+    if not phi_min > 0.0:  # NaN included: the integrator would never finish
+        raise ValueError("phi must be positive and finite over r_grid")
+    # the σ-span is ∫ dτ/√φ; twice its grid estimate is a bound past the event
+    span = 2.0 * (tau_hi - tau_lo) / np.sqrt(phi_min) + 1.0
+    sol = solve_ivp(rhs, (sigma_hi, sigma_hi - span), [tau_hi],
+                    method="RK45", rtol=1e-13, atol=1e-14,
+                    dense_output=True, events=reach_r_lo)
+    if sol.status != 1:
+        raise ValueError(f"profile integration did not reach r_lo: {sol.message}")
+    sigma_lo = float(sol.t_events[0][0])
+    rho_h = _horizon_rho(ref, sigma_lo - tau_lo, r_lo)
+    return ConformalProfile(ref, r_lo, r_hi, np.exp(sigma_lo), np.exp(sigma_hi),
+                            rho_h, _dense_to_ppoly(sol.sol))
 
 
 def _dense_to_ppoly(dense) -> PPoly:
@@ -421,7 +402,7 @@ def _dense_to_ppoly(dense) -> PPoly:
         c[degree, i] = piece.y_old[0]
         for k in range(degree):
             c[degree - 1 - k, i] = piece.Q[0, k] / piece.h**k
-    return PPoly(c, dense.ts, extrapolate=False)
+    return PPoly(c, dense.ts)
 
 
 def profile_to_csv(profile: ConformalProfile, r_values) -> str:
@@ -464,7 +445,7 @@ def static_check(ref: ReferenceManifold, r_grid, n_angles: int = 21) -> dict:
     record("dV_dr_positive", ref.dV(r_grid), locs_r)
     profile = isothermal_profile(ref, r_grid)
     rho = profile.rho_of_r(r_grid)
-    record("dF_drho_negative", -profile.dF_drho(rho), locs_r)
+    record("dF_drho_negative", -profile.radial_factors(rho).dF, locs_r)
     lam_rad, _ = ricci_eigenvalues(ref, r_grid)
     record("radial_ricci_negative", -lam_rad, locs_r)
 

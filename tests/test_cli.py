@@ -62,6 +62,23 @@ def test_profile_extremal_reference_exits_2(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    # wrong-type and out-of-range values that tests/test_fuzz.py turned up
+    {"solver": {"dt_max": 0.0}},
+    {"solver": {"dt_max": float("nan")}},
+    {"reference": {"m": None}},
+    {"reference": {"kind": "reissner_nordstrom", "m": 1e-229},
+     "normalized": True},
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, config):
+    config["flow"] = {"ds": 0.05, "s_max": 0.15, "store_every": 1}
+    cfg = write_config(tmp_path, config)
+    code = console_main(["solve", "--config", cfg, "--out", str(tmp_path),
+                         "--resolution", "8x16"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_flow_and_solve_outputs(tmp_path):
     cfg = write_config(tmp_path, {
         "surface": {"r0": 4.0},

@@ -1,0 +1,87 @@
+"""Random configs through the command line: a documented exit code, never a traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from penlab.cli import console_main
+
+# wrong types and out-of-range numbers; no valid-but-huge values, which
+# would only make an example run long
+JUNK = st.one_of(st.none(), st.text(max_size=3), st.booleans(),
+                 st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                  -1.0, 0.0]))
+
+
+def number(lo, hi):
+    """A float in [lo, hi], or one time in ten a value of the wrong kind."""
+    return st.integers(0, 9).flatmap(
+        lambda k: JUNK if k == 0 else st.floats(lo, hi))
+
+
+references = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["schwarzschild", "reissner_nordstrom", "de_sitter"]),
+    "m": number(-0.5, 3.0),
+    "e": number(-2.0, 2.0),
+})
+surfaces = st.fixed_dictionaries({}, optional={
+    "r0": number(0.5, 12.0),
+    "perturbation": st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 4),
+                                       st.floats(-0.3, 0.3)), max_size=2),
+})
+flows = st.fixed_dictionaries({
+    "resolution": st.just([8, 16]),
+    "ds": st.floats(0.02, 0.1),
+    "s_max": st.floats(0.05, 0.3),
+}, optional={"store_every": st.integers(-1, 3)})
+solvers = st.fixed_dictionaries({}, optional={
+    "u0": number(0.5, 2.0),
+    "dt_max": number(0.01, 0.1),
+})
+profiles = st.fixed_dictionaries({}, optional={
+    "r_min": number(0.5, 5.0),
+    "r_max": number(3.0, 60.0),
+    "points": st.integers(-2, 80),
+})
+scenarios = st.fixed_dictionaries(
+    {"s_max": st.floats(0.05, 0.3), "ds": st.floats(0.02, 0.1),
+     "inner_m": number(0.5, 2.0)},
+    optional={
+        "kind": st.sampled_from(["schwarzschild_interior", "custom", "nova"]),
+        "r0": number(0.5, 12.0),
+        "horizon_area": number(0.0, 200.0),
+        "boundary_u0": number(0.5, 2.0),
+        "store_every": st.integers(0, 3),
+        "dt_max": number(0.01, 0.1),
+    })
+# flow and scenario are always given: their defaults run to s_max 10 and 40
+configs = st.fixed_dictionaries({"flow": flows, "scenario": scenarios}, optional={
+    "reference": references,
+    "surface": surfaces,
+    "solver": solvers,
+    "profile": profiles,
+    "normalized": st.booleans(),
+})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["profile", "constants", "flow", "solve",
+                                "scenario"]),
+       cfg=configs)
+def test_cli_random_config(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = console_main([command, "--config", str(path),
+                                 "--out", tmp, "--resolution", "8x16"])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()

@@ -78,22 +78,28 @@ def test_hypothesis_minima_match_slice_geometry():
 
 
 def test_flow_speed_once_per_surface(monkeypatch):
-    # F_of_rho is read by the speed alone: 4 RK stages per step plus the
-    # last stored slice, whose speed no step computes
-    calls = [0]
-    original = ConformalProfile.F_of_rho
+    # r_of_rho is read by the speed directly and by each radial_factors
+    # call once; the speed's share is 4 RK stages per step plus the last
+    # stored slice, whose speed no step computes
+    calls = {"r_of_rho": 0, "radial_factors": 0}
 
-    def counting(self, rho):
-        calls[0] += 1
-        return original(self, rho)
+    def counting(name):
+        original = getattr(ConformalProfile, name)
+
+        def wrapped(self, rho):
+            calls[name] += 1
+            return original(self, rho)
+        return wrapped
 
     ref = make_reference("schwarzschild", m=1.0)
     profile = isothermal_profile(ref, np.geomspace(2.02, 200.0, 500))
     surf = perturbed_surface(SphereGrid(8, 16), schwarzschild_rho(1.0, 4.0),
                              {(2, 0): 0.05})
-    monkeypatch.setattr(ConformalProfile, "F_of_rho", counting)
+    for name in calls:
+        monkeypatch.setattr(ConformalProfile, name, counting(name))
     fol = run_flow(surf, profile, FlowConfig(ds=0.05, s_max=0.3, store_every=2))
-    assert len(fol) == 4 and calls[0] == 4 * 6 + 1
+    assert len(fol) == 4
+    assert calls["r_of_rho"] - calls["radial_factors"] == 4 * 6 + 1
     speeds = [flow_speed(sf, profile) for sf in fol.surfaces]
     assert fol.summaries[0]["unit_lapse_residual"] == 0.0
     for j in range(1, len(fol)):

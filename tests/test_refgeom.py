@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ def test_profile_closed_form(schw, schw_profile):
 def test_profile_examples(schw_profile):
     assert schw_profile.rho_of_r(4.0) == pytest.approx(2.9142136, abs=1e-6)
     assert schw_profile.rho_of_r(3.0) == pytest.approx(1.8660254, abs=1e-6)
-    F4 = schw_profile.F_of_rho(schw_profile.rho_of_r(4.0))
+    F4 = schw_profile.radial_factors(schw_profile.rho_of_r(4.0)).F
     assert F4 == pytest.approx(1.1715729, abs=1e-6)
     assert F4 == pytest.approx(1 + 1 / (2 * 2.9142136), abs=1e-7)
 
@@ -170,7 +172,7 @@ def test_profile_examples(schw_profile):
 def test_profile_area_radius_identity(schw_profile):
     r = np.geomspace(2.3, 250.0, 64)
     rho = schw_profile.rho_of_r(r)
-    F = schw_profile.F_of_rho(rho)
+    F = schw_profile.radial_factors(rho).F
     assert np.max(np.abs(rho * F**2 / r - 1)) < 1e-8
 
 
@@ -191,23 +193,25 @@ def test_profile_rho_minus_r_bounded(schw_profile):
 def test_profile_derivatives_match_fd(schw_profile):
     rho = np.linspace(1.5, 60.0, 23)
     h = 1e-5
-    for fn, dfn in ((schw_profile.F_of_rho, schw_profile.dF_drho),
-                    (schw_profile.h_of_rho, schw_profile.dh_drho),
-                    (schw_profile.dF_drho, schw_profile.d2F_drho2),
-                    (schw_profile.dh_drho, schw_profile.d2h_drho2)):
+    def factor(name):
+        return lambda x: getattr(schw_profile.radial_factors(x), name)
+
+    for fn, dfn in ((factor("F"), factor("dF")), (factor("h"), factor("dh")),
+                    (factor("dF"), factor("d2F")), (factor("dh"), factor("d2h"))):
         fd = (fn(rho + h) - fn(rho - h)) / (2 * h)
         assert np.allclose(dfn(rho), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_profile_F_decreasing(schw_profile):
     rho = np.linspace(1.2, 100.0, 50)
-    assert np.all(schw_profile.dF_drho(rho) < 0)
+    assert np.all(schw_profile.radial_factors(rho).dF < 0)
 
 
 def test_profile_schwarzschild_F_closed_form(schw_profile):
     # in the vacuum reference F = 1 + m/(2ρ)
     rho = np.linspace(1.5, 80.0, 30)
-    assert np.allclose(schw_profile.F_of_rho(rho), 1 + 0.5 / rho, rtol=1e-9)
+    assert np.allclose(schw_profile.radial_factors(rho).F, 1 + 0.5 / rho,
+                       rtol=1e-9)
 
 
 def test_profile_horizon_rho(schw_profile):
@@ -218,7 +222,7 @@ def test_profile_flat_identity(flat):
     prof = isothermal_profile(flat, np.linspace(1.0, 100.0, 30))
     r = np.linspace(1.5, 90.0, 17)
     assert np.allclose(prof.rho_of_r(r), r, rtol=1e-12)
-    assert np.allclose(prof.F_of_rho(r), 1.0, rtol=1e-12)
+    assert np.allclose(prof.radial_factors(r).F, 1.0, rtol=1e-12)
     assert prof.rho_horizon == 0.0
 
 
@@ -231,9 +235,9 @@ def test_profile_rn(rn):
     prof = isothermal_profile(rn, np.geomspace(2.0, 200.0, 30))
     r = np.geomspace(2.1, 150.0, 40)
     rho = prof.rho_of_r(r)
-    F = prof.F_of_rho(rho)
-    assert np.max(np.abs(rho * F**2 / r - 1)) < 1e-9
-    assert np.all(prof.dF_drho(rho) < 0)
+    radial = prof.radial_factors(rho)
+    assert np.max(np.abs(rho * radial.F**2 / r - 1)) < 1e-9
+    assert np.all(radial.dF < 0)
 
 
 def test_profile_csv(schw_profile):
@@ -266,19 +270,61 @@ def test_radial_factors_match_per_quantity_methods(kind, schw, rn,
     out = prof.radial_factors(rho)
     assert len(calls) == 1
 
-    expected = {
-        "r": prof.r_of_rho(rho),
-        "F": prof.F_of_rho(rho),
-        "dF": prof.dF_drho(rho),
-        "d2F": prof.d2F_drho2(rho),
-        "h": prof.h_of_rho(rho),
-        "dh": prof.dh_drho(rho),
-        "d2h": prof.d2h_drho2(rho),
-    }
+    # F and h in closed form from r; the ρ-derivatives are checked
+    # against finite differences in test_profile_derivatives_match_fd
+    r = prof.r_of_rho(rho)
+    expected = {"r": r, "F": np.sqrt(r / rho), "h": rho / r}
+    for name in out._fields:
+        assert getattr(out, name).shape == rho.shape, name
     for name, want in expected.items():
-        got = getattr(out, name)
-        assert got.shape == rho.shape, name
-        assert np.array_equal(got, want), name
+        assert np.array_equal(getattr(out, name), want), name
+
+
+def tabulated_schwarzschild():
+    r_t = np.geomspace(2.5, 120.0, 300)
+    return make_reference("tabulated", tabulated_data=(
+        r_t, 1.0 - 2.0 / r_t, np.sqrt(1.0 - 2.0 / r_t)))
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild", "reissner_nordstrom",
+                                  "tabulated"])
+def test_profile_roundtrip_tight(kind, schw, rn):
+    if kind == "tabulated":
+        prof = isothermal_profile(tabulated_schwarzschild(),
+                                  np.geomspace(2.6, 110.0, 50))
+    else:
+        ref = schw if kind == "schwarzschild" else rn
+        prof = isothermal_profile(ref, np.geomspace(2.0005, 800.0, 700))
+    r = np.geomspace(prof.r_lo, prof.r_hi, 301)
+    assert np.max(np.abs(prof.r_of_rho(prof.rho_of_r(r)) / r - 1)) <= 1e-12
+
+
+def test_profile_near_horizon_end(schw):
+    prof = isothermal_profile(schw, np.geomspace(2.0005, 800.0, 700))
+    assert abs(prof.r_of_rho(prof.rho_lo) / 2.0005 - 1) <= 1e-12
+
+
+def test_profile_schwarzschild_closed_form_tight(schw):
+    prof = isothermal_profile(schw, np.geomspace(2.02, 200.0, 500))
+    r = np.geomspace(2.02, 200.0, 400)
+    rho = closed_form_rho(1.0, r)
+    assert np.max(np.abs(prof.rho_of_r(r) / rho - 1)) <= 1e-11
+    assert np.max(np.abs(prof.r_of_rho(rho) / r - 1)) <= 1e-11
+
+
+def test_r_of_rho_calls_no_phi(schw):
+    calls = [0]
+
+    def phi(r):
+        calls[0] += 1
+        return schw.phi(r)
+
+    prof = isothermal_profile(dataclasses.replace(schw, phi=phi),
+                              np.geomspace(2.1, 150.0, 50))
+    rho = np.geomspace(prof.rho_lo, prof.rho_hi, 64)
+    calls[0] = 0
+    prof.r_of_rho(rho)
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------- static_check
