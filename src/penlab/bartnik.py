@@ -25,16 +25,17 @@ __all__ = [
     "UField",
     "reaction_coefficient",
     "initial_u",
-    "advance_u",
     "solve_u",
     "scalar_residual",
 ]
 
 
-# relative GMRES tolerance of each frozen-coefficient solve, and how many
-# times solve_u halves a window's substep before giving up
+# relative GMRES tolerance of each frozen-coefficient solve, how many
+# times solve_u halves a window's substep before giving up, and how many
+# frozen-coefficient fixed-point passes each substep makes
 _GMRES_RTOL = 1e-12
 _MAX_HALVINGS = 8
+_FIXED_POINT_PASSES = 2
 
 
 class StepRejected(RuntimeError):
@@ -98,21 +99,19 @@ def _laplacian(grid, b: _Bundle, v: np.ndarray) -> np.ndarray:
     return b.inv_root * grid.div_grad(v, b.p_tt, b.p_tp, b.p_pp)
 
 
-def _rate(grid, b: _Bundle, u: np.ndarray, advect: bool) -> np.ndarray:
+def _rate(grid, b: _Bundle, u: np.ndarray) -> np.ndarray:
     out = (u**2 * _laplacian(grid, b, u) + (u - u**3) * b.c) / b.H0
-    if advect:
-        out = out + advected_derivative(grid, u, b.tau_t, b.tau_p)
-    return out
+    return out + advected_derivative(grid, u, b.tau_t, b.tau_p)
 
 
-def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3):
+def _imex_step(grid, u0, b0, b1, ds):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient."""
     shape = u0.shape
     n = u0.size
-    base = u0 + 0.5 * ds * _rate(grid, b0, u0, advect)
+    base = u0 + 0.5 * ds * _rate(grid, b0, u0)
     v = u0
     iters = 0
-    for _ in range(n_fixed):
+    for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
 
         def matvec(x):
@@ -120,8 +119,7 @@ def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3):
             return (x - 0.5 * ds * coef * _laplacian(grid, b1, x)).ravel()
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
-        if advect:
-            rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p)
+        rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p)
 
         alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
 
@@ -149,25 +147,6 @@ def _imex_step(grid, u0, b0, b1, ds, advect, n_fixed=3):
             break
         v = v_new
     return v, iters
-
-
-def advance_u(geom: CurvedGeometry, u, ds: float, bounds=None) -> np.ndarray:
-    """One step of the lapse equation along the normal trajectories.
-
-    Coefficients are frozen on the given slice.  When `bounds` is given as
-    (lo, hi), the maximum principle is enforced as a postcondition and a
-    violation raises StepRejected so the caller can retry with a smaller ds.
-    """
-    if np.any(geom.H0 <= 0.0):
-        raise ValueError("slice mean curvature must be positive")
-    u = np.broadcast_to(np.asarray(u, dtype=float), geom.H0.shape).copy()
-    if np.any(u <= 0.0):
-        raise ValueError("u must be positive")
-    b = _make_bundle(geom)
-    u1, _ = _imex_step(geom.grid, u, b, b, ds, advect=False)
-    if bounds is not None:
-        _check_bounds(u1, *bounds)
-    return u1
 
 
 def _check_bounds(u, lo, hi):
@@ -206,16 +185,16 @@ class UField:
         return "\n".join(lines) + "\n"
 
 
-def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
+def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
             with_residual: bool = True) -> UField:
     """March the lapse equation across every stored window of a foliation.
 
     Coefficients are interpolated quadratically in s through the three
     nearest stored slices, once per substep node, so the substep size
-    dt_max is decoupled from the slice spacing.  With adapt on, the
-    substep grows as |u − 1| decays (local error scales with the
-    deviation), up to 4x dt_max.  Steps that break the maximum-principle
-    bounds are retried with halved substeps.
+    dt_max is decoupled from the slice spacing.  The substep grows as
+    |u − 1| decays (local error scales with the deviation), up to 4x
+    dt_max.  Steps that break the maximum-principle bounds are retried
+    with halved substeps.
     """
     if not dt_max > 0.0:
         raise ValueError("dt_max must be positive")
@@ -248,13 +227,11 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
     for k, nodes, nb in zip(range(n - 1), neighbour_windows(fol.s),
                             neighbour_windows(checked_bundles())):
         window = fol.s[k + 1] - fol.s[k]
-        dt_allow = dt_max
-        if adapt:
-            dev = float(np.max(np.abs(u - 1.0)))
-            if dev0 == 0.0 or dev == 0.0:
-                dt_allow = window
-            else:
-                dt_allow = dt_max * min(4.0, (dev0 / dev) ** (1.0 / 3.0))
+        dev = float(np.max(np.abs(u - 1.0)))
+        if dev0 == 0.0 or dev == 0.0:
+            dt_allow = window
+        else:
+            dt_allow = dt_max * min(4.0, (dev0 / dev) ** (1.0 / 3.0))
         n_sub = max(1, int(np.ceil(window / dt_allow - 1e-12)))
         b_start = _blend(nb, lagrange3(nodes, fol.s[k])[0])
         for attempt in range(_MAX_HALVINGS + 1):
@@ -264,8 +241,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
                 for i in range(1, n_sub + 1):
                     # each substep starts from the previous one's end blend
                     b1 = _blend(nb, lagrange3(nodes, fol.s[k] + i * dt)[0])
-                    v, it = _imex_step(grid, v, b0, b1, dt, advect=True,
-                                       n_fixed=2)
+                    v, it = _imex_step(grid, v, b0, b1, dt)
                     b0 = b1
                     gmax = max(gmax, it)
                     _check_bounds(v, lo, hi)
@@ -295,16 +271,14 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01, adapt: bool = True,
 # ----------------------------------------------------------------------
 # discrete scalar-curvature verification
 
-def scalar_residual(fol: Foliation, ufield: UField,
-                    include_coupling: bool = True) -> np.ndarray:
+def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
     """Residual of the prescribed-scalar-curvature relation per slice.
 
     Evaluates the 3D scalar curvature of u²ds² + σ_s through the
     mean-curvature first-variation identity plus the Gauss equation, with
     s-derivatives from lagrange3 slopes on the stored slices.  The
     same discrete functional evaluated at u ≡ 1 reproduces the reference
-    background, so that case vanishes identically; with include_coupling
-    False the matter term (1/u² − 1)T is left in the returned field.
+    background, so that case vanishes identically.
     """
     n = len(fol)
     if n < 3:
@@ -337,6 +311,6 @@ def scalar_residual(fol: Foliation, ufield: UField,
                     - (g.a0_sq + g.H0**2) / wk**2)
 
         u = u_win[at]
-        target = (1.0 / u**2 - 1.0) * g.t_field if include_coupling else 0.0
+        target = (1.0 / u**2 - 1.0) * g.t_field
         out[k] = (num(u_win) - num(ones)) - target
     return out

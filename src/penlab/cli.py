@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .bartnik import StepRejected, solve_u
-from .energy import (Scenario, adm_extrapolate, monotonicity_check,
-                     penrose_report, quasilocal_energy)
+from .energy import (Scenario, monotonicity_check, penrose_report,
+                     quasilocal_energy, run_profile)
 from .flow import FlowConfig, FlowError, compute_constants, run_flow
 from .oracle import (round_flow_u, scenario_closed_form, schwarzschild_rho,
                      t_from_einstein)
@@ -142,17 +142,6 @@ def _resolution(cfg: dict, args) -> tuple:
     return n_theta, n_phi
 
 
-def _profile_for_run(ref, r0: float, s_max: float, points: int = 900):
-    r_far = (r0 + s_max) * 1.5
-    r_lo = ref.r_horizon * 1.0005 if ref.r_horizon > 0 else ref.r_min
-    if ref.kind == "tabulated":
-        r_lo = max(r_lo, ref.r_min * 1.000001)
-        r_far = min(r_far, ref.r_max * 0.999999)
-    if r_lo >= r0:
-        raise ConfigError("r0 is below the usable profile range")
-    return isothermal_profile(ref, np.geomspace(r_lo, r_far, points))
-
-
 def _surface_from_config(cfg: dict, grid, profile):
     block = cfg.get("surface", {})
     r0 = float(block.get("r0", 4.0))
@@ -224,16 +213,15 @@ def _flow_from_config(cfg: dict, args):
     store_every = int(block.get("store_every", 5))
     grid = SphereGrid(*_resolution(cfg, args))
     r0 = float(cfg.get("surface", {}).get("r0", 4.0))
-    profile = _profile_for_run(ref, r0, s_max)
+    profile = run_profile(ref, r0, s_max)
     surf, _ = _surface_from_config(cfg, grid, profile)
-    fol = run_flow(surf, profile,
-                   FlowConfig(ds=ds, s_max=s_max, store_every=store_every))
-    return fol, profile
+    return run_flow(surf, profile,
+                    FlowConfig(ds=ds, s_max=s_max, store_every=store_every))
 
 
 def cmd_flow(cfg: dict, args) -> int:
     out = _out_dir(args)
-    fol, _ = _flow_from_config(cfg, args)
+    fol = _flow_from_config(cfg, args)
     (out / "flow_series.csv").write_text(fol.series_csv())
     report = {
         "slices": len(fol),
@@ -257,10 +245,14 @@ def cmd_solve(cfg: dict, args) -> int:
     dt_max = float(block.get("dt_max", 0.01))
     if not dt_max > 0.0:  # an input error, not a foliation failure
         raise ConfigError("schema error: solver.dt_max must be positive")
-    fol, _ = _flow_from_config(cfg, args)
+    fol = _flow_from_config(cfg, args)
     if fol.aborted:
         print(f"flow aborted: {fol.abort_reason}", file=sys.stderr)
         return 3
+    if len(fol) < 3:  # too short a run is an input error, not a failed condition
+        raise ConfigError(
+            f"schema error: the flow stores {len(fol)} slices and the lapse "
+            "solve needs at least 3; raise flow.s_max or lower flow.store_every")
     try:
         uf = solve_u(fol, u0, dt_max=dt_max,
                      with_residual=bool(block.get("with_residual", False)))

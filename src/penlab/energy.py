@@ -16,7 +16,7 @@ sqrt(A_h / 16pi) - m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,17 @@ __all__ = [
     "quasilocal_energy",
     "monotonicity_check",
     "adm_extrapolate",
+    "run_profile",
     "penrose_report",
 ]
+
+# an energy step up of at most this much is discretization noise, not
+# a monotonicity failure
+_MONOTONE_TOL = 1e-8
+# adm_extrapolate fits this trailing share of the samples and accepts an
+# rms fit residual up to _FIT_RESIDUAL_MAX * (1 + |E_inf|)
+_TAIL_FRACTION = 1.0 / 3.0
+_FIT_RESIDUAL_MAX = 1e-4
 
 
 def quasilocal_energy(geom: CurvedGeometry, u) -> float:
@@ -69,8 +78,7 @@ class EnergyTrace:
     rate_numeric is a second-order difference of the energy series;
     rate_formula is the closed-form right-hand side evaluated slice by
     slice.  max_rate (the monotonicity margin) should be nonpositive up
-    to discretization noise on admissible runs.  e_inf is filled in by
-    adm_extrapolate.
+    to discretization noise on admissible runs.
     """
 
     s: np.ndarray
@@ -79,11 +87,9 @@ class EnergyTrace:
     rate_formula: np.ndarray
     max_mismatch: float
     max_rate: float
-    e_inf: float | None = None
-    fit: dict = field(default_factory=dict)
 
-    def nonincreasing(self, tol: float = 1e-8) -> bool:
-        return bool(np.all(np.diff(self.energy) <= tol))
+    def nonincreasing(self) -> bool:
+        return bool(np.all(np.diff(self.energy) <= _MONOTONE_TOL))
 
     def series_csv(self) -> str:
         lines = ["s,E,dEds_numeric,dEds_formula"]
@@ -128,13 +134,11 @@ def monotonicity_check(fol: Foliation, ufield: UField) -> EnergyTrace:
     )
 
 
-def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None,
-                    tail_fraction: float = 1.0 / 3.0,
-                    residual_threshold: float = 1e-4) -> dict:
+def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None) -> dict:
     """Extrapolate the energy series to s -> infinity.
 
     Fits E(s) = E_inf + a/s + b/s^2 by least squares over the trailing
-    tail_fraction of the samples.  The limit is the total mass of the
+    third of the samples.  The limit is the total mass of the
     deformed extension minus the reference mass.  Requires a monotone
     tail of at least 10 samples with s > 0; when a ufield is supplied
     its decay flag must be clean.
@@ -143,18 +147,18 @@ def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None,
     -------
     dict
         E_inf, the fit coefficients a and b, the rms fit residual, and
-        the sample window.  Also stored on the trace.
+        the sample window.
     """
     s = np.asarray(trace.s, dtype=float)
     energy = np.asarray(trace.energy, dtype=float)
     n = len(s)
-    i0 = int(np.floor(n * (1.0 - tail_fraction)))
+    i0 = int(np.floor(n * (1.0 - _TAIL_FRACTION)))
     if n - i0 < 10:
         raise ValueError("need at least 10 samples in the extrapolation tail")
     st, et = s[i0:], energy[i0:]
     if st[0] <= 0.0:
         raise ValueError("extrapolation tail must have s > 0")
-    if not np.all(np.diff(et) <= 1e-8):
+    if not np.all(np.diff(et) <= _MONOTONE_TOL):
         raise ValueError("energy tail is not monotone nonincreasing")
     if ufield is not None and not ufield.decay_bounded:
         raise ValueError("u decay is not bounded; tail not asymptotic")
@@ -163,14 +167,11 @@ def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None,
     resid = et - basis @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
     e_inf = float(coef[0])
-    if rms > residual_threshold * (1.0 + abs(e_inf)):
+    if rms > _FIT_RESIDUAL_MAX * (1.0 + abs(e_inf)):
         raise ValueError(f"extrapolation fit residual {rms:.3e} above "
                          "threshold; tail not in the asymptotic regime")
-    out = {"E_inf": e_inf, "a": float(coef[1]), "b": float(coef[2]),
-           "fit_residual": rms, "window": (i0, n)}
-    trace.e_inf = e_inf
-    trace.fit = out
-    return out
+    return {"E_inf": e_inf, "a": float(coef[1]), "b": float(coef[2]),
+            "fit_residual": rms, "window": (i0, n)}
 
 
 @dataclass
@@ -263,6 +264,23 @@ class PenroseReport:
         return self.report["verdict"]
 
 
+def run_profile(ref, r0: float, s_max: float, points: int = 900):
+    """Isothermal profile for a flow from area radius r0 to s = s_max.
+
+    The radial range runs from just outside the horizon (the table's inner
+    end for a tabulated reference without one) out to 1.5 (r0 + s_max),
+    clipped to a table's own range.
+    """
+    r_far = (r0 + s_max) * 1.5
+    r_lo = ref.r_horizon * 1.0005 if ref.r_horizon > 0 else ref.r_min
+    if ref.kind == "tabulated":
+        r_lo = max(r_lo, ref.r_min * 1.000001)
+        r_far = min(r_far, ref.r_max * 0.999999)
+    if r_lo >= r0:
+        raise ValueError("r0 is below the usable profile range")
+    return isothermal_profile(ref, np.geomspace(r_lo, r_far, points))
+
+
 def _closed_form_e0(sc: Scenario) -> float | None:
     if sc.kind != "schwarzschild_interior":
         return None
@@ -330,10 +348,7 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     """
     ref_kind = "schwarzschild" if sc.e == 0.0 else "reissner_nordstrom"
     ref = make_reference(ref_kind, m=sc.m, e=sc.e)
-    r_far = (sc.r0 + sc.s_max) * 1.5
-    r_lo = ref.r_horizon * 1.0005 if ref.r_horizon > 0 else sc.r0 / 4.0
-    profile = isothermal_profile(
-        ref, np.geomspace(r_lo, r_far, sc.profile_points))
+    profile = run_profile(ref, sc.r0, sc.s_max, sc.profile_points)
     grid = SphereGrid(sc.n_theta, sc.n_phi)
     rho0 = float(profile.rho_of_r(sc.r0))
     if sc.perturbation is None:
@@ -341,8 +356,7 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     else:
         surf = perturbed_surface(grid, rho0, sc.perturbation)
 
-    cfg = FlowConfig(ds=sc.ds, s_max=sc.s_max, store_every=sc.store_every,
-                     abort_on_condition_failure=True)
+    cfg = FlowConfig(ds=sc.ds, s_max=sc.s_max, store_every=sc.store_every)
     flow_error = None
     try:
         fol = run_flow(surf, profile, cfg)

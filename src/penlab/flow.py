@@ -50,6 +50,9 @@ ESSENTIAL_MONITORS = (
 # largest tangential-drift CFL number step_flow reports as within bounds
 CFL_SAFETY = 0.75
 
+# log-grid points on which compute_constants searches each sup
+_CONSTANTS_GRID = 4000
+
 
 class FlowError(RuntimeError):
     """Surface update broke a flow precondition."""
@@ -60,7 +63,6 @@ class FlowConfig:
     ds: float = 0.01
     s_max: float = 10.0
     store_every: int = 1
-    abort_on_condition_failure: bool = True
 
     def __post_init__(self):
         if self.ds <= 0.0 or self.s_max <= 0.0:
@@ -183,7 +185,6 @@ class Foliation:
     """
 
     profile: ConformalProfile
-    config: FlowConfig
     s: list
     surfaces: list
     summaries: list
@@ -247,13 +248,13 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
     """Advance the unit normal flow to s_max, storing every k-th slice.
 
     Stored slices carry condition summaries; when a stored slice fails an
-    essential monitor and abort_on_condition_failure is set, the run stops
-    there and the foliation records the failing index and monitors.
+    essential monitor the run stops there and the foliation records the
+    failing index and monitors.
     """
     n_steps = max(1, int(round(config.s_max / config.ds)))
     ds = config.s_max / n_steps
 
-    fol = Foliation(profile=profile, config=config, s=[], surfaces=[], summaries=[])
+    fol = Foliation(profile=profile, s=[], surfaces=[], summaries=[])
     # flow speed of a stored slice: the first RK stage of the step that
     # leaves it, so no surface's speed is computed twice; only the newest
     # known speed is kept
@@ -279,7 +280,7 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
         n_speeds, prev_speed = j + 1, gdot
 
     summary = store(0.0, surface)
-    if config.abort_on_condition_failure and not summary["passed"]:
+    if not summary["passed"]:
         fol.aborted = True
         fol.abort_index = 0
         fol.abort_reason = f"initial surface fails: {summary['failed_monitors']}"
@@ -298,7 +299,7 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
         if k % config.store_every == 0 or k == n_steps:
             summary = store(k * ds, current)
             summary["cfl"] = info["cfl"]
-            if config.abort_on_condition_failure and not summary["passed"]:
+            if not summary["passed"]:
                 fol.aborted = True
                 fol.abort_index = len(fol) - 1
                 fol.abort_reason = (
@@ -447,26 +448,20 @@ def evolution_diagnostics(fol: Foliation) -> dict:
 # ----------------------------------------------------------------------
 # quantitative decay constants
 
-def compute_constants(profile: ConformalProfile, rho_min: float | None = None,
-                      rho_cap: float | None = None, n_grid: int = 4000) -> dict:
+def compute_constants(profile: ConformalProfile) -> dict:
     """Smallest constants bounding the conformal-factor decay fields.
 
-    Evaluates the three candidate fields on a log grid over
-    [rho_min, rho_cap] and compares the grid sup with the analytic
+    Evaluates the three candidate fields on a log grid over the
+    profile's own ρ range and compares the grid sup with the analytic
     ρ → ∞ limit (analytic references), reporting the larger; the
     aggregate constants follow from the maxima.
     """
     ref = profile.ref
-    if rho_min is None:
-        rho_min = profile.rho_lo * (1.0 + 1e-12)
-    if rho_min < profile.rho_horizon * (1.0 - 1e-9):
-        raise ValueError("rho_min must not be inside the horizon")
-    lo = max(rho_min, profile.rho_lo * (1.0 + 1e-12))
-    hi = min(rho_cap if rho_cap is not None else 0.99 * profile.rho_hi,
-             0.99 * profile.rho_hi)
+    lo = profile.rho_lo * (1.0 + 1e-12)
+    hi = 0.99 * profile.rho_hi
     if hi <= lo:
         raise ValueError("empty rho range for constants")
-    rho = np.geomspace(lo, hi, n_grid)
+    rho = np.geomspace(lo, hi, _CONSTANTS_GRID)
 
     radial = profile.radial_factors(rho)
     r, F, dF = radial.r, radial.F, radial.dF
@@ -487,7 +482,7 @@ def compute_constants(profile: ConformalProfile, rho_min: float | None = None,
         grid_max = float(fieldval[i])
         value = max(grid_max, tails[name])
         # sup pinned to the open outer end without a covering tail limit
-        unstable = (i == n_grid - 1) and (grid_max > tails[name] * (1.0 + 1e-9))
+        unstable = (i == _CONSTANTS_GRID - 1) and (grid_max > tails[name] * (1.0 + 1e-9))
         return value, {"grid_max": grid_max, "argmax_rho": float(rho[i]),
                        "tail": tails[name], "tail_flag": bool(unstable)}
 
@@ -498,7 +493,7 @@ def compute_constants(profile: ConformalProfile, rho_min: float | None = None,
     g_range = float(np.max(angle_threshold(ref, r)))
     r_lo_ext = (ref.r_horizon * (1.0 + 1e-9) if ref.r_horizon > 0
                 else max(ref.r_min, 1e-6))
-    r_ext = np.geomspace(r_lo_ext, profile.r_hi * 0.99, n_grid)
+    r_ext = np.geomspace(r_lo_ext, profile.r_hi * 0.99, _CONSTANTS_GRID)
     g_ext = float(np.max(angle_threshold(ref, r_ext)))
 
     def c2_of(gmax):

@@ -35,7 +35,6 @@ __all__ = [
     "t_function",
     "static_check",
     "reference_from_csv",
-    "profile_to_csv",
 ]
 
 
@@ -403,17 +402,6 @@ def _dense_to_ppoly(dense) -> PPoly:
         for k in range(degree):
             c[degree - 1 - k, i] = piece.Q[0, k] / piece.h**k
     return PPoly(c, dense.ts)
-
-
-def profile_to_csv(profile: ConformalProfile, r_values) -> str:
-    """Rows r,rho,F for the given radii (deterministic %.17g formatting)."""
-    r_values = np.asarray(r_values, dtype=float)
-    rho = profile.rho_of_r(r_values)
-    F = np.sqrt(r_values / rho)
-    lines = ["r,rho,F"]
-    for ri, pi, fi in zip(r_values, rho, F):
-        lines.append(f"{ri:.17g},{pi:.17g},{fi:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,6 @@ __all__ = [
     "CurvedGeometry",
     "round_surface",
     "perturbed_surface",
-    "surface_to_csv",
-    "surface_from_csv",
     "flat_geometry",
     "curved_geometry",
     "reaction_coefficient",
@@ -83,33 +81,6 @@ def perturbed_surface(grid: SphereGrid, rho0: float, modes: dict) -> StarSurface
         else:
             bump += amp * leg * np.sin(-m * grid.phi)[None, :]
     return StarSurface(grid, rho0 * (1.0 + bump))
-
-
-def surface_to_csv(surface: StarSurface) -> str:
-    lines = ["theta,phi,G"]
-    g = surface.grid
-    for i, th in enumerate(g.theta):
-        for j, ph in enumerate(g.phi):
-            lines.append(f"{th:.17g},{ph:.17g},{surface.G[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def surface_from_csv(path) -> StarSurface:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    thetas = np.unique(data[:, 0])
-    phis = np.unique(data[:, 1])
-    grid = SphereGrid(len(thetas), len(phis))
-    if not (np.allclose(np.sort(grid.theta), thetas, atol=1e-10)
-            and np.allclose(np.sort(grid.phi), phis, atol=1e-10)):
-        raise ValueError("CSV nodes do not match a Gauss-Legendre x uniform grid")
-    G = np.full((grid.n_theta, grid.n_phi), np.nan)
-    ti = {round(t, 12): k for k, t in enumerate(grid.theta)}
-    pj = {round(p, 12): k for k, p in enumerate(grid.phi)}
-    for th, ph, val in data:
-        G[ti[round(th, 12)], pj[round(ph, 12)]] = val
-    if np.isnan(G).any():
-        raise ValueError("CSV does not cover the full grid")
-    return StarSurface(grid, G)
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +371,10 @@ def reaction_coefficient(geom: CurvedGeometry) -> np.ndarray:
 # ----------------------------------------------------------------------
 # monitors
 
+# largest spectral tail fraction of G the resolution monitor passes
+_TAIL_TOL = 1e-6
+
+
 def _located_min(grid: SphereGrid, field: np.ndarray):
     idx = np.unravel_index(int(np.argmin(field)), field.shape)
     return float(field[idx]), {
@@ -408,7 +383,7 @@ def _located_min(grid: SphereGrid, field: np.ndarray):
     }
 
 
-def condition_report(geom: CurvedGeometry, tail_tol: float = 1e-6) -> dict:
+def condition_report(geom: CurvedGeometry) -> dict:
     """Pointwise health checks for one surface of a prospective foliation.
 
     Each monitor reports its worst value, where it occurs, and whether the
@@ -440,7 +415,7 @@ def condition_report(geom: CurvedGeometry, tail_tol: float = 1e-6) -> dict:
             "passed": ang_min > 0.0,
         },
         "potential_slope": {"min": dv_min, "location": dv_loc, "passed": dv_ok},
-        "resolution": {"tail_fraction": tail, "passed": tail < tail_tol},
+        "resolution": {"tail_fraction": tail, "passed": tail < _TAIL_TOL},
     }
     return {
         "passed": all(m["passed"] for m in monitors.values()),

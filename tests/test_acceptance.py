@@ -142,7 +142,7 @@ def test_05_energy_rate_identity(schw_profile, record_property):
         % (trace.max_mismatch, trace.rate_formula[0]))
     assert trace.max_mismatch < 1e-6
     assert trace.rate_formula[0] == pytest.approx(-0.0117851, abs=1e-5)
-    assert trace.nonincreasing(1e-8)
+    assert trace.nonincreasing()
     assert trace.max_rate < 0.0
 
     # u identically 1 is the reference itself: zero energy, zero rate,

@@ -262,6 +262,28 @@ def test_exhausted_lapse_step_exits_3(tmp_path, monkeypatch, capsys):
     assert err == "run aborted (StepRejected): linear solve stalled\n"
 
 
+def test_short_flow_solve_exits_2(tmp_path, capsys):
+    # two stored slices cannot carry the lapse solve: unusable input
+    cfg = write_config(tmp_path, {
+        "flow": {"ds": 0.05, "s_max": 0.05, "store_every": 1}})
+    code = console_main(["solve", "--config", cfg, "--out", str(tmp_path),
+                         "--resolution", "8x16"])
+    assert code == 2
+    assert "at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
+def test_nonpositive_coefficient_solve_exits_3(tmp_path, monkeypatch, capsys):
+    message = "coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice 1"
+    monkeypatch.setattr(penlab.cli, "solve_u", _raise(ValueError(message)))
+    cfg = write_config(tmp_path, {
+        "flow": {"ds": 0.05, "s_max": 0.15, "store_every": 1}})
+    code = console_main(["solve", "--config", cfg, "--out", str(tmp_path),
+                         "--resolution", "8x16"])
+    assert code == 3
+    assert capsys.readouterr().err == f"foliation condition failed: {message}\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("other, code", [("inequality holds", 3),
                                          ("inequality violated", 1)])

@@ -64,7 +64,7 @@ def test_monotonicity_identity_round(grid, schw_profile):
     trace = monotonicity_check(fol, uf)
     assert trace.max_mismatch < 1e-6
     assert abs(trace.rate_formula[0] - (-0.0117851)) < 1e-5
-    assert trace.nonincreasing(1e-8)
+    assert trace.nonincreasing()
     assert np.all(trace.rate_formula <= 0.0)
     assert trace.max_rate < 0.0
 
@@ -129,10 +129,10 @@ def test_adm_extrapolate_guards():
     s = np.linspace(1.0, 5.0, 12)
     with pytest.raises(ValueError, match="at least 10"):
         adm_extrapolate(_flat_trace(s, 0.2 + 1.0 / s))
-    s0 = np.linspace(0.0, 9.0, 12)
+    # the fitted tail is the last third: samples 20..29, from s = 0
+    s0 = np.linspace(-20.0, 9.0, 30)
     with pytest.raises(ValueError, match="s > 0"):
-        adm_extrapolate(_flat_trace(s0, np.linspace(1, 0.5, 12)),
-                        tail_fraction=1.0)
+        adm_extrapolate(_flat_trace(s0, np.linspace(1, 0.5, 30)))
     s = np.linspace(1.0, 40.0, 60)
     with pytest.raises(ValueError, match="monotone"):
         adm_extrapolate(_flat_trace(s, 0.2 - 1.0 / s))
@@ -185,7 +185,7 @@ def test_scenario_flagship():
     assert 0.2 - 1e-4 <= r["E_inf"] <= r["E0"]
     assert r["monotonicity_margin"] <= 1e-8
     assert r["residuals"]["extrapolation_fit"] < 1e-6
-    assert rep.trace.nonincreasing(1e-8)
+    assert rep.trace.nonincreasing()
 
 
 def test_scenario_equality_case():

@@ -274,9 +274,3 @@ def test_constants_reissner_nordstrom():
     # the alternative cone bound is strictly tighter for e != 0
     assert out["angle_bound_variant"] < out["angle_bound"]
     assert np.isfinite(out["C2"]) and out["C2"] > 0.0
-
-
-def test_constants_reject_interior_range(schw):
-    prof = isothermal_profile(schw, np.geomspace(2.0005, 800.0, 700))
-    with pytest.raises(ValueError, match="horizon"):
-        compute_constants(prof, rho_min=0.3)

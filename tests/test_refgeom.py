@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from penlab import refgeom
 from penlab.refgeom import (
     ConformalProfile,
     isothermal_profile,
@@ -238,14 +237,6 @@ def test_profile_rn(rn):
     radial = prof.radial_factors(rho)
     assert np.max(np.abs(rho * radial.F**2 / r - 1)) < 1e-9
     assert np.all(radial.dF < 0)
-
-
-def test_profile_csv(schw_profile):
-    text = refgeom.profile_to_csv(schw_profile, [4.0])
-    header, row, _ = text.split("\n")
-    assert header == "r,rho,F"
-    vals = [float(x) for x in row.split(",")]
-    assert vals[1] == pytest.approx(2.9142136, abs=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["schwarzschild", "reissner_nordstrom",

@@ -7,8 +7,6 @@ from penlab.surfgeom import (
     StarSurface,
     round_surface,
     perturbed_surface,
-    surface_to_csv,
-    surface_from_csv,
     flat_geometry,
     curved_geometry,
     metric_partials,
@@ -183,12 +181,3 @@ def test_condition_report_flags_distortion(grid, schw_profile):
     loc = rep["monitors"][failing[0]].get("location")
     if loc is not None:
         assert 0.0 <= loc["theta"] <= np.pi
-
-
-def test_surface_csv_roundtrip(tmp_path, grid):
-    surf = perturbed_surface(grid, 3.0, {(2, 1): 0.03})
-    path = tmp_path / "surf.csv"
-    path.write_text(surface_to_csv(surf))
-    back = surface_from_csv(path)
-    assert back.grid.n_theta == grid.n_theta
-    assert np.allclose(back.G, surf.G, atol=1e-15)
