@@ -10,11 +10,11 @@ curvature R̄ + (1/u² − 1) T by construction, which scalar_residual
 verifies discretely.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .flow import (Foliation, advected_derivative, drift_fields, lagrange3,
                    neighbour_windows)
@@ -23,6 +23,7 @@ from .surfgeom import CurvedGeometry, reaction_coefficient
 __all__ = [
     "StepRejected",
     "UField",
+    "gmres",
     "reaction_coefficient",
     "initial_u",
     "solve_u",
@@ -30,10 +31,14 @@ __all__ = [
 ]
 
 
-# relative GMRES tolerance of each frozen-coefficient solve, how many
-# times solve_u halves a window's substep before giving up, and how many
-# frozen-coefficient fixed-point passes each substep makes
+# relative and absolute GMRES tolerances of each frozen-coefficient
+# solve, its restart length and its iteration cap over all restarts, how
+# many times solve_u halves a window's substep before giving up, and how
+# many frozen-coefficient fixed-point passes each substep makes
 _GMRES_RTOL = 1e-12
+_GMRES_ATOL = 1e-14
+_GMRES_RESTART = 30
+_GMRES_MAXITER = 60
 _MAX_HALVINGS = 8
 _FIXED_POINT_PASSES = 2
 
@@ -104,19 +109,88 @@ def _rate(grid, b: _Bundle, u: np.ndarray) -> np.ndarray:
     return out + advected_derivative(grid, u, b.tau_t, b.tau_p)
 
 
+def gmres(A, b, x0, M, callback=None):
+    """Solve A x = b by restarted GMRES, right-preconditioned by M.
+
+    A and M are callables on flat arrays.  Arnoldi runs modified
+    Gram-Schmidt on the preconditioned directions Z[j] = M(V[j]) and
+    Givens rotations on Python floats, so each iteration costs one A and
+    one M, and the update x += Z y needs no further M.  With right
+    preconditioning the rotated Hessenberg residual estimates the true
+    residual ‖b − A x‖ (Saad, Iterative Methods for Sparse Linear
+    Systems, §9.3).  That estimate ends a cycle, but a call succeeds
+    only once the true residual, recomputed with one more A per cycle,
+    satisfies ‖b − A x‖ ≤ max(_GMRES_ATOL, _GMRES_RTOL ‖b‖); otherwise
+    the next cycle restarts from it.  ``callback`` receives the residual
+    estimate once per iteration.  Returns (x, info): info is 0 on
+    success, and the number of iterations made (at least 1) when the
+    total cap _GMRES_MAXITER is reached or an Arnoldi column vanishes.
+    x0 is not modified, and is returned as is when it already solves the
+    system.
+    """
+    target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
+    x = x0
+    r = b - A(x)
+    beta = math.sqrt(float(r @ r))
+    iters = 0
+    while not beta <= target:   # a NaN residual never converges
+        if iters >= _GMRES_MAXITER:
+            return x, max(iters, 1)
+        V, Z, R, g, rotations = [r / beta], [], [], [beta], []
+        for _ in range(min(_GMRES_RESTART, _GMRES_MAXITER - iters)):
+            z = M(V[-1])
+            w = A(z)
+            h = []
+            for v in V:
+                hv = float(w @ v)
+                w = w - hv * v
+                h.append(hv)
+            h_next = math.sqrt(float(w @ w))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = math.hypot(h[-1], h_next)
+            if not d > 0.0:
+                # A M annihilates the direction (or it is not finite)
+                return x, max(iters, 1)
+            c, s = h[-1] / d, h_next / d
+            rotations.append((c, s))
+            h[-1] = d
+            g.append(-s * g[-1])
+            g[-2] *= c
+            Z.append(z)
+            R.append(h)
+            iters += 1
+            if callback is not None:
+                callback(abs(g[-1]))
+            if abs(g[-1]) <= target:
+                break
+            V.append(w / h_next)
+        # back-substitute the rotated Hessenberg system R y = g; R[j] is
+        # column j of the upper triangle
+        y = [0.0] * len(R)
+        for i in reversed(range(len(R))):
+            acc = g[i] - sum(R[j][i] * y[j] for j in range(i + 1, len(R)))
+            y[i] = acc / R[i][i]
+        for yi, zi in zip(y, Z):
+            x = x + yi * zi
+        r = b - A(x)
+        beta = math.sqrt(float(r @ r))
+    return x, 0
+
+
 def _imex_step(grid, u0, b0, b1, ds):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient."""
     shape = u0.shape
-    n = u0.size
     base = u0 + 0.5 * ds * _rate(grid, b0, u0)
     v = u0
     iters = 0
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
+        scale = 0.5 * ds * coef
 
         def matvec(x):
             x = x.reshape(shape)
-            return (x - 0.5 * ds * coef * _laplacian(grid, b1, x)).ravel()
+            return (x - scale * _laplacian(grid, b1, x)).ravel()
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
         rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p)
@@ -131,11 +205,7 @@ def _imex_step(grid, u0, b0, b1, ds):
         def cb(_):
             count[0] += 1
 
-        A = LinearOperator((n, n), matvec=matvec, dtype=float)
-        M = LinearOperator((n, n), matvec=precond, dtype=float)
-        sol, info = gmres(A, rhs.ravel(), x0=v.ravel(), M=M,
-                          rtol=_GMRES_RTOL, atol=1e-14, restart=30, maxiter=60,
-                          callback=cb, callback_type="legacy")
+        sol, info = gmres(matvec, rhs.ravel(), v.ravel(), precond, callback=cb)
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
@@ -160,7 +230,6 @@ def _check_bounds(u, lo, hi):
 class UField:
     """Lapse solution sampled on the stored slices of a foliation."""
 
-    foliation: Foliation
     s: np.ndarray
     u: list
     decay: np.ndarray
@@ -260,7 +329,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     bounded = bool(decay[-1] <= 1.25 * float(np.max(decay[:-1], initial=0.0)) + 1e-12)
 
     out = UField(
-        foliation=fol, s=s, u=us, decay=decay,
+        s=s, u=us, decay=decay,
         min_coefficient=np.asarray(min_c_list), bounds=(lo, hi),
         decay_bounded=bounded, halvings=halvings, max_gmres_iters=gmax)
     if with_residual:

@@ -76,6 +76,105 @@ def test_initial_u_rejects_nonpositive(round_geom):
         initial_u(round_geom.H0, 0.0 * round_geom.H0)
 
 
+# ------------------------------------------------------------ linear solve
+
+def _dominant_system(n=24, seed=1):
+    # nonsymmetric, strictly diagonally dominant by rows
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.uniform(1.0, 5.0, n)
+    return a, rng.uniform(-1.0, 1.0, n)
+
+
+def _six_eigenvalue_system(n=30, seed=2):
+    # diagonalizable with six distinct eigenvalues: unrestarted GMRES
+    # solves it in six iterations, two-step cycles need several restarts
+    rng = np.random.default_rng(seed)
+    s = np.eye(n) + 0.1 * rng.uniform(-1.0, 1.0, (n, n))
+    lam = 1.0 + 0.4 * (np.arange(n) % 6)
+    return s @ np.diag(lam) @ np.linalg.inv(s), rng.uniform(-1.0, 1.0, n)
+
+
+def _counted(f):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("precond", ["identity", "jacobi"])
+def test_gmres_matches_dense_solve(precond):
+    a, b = _dominant_system()
+    diag = np.diag(a)
+    m = (lambda x: x) if precond == "identity" else (lambda x: x / diag)
+    x, info = bartnik.gmres(lambda x: a @ x, b, np.zeros_like(b), m)
+    assert info == 0
+    exact = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - exact)) <= bartnik._GMRES_RTOL * 100 * np.max(np.abs(exact))
+    assert np.linalg.norm(b - a @ x) <= bartnik._GMRES_RTOL * np.linalg.norm(b)
+
+
+def test_gmres_converges_across_restarts(monkeypatch):
+    a, b = _six_eigenvalue_system()
+    x0 = np.zeros_like(b)
+    counts = {}
+    for restart in (30, 2):
+        monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
+        cb, calls = _counted(lambda _: None)
+        x, info = bartnik.gmres(lambda x: a @ x, b, x0, lambda x: x, callback=cb)
+        assert info == 0
+        assert np.linalg.norm(b - a @ x) <= bartnik._GMRES_RTOL * np.linalg.norm(b)
+        counts[restart] = calls[0]
+    assert 5 <= counts[30] <= 7
+    assert counts[2] > counts[30]
+
+
+def test_gmres_reports_the_iteration_cap(monkeypatch):
+    a, b = _six_eigenvalue_system()
+    monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 3)
+    cb, calls = _counted(lambda _: None)
+    x, info = bartnik.gmres(lambda x: a @ x, b, np.zeros_like(b), lambda x: x,
+                            callback=cb)
+    assert info == 3 == calls[0]
+    assert np.linalg.norm(b - a @ x) > bartnik._GMRES_RTOL * np.linalg.norm(b)
+
+
+def test_imex_step_rejects_at_the_iteration_cap(grid, schw_profile, monkeypatch):
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 6.0), {(2, 0): 0.05})
+    b = bartnik._make_bundle(curved_geometry(surf, schw_profile))
+    u0 = 1.1 + 0.05 * grid.cos_theta[:, None] * np.ones((grid.n_theta, grid.n_phi))
+    _, iters = bartnik._imex_step(grid, u0, b, b, 0.05)
+    assert iters >= 2
+    monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 1)
+    with pytest.raises(StepRejected, match="gmres info 1"):
+        bartnik._imex_step(grid, u0, b, b, 0.05)
+
+
+def test_gmres_callback_once_per_iteration():
+    a, b = _dominant_system()
+    diag = np.diag(a)
+    apply_a, a_calls = _counted(lambda x: a @ x)
+    precond, m_calls = _counted(lambda x: x / diag)
+    cb, cb_calls = _counted(lambda _: None)
+    x, info = bartnik.gmres(apply_a, b, np.zeros_like(b), precond, callback=cb)
+    assert info == 0
+    # one preconditioner application per iteration, and one operator
+    # application per iteration plus the initial and final residuals
+    assert cb_calls[0] == m_calls[0] >= 2
+    assert a_calls[0] == cb_calls[0] + 2
+
+    # a starting guess that already solves the system makes no iteration
+    a_calls[0] = m_calls[0] = cb_calls[0] = 0
+    x0 = np.linalg.solve(a, b)
+    x, info = bartnik.gmres(apply_a, a @ x0, x0, precond, callback=cb)
+    assert info == 0 and x is x0
+    assert cb_calls[0] == m_calls[0] == 0
+    assert a_calls[0] == 1
+
+
 # ------------------------------------------------------------------ solves
 
 def test_solve_matches_ode_oracle(schw, round_fol):

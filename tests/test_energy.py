@@ -145,7 +145,7 @@ def test_adm_extrapolate_guards():
 def test_adm_requires_clean_decay_flag():
     s = np.linspace(2.0, 50.0, 60)
     trace = _flat_trace(s, 0.25 + 0.3 / s)
-    dirty = UField(foliation=None, s=s, u=[], decay=np.zeros_like(s),
+    dirty = UField(s=s, u=[], decay=np.zeros_like(s),
                    min_coefficient=np.zeros_like(s), bounds=(1.0, 1.0),
                    decay_bounded=False, halvings=0, max_gmres_iters=0)
     with pytest.raises(ValueError, match="decay"):

@@ -49,3 +49,27 @@ def test_tracer_installs_and_uninstalls():
     after = {(o.__name__, k): v for o in owners for k, v in vars(o).items()}
     assert after == before
     assert not hasattr(penlab.flow.curved_geometry, "__wrapped__")
+
+
+def test_tracer_counts_bartnik_gmres_iterations():
+    # the benchmark cross-checks its iteration count against UField's
+    ref = make_reference("schwarzschild", m=1.0)
+    profile = isothermal_profile(ref, np.geomspace(2.02, 50.0, 200))
+    grid = SphereGrid(8, 16)
+    fol = penlab.flow.run_flow(
+        round_surface(grid, float(profile.rho_of_r(4.0))), profile,
+        penlab.flow.FlowConfig(ds=0.05, s_max=0.1, store_every=1))
+    assert len(fol) == 3
+    u0 = 1.1 + 0.05 * grid.cos_theta[:, None] * np.ones((grid.n_theta, grid.n_phi))
+    original = penlab.bartnik.gmres
+    tracer = _load_tracer().Tracer()
+    tracer.install(penlab)
+    try:
+        uf = penlab.bartnik.solve_u(fol, u0, with_residual=False)
+        taken = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert penlab.bartnik.gmres is original
+    assert "bartnik.gmres" in {span[0] for span in taken["spans"]}
+    assert uf.max_gmres_iters >= 2
+    assert max(taken["gmres_iters"]) == uf.max_gmres_iters

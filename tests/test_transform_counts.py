@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import penlab.bartnik as bartnik
 from penlab.bartnik import _laplacian, _make_bundle
 from penlab.flow import advected_derivative, flow_speed, step_flow
 from penlab.oracle import schwarzschild_rho
@@ -66,3 +67,40 @@ def test_operator_transform_counts(setup, counted, name):
     call(setup)
     assert counted["analyze"] <= analyses
     assert counted["synthesize"] <= syntheses
+
+
+def test_imex_step_operator_counts(setup, monkeypatch):
+    # right preconditioning applies the round-Helmholtz inverse once per
+    # GMRES iteration; the Laplacian runs once for the explicit half-step
+    # and, per fixed-point pass, once per iteration plus the initial and
+    # final residuals
+    calls = {"helmholtz": 0, "laplacian": 0, "passes": 0, "iterations": 0}
+    helmholtz, laplacian, gmres = (SphereGrid.round_helmholtz_inverse,
+                                   bartnik._laplacian, bartnik.gmres)
+
+    def counted_helmholtz(*args):
+        calls["helmholtz"] += 1
+        return helmholtz(*args)
+
+    def counted_laplacian(*args):
+        calls["laplacian"] += 1
+        return laplacian(*args)
+
+    def counted_gmres(*args, callback=None, **kwargs):
+        calls["passes"] += 1
+
+        def counting(residual):
+            calls["iterations"] += 1
+            callback(residual)
+
+        return gmres(*args, callback=counting, **kwargs)
+
+    monkeypatch.setattr(SphereGrid, "round_helmholtz_inverse", counted_helmholtz)
+    monkeypatch.setattr(bartnik, "_laplacian", counted_laplacian)
+    monkeypatch.setattr(bartnik, "gmres", counted_gmres)
+    bundle = _make_bundle(setup.geom)
+    bartnik._imex_step(setup.grid, setup.field, bundle, bundle, 0.05)
+    assert calls["passes"] >= 1
+    assert calls["iterations"] >= 2 * calls["passes"]
+    assert calls["helmholtz"] == calls["iterations"]
+    assert calls["laplacian"] <= 1 + 2 * calls["passes"] + calls["iterations"]
