@@ -233,7 +233,6 @@ class UField:
     s: np.ndarray
     u: list
     decay: np.ndarray
-    min_coefficient: np.ndarray
     bounds: tuple
     decay_bounded: bool
     halvings: int
@@ -278,13 +277,10 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     lo = min(1.0, float(np.min(u)))
     hi = max(1.0, float(np.max(u)))
 
-    min_c_list = []
-
     def checked_bundles():
         for i in range(n):
             b = _make_bundle(fol.geometry(i))
-            min_c_list.append(float(np.min(b.c)))
-            if min_c_list[-1] <= 0.0:
+            if float(np.min(b.c)) <= 0.0:
                 raise ValueError(
                     f"coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice {i}")
             yield b
@@ -329,8 +325,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     bounded = bool(decay[-1] <= 1.25 * float(np.max(decay[:-1], initial=0.0)) + 1e-12)
 
     out = UField(
-        s=s, u=us, decay=decay,
-        min_coefficient=np.asarray(min_c_list), bounds=(lo, hi),
+        s=s, u=us, decay=decay, bounds=(lo, hi),
         decay_bounded=bounded, halvings=halvings, max_gmres_iters=gmax)
     if with_residual:
         out.residual = scalar_residual(fol, out)

@@ -93,8 +93,6 @@ def _jsonify(obj):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -140,17 +138,6 @@ def _resolution(cfg: dict, args) -> tuple:
         raise ConfigError(f"resolution must look like 16x32, got {text!r}") \
             from exc
     return n_theta, n_phi
-
-
-def _surface_from_config(cfg: dict, grid, profile):
-    block = cfg.get("surface", {})
-    r0 = float(block.get("r0", 4.0))
-    rho0 = float(profile.rho_of_r(r0))
-    modes = block.get("perturbation")
-    if not modes:
-        return round_surface(grid, rho0), r0
-    table = {(int(l), int(m)): float(eps) for l, m, eps in modes}
-    return perturbed_surface(grid, rho0, table), r0
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +199,16 @@ def _flow_from_config(cfg: dict, args):
     s_max = float(block.get("s_max", 10.0))
     store_every = int(block.get("store_every", 5))
     grid = SphereGrid(*_resolution(cfg, args))
-    r0 = float(cfg.get("surface", {}).get("r0", 4.0))
+    surface = cfg.get("surface", {})
+    r0 = float(surface.get("r0", 4.0))
     profile = run_profile(ref, r0, s_max)
-    surf, _ = _surface_from_config(cfg, grid, profile)
+    rho0 = float(profile.rho_of_r(r0))
+    modes = surface.get("perturbation")
+    if modes:
+        surf = perturbed_surface(grid, rho0, {(int(l), int(m)): float(eps)
+                                              for l, m, eps in modes})
+    else:
+        surf = round_surface(grid, rho0)
     return run_flow(surf, profile,
                     FlowConfig(ds=ds, s_max=s_max, store_every=store_every))
 
@@ -235,7 +229,7 @@ def cmd_flow(cfg: dict, args) -> int:
     _write_json(out / "flow_report.json", report)
     print(f"{len(fol)} slices to s = {fol.s[-1]:.6g}; "
           f"conditions {'ok' if report['all_conditions_passed'] else 'FAILED'}")
-    return 3 if fol.aborted or not report["all_conditions_passed"] else 0
+    return 3 if fol.aborted else 0
 
 
 def cmd_solve(cfg: dict, args) -> int:
@@ -414,22 +408,27 @@ def cmd_verify(cfg: dict, args) -> int:
 # ----------------------------------------------------------------------
 # scenarios
 
-def _scenario_kwargs(block: dict, cfg: dict, args) -> dict:
-    ref = cfg.get("reference", {})
+# scenario keys handed to Scenario as given
+_SCENARIO_PASSTHROUGH = ("inner_m", "horizon_area", "boundary_u0", "ds",
+                         "s_max", "store_every", "dt_max", "with_residual")
+
+
+def _scenario_kwargs(block: dict, ref, resolution) -> dict:
+    unknown = set(block) - {"kind", "r0", "perturbation",
+                            *_SCENARIO_PASSTHROUGH}
+    if unknown:
+        raise ValueError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
     kw = {
         "kind": block.get("kind", "schwarzschild_interior"),
-        "m": float(ref.get("m", 1.0)),
-        "e": float(ref.get("e", 0.0)),
+        "m": ref.m,
+        "e": ref.e,
         "r0": float(block.get("r0", 4.0)),
     }
-    for key in ("inner_m", "horizon_area", "boundary_u0", "ds", "s_max",
-                "store_every", "dt_max", "with_residual"):
-        if key in block:
-            kw[key] = block[key]
+    kw.update((key, block[key]) for key in _SCENARIO_PASSTHROUGH if key in block)
     if "perturbation" in block:
         kw["perturbation"] = {(int(l), int(m)): float(eps)
                               for l, m, eps in block["perturbation"]}
-    kw["n_theta"], kw["n_phi"] = _resolution(cfg, args)
+    kw["n_theta"], kw["n_phi"] = resolution
     return kw
 
 
@@ -455,8 +454,13 @@ def cmd_scenario(cfg: dict, args) -> int:
         blocks = [cfg.get("scenario",
                           {"kind": "schwarzschild_interior",
                            "inner_m": 1.2, "r0": 4.0, "s_max": 40.0})]
+    ref = _reference_from_config(cfg)
+    if ref.kind == "tabulated":
+        raise ConfigError("schema error: scenarios need a schwarzschild or "
+                          "reissner_nordstrom reference, not a table")
+    resolution = _resolution(cfg, args)
     try:
-        scenarios = [Scenario(**_scenario_kwargs(b, cfg, args))
+        scenarios = [Scenario(**_scenario_kwargs(b, ref, resolution))
                      for b in blocks]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schema error: {exc}") from exc

@@ -207,11 +207,17 @@ class Scenario:
         kinds = ("schwarzschild_interior", "rn_interior", "custom")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
+        # written as negations so that NaN fails too
+        if not self.m > 0.0:
+            raise ValueError("reference mass m must be positive")
+        if self.inner_m is not None and not self.inner_m >= 0.0:
+            raise ValueError("inner_m must be nonnegative")
         if self.kind == "rn_interior":
             if abs(self.e) >= self.m:
                 raise ValueError("reference charge must satisfy |e| < m")
-        elif self.kind == "schwarzschild_interior":
-            self.e = 0.0
+        elif self.kind == "schwarzschild_interior" and self.e != 0.0:
+            raise ValueError("schwarzschild_interior takes no reference "
+                             "charge e; use rn_interior")
         if self.kind in ("schwarzschild_interior", "rn_interior"):
             if self.inner_m is None:
                 raise ValueError("interior scenarios need inner_m")
@@ -302,22 +308,23 @@ def _boundary_u0(sc: Scenario, geom: CurvedGeometry):
     return initial_u(h_phys, geom.H0)
 
 
-def _hypothesis_block(summaries, monitors_ok: bool, aborted: bool,
-                      abort_reason, reference_kind: str, profile) -> dict:
+def _hypothesis_block(summaries, abort_reason, reference_kind: str,
+                      profile) -> dict:
     """Slice-by-slice foliation conditions plus the angle threshold.
 
-    summaries carry each slice's hypothesis_minima.  The flow monitors
-    carry the vacuum-family thresholds; for charged or tabulated
-    references the angle condition is re-gated against the bound from
-    compute_constants, which is the one the general argument needs.
+    summaries carry each slice's hypothesis_minima, and abort_reason is
+    None when the flow passed.  The flow monitors carry the vacuum-family
+    thresholds; for charged or tabulated references the angle condition
+    is re-gated against the bound from compute_constants, which is the
+    one the general argument needs.
     A NaN minimum propagates and fails its gate.
     """
     min_coef, min_shear, min_cos = (
         float(np.min([np.inf] + [sm[key] for sm in summaries]))
         for key in ("min_coefficient", "min_shear", "min_cos_theta"))
     gates = {
-        "surface_conditions": {"passed": bool(monitors_ok),
-                               "aborted": bool(aborted),
+        "surface_conditions": {"passed": abort_reason is None,
+                               "aborted": abort_reason is not None,
                                "abort_reason": abort_reason},
         "coefficient_positive": {"min": min_coef,
                                  "passed": bool(min_coef > 0.0)},
@@ -366,15 +373,13 @@ def penrose_report(sc: Scenario) -> PenroseReport:
 
     if fol is not None:
         g0 = fol.geometry(0)
-        hypotheses = _hypothesis_block(
-            fol.summaries, fol.all_passed() and not fol.aborted, fol.aborted,
-            fol.abort_reason, ref_kind, profile)
+        hypotheses = _hypothesis_block(fol.summaries, fol.abort_reason,
+                                       ref_kind, profile)
         n_slices = len(fol)
     else:
         g0 = curved_geometry(surf, profile)
-        hypotheses = _hypothesis_block(
-            [hypothesis_minima(g0)], False, True, flow_error, ref_kind,
-            profile)
+        hypotheses = _hypothesis_block([hypothesis_minima(g0)], flow_error,
+                                       ref_kind, profile)
         n_slices = 1
     u0 = _boundary_u0(sc, g0)
 

@@ -188,18 +188,16 @@ class Foliation:
     s: list
     surfaces: list
     summaries: list
-    aborted: bool = False
-    abort_index: int | None = None
-    abort_reason: str | None = None
+    abort_reason: str | None = None   # set when a stored slice fails
 
     def __len__(self):
         return len(self.surfaces)
 
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
+
     def geometry(self, i: int) -> CurvedGeometry:
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
         return curved_geometry(self.surfaces[i], self.profile)
 
     def all_passed(self) -> bool:
@@ -230,15 +228,12 @@ def _slice_summary(geom: CurvedGeometry) -> dict:
     failed = [k for k in ESSENTIAL_MONITORS if not rep["monitors"][k]["passed"]]
     return {
         "min_rho": float(np.min(G)),
-        "max_rho": float(np.max(G)),
         "min_kappa_rho2": float(np.min(geom.flat.kappa_min * G**2)),
-        "min_H0": rep["monitors"]["mean_curvature"]["min"],
         "angle_margin": rep["monitors"]["angle"]["min_margin"],
         "area_radius": rep["area_radius"],
         "tail_fraction": rep["monitors"]["resolution"]["tail_fraction"],
         "passed": not failed,
         "failed_monitors": failed,
-        "report": rep,
         **hypothesis_minima(geom),
     }
 
@@ -248,8 +243,8 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
     """Advance the unit normal flow to s_max, storing every k-th slice.
 
     Stored slices carry condition summaries; when a stored slice fails an
-    essential monitor the run stops there and the foliation records the
-    failing index and monitors.
+    essential monitor the run stops there, so the failing slice is the
+    last one, and the foliation records the failing monitors.
     """
     n_steps = max(1, int(round(config.s_max / config.ds)))
     ds = config.s_max / n_steps
@@ -281,8 +276,6 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
 
     summary = store(0.0, surface)
     if not summary["passed"]:
-        fol.aborted = True
-        fol.abort_index = 0
         fol.abort_reason = f"initial surface fails: {summary['failed_monitors']}"
         return fol
 
@@ -300,8 +293,6 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
             summary = store(k * ds, current)
             summary["cfl"] = info["cfl"]
             if not summary["passed"]:
-                fol.aborted = True
-                fol.abort_index = len(fol) - 1
                 fol.abort_reason = (
                     f"condition failure at s = {k * ds:.6g}: "
                     f"{summary['failed_monitors']}")

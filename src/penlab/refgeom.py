@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceManifold:
-    """Immutable bundle of φ, V and their first two derivatives."""
+    """Immutable bundle of φ, φ′, V, V′ and V″."""
 
     kind: str
     m: float
@@ -50,7 +50,6 @@ class ReferenceManifold:
     r_max: float
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
-    d2phi: Callable[[np.ndarray], np.ndarray]
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[[np.ndarray], np.ndarray]
     d2V: Callable[[np.ndarray], np.ndarray]
@@ -71,12 +70,13 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
     Parameters
     ----------
     kind : 'schwarzschild' | 'reissner_nordstrom' | 'tabulated'
-    m, e : mass and charge for the analytic kinds (|e| <= m required).
+    m, e : mass and charge for the analytic kinds (|e| <= m required,
+        e = 0 for schwarzschild).
     tabulated_data : (r, phi, V) arrays for kind='tabulated'; r strictly
         increasing, phi and V positive past the first zero of phi.
     """
-    if kind == "schwarzschild":
-        e = 0.0
+    if kind == "schwarzschild" and e != 0.0:
+        raise ValueError("a schwarzschild reference takes no charge e")
     if kind in ("schwarzschild", "reissner_nordstrom"):
         if m is None or m <= 0:
             raise ValueError("mass must be positive")
@@ -109,7 +109,7 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
             return (d2p - dp**2 / (2.0 * p)) / (2.0 * np.sqrt(p))
 
         return ReferenceManifold(kind, m_, e_, r_h, r_h, np.inf,
-                                 phi, dphi, d2phi, V, dV, d2V)
+                                 phi, dphi, V, dV, d2V)
 
     if kind == "tabulated":
         if tabulated_data is None:
@@ -128,8 +128,7 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
         m_eff = float(r_t[-1] * (1.0 - phi_t[-1]) / 2.0)  # asymptotic mass guess
         return ReferenceManifold(
             "tabulated", m_eff, 0.0, r_h, float(r_t[0]), float(r_t[-1]),
-            phi_i, phi_i.derivative(1), phi_i.derivative(2),
-            V_i, V_i.derivative(1), V_i.derivative(2))
+            phi_i, phi_i.derivative(1), V_i, V_i.derivative(1), V_i.derivative(2))
 
     raise ValueError(f"unknown reference kind: {kind!r}")
 
@@ -246,7 +245,6 @@ class ConformalProfile:
     r_hi: float
     rho_lo: float
     rho_hi: float
-    rho_horizon: float
     _tau_of_sigma: PPoly     # τ = ln r as a function of σ = ln ρ
 
     def rho_of_r(self, r):
@@ -309,33 +307,6 @@ def _tail_anchor(ref: ReferenceManifold, r_out: float) -> float:
     return -val
 
 
-def _horizon_rho(ref: ReferenceManifold, y0: float, r0: float) -> float:
-    """Continue y from r0 down to the horizon; integrable sqrt singularity."""
-    r_h = ref.r_horizon
-    if r_h <= 0.0:
-        return 0.0
-
-    if ref.dphi(r_h) <= 0.0:
-        # degenerate (extremal) horizon: infinite isothermal depth
-        return 0.0
-
-    w_series = 1e-4 * np.sqrt(r_h)
-
-    def integrand(w):  # t = r_h + w², dt/t = 2w dw/(r_h + w²)
-        t = r_h + w**2
-        if w < w_series:
-            # series around the simple zero of phi; the direct formula
-            # loses phi to cancellation once w² drops near ulp(r_h)
-            dp = ref.dphi(t)
-            corr = 1.0 - 0.25 * ref.d2phi(t) * w**2 / dp
-            return 2.0 * corr / (np.sqrt(dp) * t) - 2.0 * w / t
-        return (1.0 / np.sqrt(ref.phi(t)) - 1.0) * 2.0 * w / t
-
-    val, _ = quad(integrand, 0.0, np.sqrt(r0 - r_h),
-                  epsabs=1e-12, epsrel=1e-11, limit=200)
-    return r_h * np.exp(y0 - val)
-
-
 def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
     """Integrate the isothermal coordinate over the span of r_grid.
 
@@ -380,9 +351,8 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
     if sol.status != 1:
         raise ValueError(f"profile integration did not reach r_lo: {sol.message}")
     sigma_lo = float(sol.t_events[0][0])
-    rho_h = _horizon_rho(ref, sigma_lo - tau_lo, r_lo)
     return ConformalProfile(ref, r_lo, r_hi, np.exp(sigma_lo), np.exp(sigma_hi),
-                            rho_h, _dense_to_ppoly(sol.sol))
+                            _dense_to_ppoly(sol.sol))
 
 
 def _dense_to_ppoly(dense) -> PPoly:

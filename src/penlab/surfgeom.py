@@ -265,7 +265,6 @@ class CurvedGeometry:
     profile: ConformalProfile
     r: np.ndarray
     F: np.ndarray
-    dF_dnu: np.ndarray
     V: np.ndarray
     dV_dnu: np.ndarray
     H0: np.ndarray
@@ -353,7 +352,7 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     a0_sq = kappa_min**2 + kappa_max**2
 
     return CurvedGeometry(
-        flat=flat, profile=profile, r=r, F=F, dF_dnu=dF_dnu,
+        flat=flat, profile=profile, r=r, F=F,
         V=V, dV_dnu=dV_dnu, H0=H0,
         kappa_min=kappa_min, kappa_max=kappa_max,
         sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,

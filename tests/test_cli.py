@@ -236,6 +236,43 @@ def test_normalized_units(tmp_path):
     assert abs(report["margin"] - 2 * 0.0111456) < 4e-4
 
 
+
+# a short scenario that runs to a verdict when its config is accepted
+SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
+                  "r0": 4.0, "s_max": 0.5}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # a horizon taken from |2 inner_m| would give a false violation
+    ("scenario", {"scenario": dict(SHORT_SCENARIO, inner_m=-1.0)}, "inner_m"),
+    # each of these would run a Schwarzschild reference, not the one given
+    ("scenario", {"reference": {"table": "flat.csv"}}, "table"),
+    ("scenario", {"reference": {"kind": "reissner_nordstrom", "m": 1.0,
+                                "e": 0.5}}, "charge"),
+    ("scenario", {"reference": {"kind": "schwarzschild", "e": 0.5}}, "charge"),
+    ("scenario", {"reference": {"kind": "de_sitter"}}, "de_sitter"),
+    ("profile", {"reference": {"kind": "schwarzschild", "e": 0.5}}, "charge"),
+    # an unread key would fall back silently to a default
+    ("scenario", {"scenarios": [dict(SHORT_SCENARIO, smax=0.1)]},
+     "key(s): smax"),
+    ("scenario", {"scenarios": [dict(SHORT_SCENARIO, m=3.0)]}, "key(s): m"),
+], ids=["negative-inner-mass", "scenario-table", "charged-interior",
+        "charged-schwarzschild", "unknown-reference-kind",
+        "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m"])
+def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
+                                   config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flat.csv").write_text("r,phi,V\n" + "\n".join(
+        f"{v:.17g},1.0,1.0" for v in np.linspace(0.5, 50.0, 200)) + "\n")
+    cfg = write_config(tmp_path, {"scenario": SHORT_SCENARIO, **config})
+    code = console_main([command, "--config", cfg, "--out", str(tmp_path),
+                         "--resolution", "8x16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and message in err
+    assert not (tmp_path / "scenario.json").exists()
+
+
 def _raise(exc):
     def stage(*args, **kwargs):
         raise exc

@@ -145,8 +145,7 @@ def test_adm_extrapolate_guards():
 def test_adm_requires_clean_decay_flag():
     s = np.linspace(2.0, 50.0, 60)
     trace = _flat_trace(s, 0.25 + 0.3 / s)
-    dirty = UField(s=s, u=[], decay=np.zeros_like(s),
-                   min_coefficient=np.zeros_like(s), bounds=(1.0, 1.0),
+    dirty = UField(s=s, u=[], decay=np.zeros_like(s), bounds=(1.0, 1.0),
                    decay_bounded=False, halvings=0, max_gmres_iters=0)
     with pytest.raises(ValueError, match="decay"):
         adm_extrapolate(trace, dirty)
@@ -168,6 +167,24 @@ def test_scenario_validation():
     rn = Scenario(kind="rn_interior", m=1.0, e=0.5, inner_m=1.1, r0=6.0)
     rh = 1.1 + np.sqrt(1.1**2 - 0.25)
     assert abs(rn.rhs() - (rh / 2.0 - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("kw, match", [
+    # a horizon taken from |2 inner_m| would give a false violation
+    ({"kind": "schwarzschild_interior", "inner_m": -1.0}, "inner_m"),
+    ({"kind": "schwarzschild_interior", "inner_m": float("nan")}, "inner_m"),
+    ({"kind": "rn_interior", "e": 0.5, "inner_m": -1.2}, "inner_m"),
+    ({"kind": "custom", "m": 0.0}, "mass"),
+    ({"kind": "custom", "m": -1.0}, "mass"),
+    ({"kind": "custom", "m": float("nan")}, "mass"),
+    # zeroing the charge would run a different reference
+    ({"kind": "schwarzschild_interior", "e": 0.5, "inner_m": 1.2}, "charge"),
+])
+def test_scenario_rejects_bad_mass_or_charge(kw, match):
+    kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,
+          "boundary_u0": 1.1, **kw}
+    with pytest.raises(ValueError, match=match):
+        Scenario(**kw)
 
 
 def test_scenario_flagship():
@@ -241,8 +258,8 @@ def test_scenario_declared_violation():
 def test_hypothesis_block_fails_nan_minimum(key, gate):
     summary = {"min_coefficient": 1.0, "min_shear": 1.0, "min_cos_theta": 1.0}
     summary[key] = np.nan
-    gates = _hypothesis_block([summary, dict(summary, **{key: 0.5})], True,
-                              False, None, "schwarzschild", None)
+    gates = _hypothesis_block([summary, dict(summary, **{key: 0.5})], None,
+                              "schwarzschild", None)
     assert np.isnan(gates[gate]["min"])
     assert gates[gate]["passed"] is False
     assert gates["all_passed"] is False

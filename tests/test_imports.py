@@ -1,4 +1,5 @@
-"""Every name a penlab module imports is used there or listed in __all__."""
+"""Every name a penlab module imports is used there or listed in __all__,
+and every field of a penlab record class is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,51 @@ def test_scan_sees_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+# every record field must be read somewhere as x.field; fields are matched
+# by name, and constructor keywords and assignments are not reads
+ROOT = Path(__file__).resolve().parent.parent
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    names = [getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+             for d in cls.decorator_list]
+    bases = [getattr(b, "id", None) for b in cls.bases]
+    return "dataclass" in names or "NamedTuple" in bases
+
+
+def attribute_loads(tree: ast.Module) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def write_only_fields(tree: ast.Module, loads: set) -> list:
+    return sorted(f"{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+                  for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and _is_record(cls)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and stmt.target.id not in loads)
+
+
+def test_scan_sees_write_only_field():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    read: int\n"
+                     "    unread: int\nclass B(NamedTuple):\n    x: float\n"
+                     "a = A(read=1, unread=2)\na.unread = 3\nprint(a.read)\n")
+    assert write_only_fields(tree, attribute_loads(tree)) == [
+        "A.unread (line 4)", "B.x (line 6)"]
+
+
+@pytest.fixture(scope="module")
+def loads():
+    return set().union(*(attribute_loads(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in READERS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_write_only_fields(path, loads):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert write_only_fields(tree, loads) == []

@@ -213,16 +213,11 @@ def test_profile_schwarzschild_F_closed_form(schw_profile):
                        rtol=1e-9)
 
 
-def test_profile_horizon_rho(schw_profile):
-    assert schw_profile.rho_horizon == pytest.approx(0.5, abs=1e-8)
-
-
 def test_profile_flat_identity(flat):
     prof = isothermal_profile(flat, np.linspace(1.0, 100.0, 30))
     r = np.linspace(1.5, 90.0, 17)
     assert np.allclose(prof.rho_of_r(r), r, rtol=1e-12)
     assert np.allclose(prof.radial_factors(r).F, 1.0, rtol=1e-12)
-    assert prof.rho_horizon == 0.0
 
 
 def test_profile_horizon_guard(schw):
