@@ -271,7 +271,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
         raise ValueError("foliation must hold at least 3 slices")
     grid = fol.surfaces[0].grid
     u = np.broadcast_to(np.asarray(u0, dtype=float), fol.surfaces[0].G.shape).copy()
-    if np.any(u <= 0.0):
+    if not np.all(u > 0.0):
         raise ValueError("u0 must be positive")
 
     lo = min(1.0, float(np.min(u)))

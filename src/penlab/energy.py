@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bartnik import UField, initial_u, solve_u
-from .flow import (FlowConfig, FlowError, Foliation, compute_constants,
-                   hypothesis_minima, run_flow)
+from .flow import FlowConfig, Foliation, compute_constants, run_flow
 from .refgeom import isothermal_profile, make_reference
 from .sphere import SphereGrid
 from .surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
@@ -64,7 +63,7 @@ def quasilocal_energy(geom: CurvedGeometry, u) -> float:
         The weighted mean-curvature deficit integral.
     """
     u = np.broadcast_to(np.asarray(u, dtype=float), geom.H0.shape)
-    if np.any(u <= 0.0):
+    if not np.all(u > 0.0):
         raise ValueError("u must be positive")
     integrand = geom.V * geom.H0 * (1.0 - 1.0 / u)
     return float(geom.grid.integrate(integrand * geom.area_density)
@@ -207,29 +206,32 @@ class Scenario:
         kinds = ("schwarzschild_interior", "rn_interior", "custom")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
-        # written as negations so that NaN fails too
-        if not self.m > 0.0:
-            raise ValueError("reference mass m must be positive")
-        if self.inner_m is not None and not self.inner_m >= 0.0:
-            raise ValueError("inner_m must be nonnegative")
-        if self.kind == "rn_interior":
-            if abs(self.e) >= self.m:
-                raise ValueError("reference charge must satisfy |e| < m")
-        elif self.kind == "schwarzschild_interior" and self.e != 0.0:
+        if self.kind == "schwarzschild_interior" and self.e != 0.0:
             raise ValueError("schwarzschild_interior takes no reference "
                              "charge e; use rn_interior")
+        ref = self.reference()
+        # written as negations so that NaN fails too
+        if self.inner_m is not None and not self.inner_m >= 0.0:
+            raise ValueError("inner_m must be nonnegative")
         if self.kind in ("schwarzschild_interior", "rn_interior"):
             if self.inner_m is None:
                 raise ValueError("interior scenarios need inner_m")
             if self.r0 <= self._inner_horizon():
                 raise ValueError("r0 inside the inner horizon")
         else:
-            if self.horizon_area is None or self.horizon_area < 0.0:
+            if self.horizon_area is None or not self.horizon_area >= 0.0:
                 raise ValueError("custom scenarios need horizon_area >= 0")
-            if self.boundary_u0 is None:
-                raise ValueError("custom scenarios need boundary_u0")
-        if self.r0 <= self.m + np.sqrt(max(self.m**2 - self.e**2, 0.0)):
+            # a missing boundary_u0 reads as NaN and fails with the rest
+            if not np.all(np.asarray(self.boundary_u0, dtype=float) > 0.0):
+                raise ValueError("custom scenarios need a positive boundary_u0")
+        if self.r0 <= ref.r_horizon:
             raise ValueError("r0 inside the reference horizon")
+
+    def reference(self):
+        # built on demand, not stored: the manifold holds closures and a
+        # Scenario is pickled for parallel batches
+        kind = "schwarzschild" if self.e == 0.0 else "reissner_nordstrom"
+        return make_reference(kind, m=self.m, e=self.e)
 
     def _inner_horizon(self) -> float:
         if self.kind == "schwarzschild_interior":
@@ -352,9 +354,9 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     The hypotheses block gates the verdict: when any foliation condition
     fails the verdict is "hypotheses not met" regardless of the margin.
     Otherwise the verdict states whether E(0) >= sqrt(A_h/16pi) - m.
+    A failed flow step raises FlowError and a failed lapse step StepRejected.
     """
-    ref_kind = "schwarzschild" if sc.e == 0.0 else "reissner_nordstrom"
-    ref = make_reference(ref_kind, m=sc.m, e=sc.e)
+    ref = sc.reference()
     profile = run_profile(ref, sc.r0, sc.s_max, sc.profile_points)
     grid = SphereGrid(sc.n_theta, sc.n_phi)
     rho0 = float(profile.rho_of_r(sc.r0))
@@ -363,24 +365,11 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     else:
         surf = perturbed_surface(grid, rho0, sc.perturbation)
 
-    cfg = FlowConfig(ds=sc.ds, s_max=sc.s_max, store_every=sc.store_every)
-    flow_error = None
-    try:
-        fol = run_flow(surf, profile, cfg)
-    except FlowError as exc:
-        flow_error = str(exc)
-        fol = None
-
-    if fol is not None:
-        g0 = fol.geometry(0)
-        hypotheses = _hypothesis_block(fol.summaries, fol.abort_reason,
-                                       ref_kind, profile)
-        n_slices = len(fol)
-    else:
-        g0 = curved_geometry(surf, profile)
-        hypotheses = _hypothesis_block([hypothesis_minima(g0)], flow_error,
-                                       ref_kind, profile)
-        n_slices = 1
+    fol = run_flow(surf, profile, FlowConfig(ds=sc.ds, s_max=sc.s_max,
+                                             store_every=sc.store_every))
+    g0 = curved_geometry(fol.surfaces[0], profile)
+    hypotheses = _hypothesis_block(fol.summaries, fol.abort_reason,
+                                   ref.kind, profile)
     u0 = _boundary_u0(sc, g0)
 
     trace = None
@@ -388,7 +377,7 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     e_inf = None
     fit = {"fit_residual": None}
     scalar_max = None
-    if n_slices >= 3 and hypotheses["coefficient_positive"]["passed"]:
+    if len(fol) >= 3 and hypotheses["coefficient_positive"]["passed"]:
         ufield = solve_u(fol, u0, dt_max=sc.dt_max,
                          with_residual=sc.with_residual)
         trace = monotonicity_check(fol, ufield)
@@ -414,7 +403,7 @@ def penrose_report(sc: Scenario) -> PenroseReport:
 
     report = {
         "scenario": {
-            "kind": sc.kind, "reference": {"kind": ref_kind,
+            "kind": sc.kind, "reference": {"kind": ref.kind,
                                            "m": sc.m, "e": sc.e},
             "inner_m": sc.inner_m, "r0": sc.r0,
             "horizon_area": sc.declared_horizon_area(),

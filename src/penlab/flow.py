@@ -47,9 +47,6 @@ ESSENTIAL_MONITORS = (
     "potential_slope",
 )
 
-# largest tangential-drift CFL number step_flow reports as within bounds
-CFL_SAFETY = 0.75
-
 # log-grid points on which compute_constants searches each sup
 _CONSTANTS_GRID = 4000
 
@@ -89,8 +86,8 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
     """One classical RK4 step of the graph flow, projected onto the band.
 
     Returns (new surface, info); info carries a CFL-style advection
-    number for the tangential drift, whether it is within CFL_SAFETY,
-    and the flow speed of the input surface (the first stage).
+    number for the tangential drift and the flow speed of the input
+    surface (the first stage).
     Raises FlowError if the update loses star-shapedness.
     """
     g = surface.grid
@@ -119,7 +116,7 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
     tau_t = k1 * Gt / (G0**2 + Gt**2)
     tau_p = k1 * (Gp / s**2) / G0**2
     cfl = ds * float(np.max(np.abs(tau_t)) / d_theta + np.max(np.abs(tau_p)) / d_phi)
-    return StarSurface(g, G1), {"cfl": cfl, "cfl_ok": cfl <= CFL_SAFETY, "speed": k1}
+    return StarSurface(g, G1), {"cfl": cfl, "speed": k1}
 
 
 def drift_fields(geom: CurvedGeometry):
@@ -189,6 +186,7 @@ class Foliation:
     surfaces: list
     summaries: list
     abort_reason: str | None = None   # set when a stored slice fails
+    max_cfl: float | None = None      # over all steps; None if none ran
 
     def __len__(self):
         return len(self.surfaces)
@@ -280,7 +278,7 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
         return fol
 
     current = surface
-    max_cfl = 0.0
+    fol.max_cfl = 0.0
     for k in range(1, n_steps + 1):
         try:
             current, info = step_flow(current, profile, ds)
@@ -288,10 +286,9 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
             raise FlowError(f"step {k} (s = {k * ds:.6g}): {exc}") from exc
         if n_speeds < len(fol):
             record_speed(info["speed"])
-        max_cfl = max(max_cfl, info["cfl"])
+        fol.max_cfl = max(fol.max_cfl, info["cfl"])
         if k % config.store_every == 0 or k == n_steps:
             summary = store(k * ds, current)
-            summary["cfl"] = info["cfl"]
             if not summary["passed"]:
                 fol.abort_reason = (
                     f"condition failure at s = {k * ds:.6g}: "
@@ -299,7 +296,6 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
                 break
     # the last stored slice is left by no step
     record_speed(flow_speed(fol.surfaces[-1], profile))
-    fol.summaries[0]["max_cfl"] = max_cfl
     return fol
 
 

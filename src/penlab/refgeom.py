@@ -70,7 +70,7 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
     Parameters
     ----------
     kind : 'schwarzschild' | 'reissner_nordstrom' | 'tabulated'
-    m, e : mass and charge for the analytic kinds (|e| <= m required,
+    m, e : mass and charge for the analytic kinds (|e| < m required,
         e = 0 for schwarzschild).
     tabulated_data : (r, phi, V) arrays for kind='tabulated'; r strictly
         increasing, phi and V positive past the first zero of phi.
@@ -78,11 +78,12 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
     if kind == "schwarzschild" and e != 0.0:
         raise ValueError("a schwarzschild reference takes no charge e")
     if kind in ("schwarzschild", "reissner_nordstrom"):
-        if m is None or m <= 0:
+        # written as negations so that NaN fails too; an extremal
+        # reference has no isothermal horizon anchor
+        if m is None or not m > 0:
             raise ValueError("mass must be positive")
-        if abs(e) > m:
-            raise ValueError(
-                "extremal violation: reissner_nordstrom requires |e| <= m")
+        if not abs(e) < m:
+            raise ValueError("extremal violation: the charge must satisfy |e| < m")
         m_, e_ = float(m), float(e)
         r_h = m_ + np.sqrt(m_**2 - e_**2)
 

@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import penlab.cli
+import penlab.flow
 from penlab.bartnik import StepRejected
 from penlab.cli import console_main
 from penlab.energy import PenroseReport
@@ -69,6 +71,10 @@ def test_profile_extremal_reference_exits_2(tmp_path, capsys):
     {"reference": {"m": None}},
     {"reference": {"kind": "reissner_nordstrom", "m": 1e-229},
      "normalized": True},
+    # solve_u's own input check, not a failed foliation condition
+    {"solver": {"u0": 0.0}},
+    {"solver": {"u0": -1.0}},
+    {"solver": {"u0": float("nan")}},
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
     config["flow"] = {"ds": 0.05, "s_max": 0.15, "store_every": 1}
@@ -256,9 +262,14 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
     ("scenario", {"scenarios": [dict(SHORT_SCENARIO, smax=0.1)]},
      "key(s): smax"),
     ("scenario", {"scenarios": [dict(SHORT_SCENARIO, m=3.0)]}, "key(s): m"),
+    # a NaN lapse ratio would give a NaN margin, a false violation
+    ("scenario", {"scenario": {"kind": "custom", "horizon_area": 1.0,
+                               "boundary_u0": float("nan"), "r0": 6.0,
+                               "s_max": 0.05, "ds": 0.02}}, "boundary_u0"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
-        "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m"])
+        "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
+        "nan-boundary-u0"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)
@@ -311,8 +322,18 @@ def test_short_flow_solve_exits_2(tmp_path, capsys):
 
 
 def test_nonpositive_coefficient_solve_exits_3(tmp_path, monkeypatch, capsys):
+    # the gate reads the flow's own slice summaries; slice 1 reports a
+    # nonpositive reaction coefficient
     message = "coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice 1"
-    monkeypatch.setattr(penlab.cli, "solve_u", _raise(ValueError(message)))
+    minima, slices = penlab.flow.hypothesis_minima, itertools.count()
+
+    def bad_slice_1(geom):
+        out = minima(geom)
+        if next(slices) == 1:
+            out["min_coefficient"] = -1.0
+        return out
+
+    monkeypatch.setattr(penlab.flow, "hypothesis_minima", bad_slice_1)
     cfg = write_config(tmp_path, {
         "flow": {"ds": 0.05, "s_max": 0.15, "store_every": 1}})
     code = console_main(["solve", "--config", cfg, "--out", str(tmp_path),

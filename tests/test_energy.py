@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import penlab.energy
 from penlab.bartnik import UField, solve_u
 from penlab.energy import (EnergyTrace, Scenario, _hypothesis_block,
                            adm_extrapolate, monotonicity_check,
                            penrose_report, quasilocal_energy)
-from penlab.flow import FlowConfig, run_flow
+from penlab.flow import FlowConfig, FlowError, run_flow
 from penlab.oracle import scenario_closed_form, schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
@@ -54,6 +55,9 @@ def test_energy_rejects_nonpositive_u(round_geom):
         quasilocal_energy(round_geom, 0.0)
     bad = np.ones_like(round_geom.H0)
     bad[3, 7] = -2.0
+    with pytest.raises(ValueError, match="positive"):
+        quasilocal_energy(round_geom, bad)
+    bad[3, 7] = np.nan
     with pytest.raises(ValueError, match="positive"):
         quasilocal_energy(round_geom, bad)
 
@@ -179,6 +183,13 @@ def test_scenario_validation():
     ({"kind": "custom", "m": float("nan")}, "mass"),
     # zeroing the charge would run a different reference
     ({"kind": "schwarzschild_interior", "e": 0.5, "inner_m": 1.2}, "charge"),
+    # an extremal or overcharged reference has no isothermal horizon anchor
+    ({"kind": "custom", "e": 1.0}, "charge"),
+    ({"kind": "custom", "e": 1.5}, "charge"),
+    # a NaN or negative lapse ratio or a NaN area would give a false verdict
+    ({"kind": "custom", "boundary_u0": float("nan")}, "boundary_u0"),
+    ({"kind": "custom", "boundary_u0": -1.0}, "boundary_u0"),
+    ({"kind": "custom", "horizon_area": float("nan")}, "horizon_area"),
 ])
 def test_scenario_rejects_bad_mass_or_charge(kw, match):
     kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,
@@ -249,6 +260,18 @@ def test_scenario_declared_violation():
     assert rep.verdict == "inequality violated"
     assert rep.report["margin"] < 0.0
     assert rep.report["hypotheses"]["all_passed"]
+
+
+def test_penrose_report_propagates_flow_error(monkeypatch):
+    # a failed flow step aborts the scenario; it is not a failed hypothesis
+    def failed_flow(*args):
+        raise FlowError("step 3 (s = 0.06): G <= 0")
+
+    monkeypatch.setattr(penlab.energy, "run_flow", failed_flow)
+    sc = Scenario(kind="schwarzschild_interior", m=1.0, inner_m=1.2, r0=4.0,
+                  n_theta=8, n_phi=16, s_max=0.5)
+    with pytest.raises(FlowError, match="step 3"):
+        penrose_report(sc)
 
 
 @pytest.mark.parametrize("key, gate", [
