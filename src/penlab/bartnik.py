@@ -342,7 +342,9 @@ def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
     mean-curvature first-variation identity plus the Gauss equation, with
     s-derivatives from lagrange3 slopes on the stored slices.  The
     same discrete functional evaluated at u ≡ 1 reproduces the reference
-    background, so that case vanishes identically.
+    background, so that case vanishes identically.  The Gauss equation's
+    2K does not depend on u and cancels in that difference, so it is
+    left out of both.
     """
     n = len(fol)
     if n < 3:
@@ -357,7 +359,6 @@ def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
     for k, (nodes, geoms, u_win) in enumerate(windows):
         at = 0 if k == 0 else 2 if k == n - 1 else 1   # slice k in its window
         g = geoms[at]
-        gauss_k = g.gauss_k
         tau_t, tau_p = drift_fields(g)
         slopes = lagrange3(nodes, nodes[at])[1]
 
@@ -370,8 +371,7 @@ def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
             # one functional for both fields so the two evaluations cancel
             # bitwise when u is exactly 1
             wk = w[at]
-            return (2.0 * gauss_k
-                    - (2.0 / wk) * (traj_dh(w) + g.laplacian(wk))
+            return (-(2.0 / wk) * (traj_dh(w) + g.laplacian(wk))
                     - (g.a0_sq + g.H0**2) / wk**2)
 
         u = u_win[at]

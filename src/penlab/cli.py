@@ -150,11 +150,11 @@ def cmd_profile(cfg: dict, args) -> int:
         r_min = float(block.get("r_min", 2.5 * ref.m))
         r_max = float(block.get("r_max", 100.0 * ref.m))
     points = int(block.get("points", 391))
+    r = np.linspace(r_min, r_max, points)
     try:
-        profile = isothermal_profile(ref, np.linspace(r_min, r_max, points))
+        profile = isothermal_profile(ref, r)
     except ValueError as exc:
         raise ConfigError(f"schema error: {exc}") from exc
-    r = np.linspace(r_min, r_max, points)
     rho = np.asarray(profile.rho_of_r(r), dtype=float)
     F = np.sqrt(r / rho)
     V = np.asarray(ref.V(r), dtype=float)
@@ -177,8 +177,8 @@ def cmd_constants(cfg: dict, args) -> int:
     else:
         r_min = float(block.get("r_min", ref.r_horizon * 1.0025))
         r_max = float(block.get("r_max", 100.0 * ref.m))
-    points = int(block.get("points", 800))
-    profile = isothermal_profile(ref, np.geomspace(r_min, r_max, points))
+    # compute_constants samples its own grid; only the range matters here
+    profile = isothermal_profile(ref, (r_min, r_max))
     cons = compute_constants(profile)
     path = out / "constants.json"
     _write_json(path, cons)

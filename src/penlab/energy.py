@@ -211,21 +211,27 @@ class Scenario:
                              "charge e; use rn_interior")
         ref = self.reference()
         # written as negations so that NaN fails too
+        if not (np.isfinite(self.r0) and self.r0 > ref.r_horizon):
+            raise ValueError("r0 must be finite and outside the reference horizon")
         if self.inner_m is not None and not self.inner_m >= 0.0:
             raise ValueError("inner_m must be nonnegative")
         if self.kind in ("schwarzschild_interior", "rn_interior"):
             if self.inner_m is None:
                 raise ValueError("interior scenarios need inner_m")
-            if self.r0 <= self._inner_horizon():
+            if not self.r0 > self._inner_horizon():
                 raise ValueError("r0 inside the inner horizon")
         else:
             if self.horizon_area is None or not self.horizon_area >= 0.0:
                 raise ValueError("custom scenarios need horizon_area >= 0")
             # a missing boundary_u0 reads as NaN and fails with the rest
-            if not np.all(np.asarray(self.boundary_u0, dtype=float) > 0.0):
+            u0 = np.asarray(self.boundary_u0, dtype=float)
+            if not np.all(u0 > 0.0):
                 raise ValueError("custom scenarios need a positive boundary_u0")
-        if self.r0 <= ref.r_horizon:
-            raise ValueError("r0 inside the reference horizon")
+            try:
+                np.broadcast_to(u0, (self.n_theta, self.n_phi))
+            except ValueError:
+                raise ValueError("custom boundary_u0 must broadcast to the "
+                                 "n_theta x n_phi grid") from None
 
     def reference(self):
         # built on demand, not stored: the manifold holds closures and a

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 __all__ = [
     "ReferenceManifold",
@@ -214,6 +214,12 @@ def t_function(ref: ReferenceManifold, r, cos_theta):
 # ----------------------------------------------------------------------
 # isothermal (conformally flat) profile
 
+# knots of the stored τ(σ) and Gauss–Legendre rule per knot interval;
+# the cubic Hermite error at this spacing sits near roundoff
+_PROFILE_KNOTS = 3000
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
 class RadialFactors(NamedTuple):
     """r(ρ) and the conformal factors F = √(r/ρ), h = 1/F² at the same ρ.
 
@@ -233,12 +239,12 @@ class RadialFactors(NamedTuple):
 class ConformalProfile:
     """Change of radial variable with gbar = F⁴(ρ)(dρ² + ρ² dS²).
 
-    The defining ODE is d ln r / d ln ρ = √φ, anchored so that ρ/r → 1
-    at the outer end (at infinity for analytic kinds, at the last
-    tabulated radius otherwise), making F = √(r/ρ) → 1.  The solution
-    τ = ln r is held as a piecewise polynomial in σ = ln ρ, built once
-    from the integrator's dense output (rtol 1e-13), so r(ρ) is a table
-    lookup plus a quartic, with no φ call and no inversion.
+    The defining equation is d ln r / d ln ρ = √φ, anchored so that
+    ρ/r → 1 at the outer end (at infinity for analytic kinds, at the
+    last tabulated radius otherwise), making F = √(r/ρ) → 1.  The
+    solution τ = ln r is held as one cubic Hermite spline in σ = ln ρ
+    whose knot slopes are the exact √φ, so r(ρ) is a table lookup plus
+    a cubic, with no φ call and no inversion.
     """
 
     ref: ReferenceManifold
@@ -246,7 +252,7 @@ class ConformalProfile:
     r_hi: float
     rho_lo: float
     rho_hi: float
-    _tau_of_sigma: PPoly     # τ = ln r as a function of σ = ln ρ
+    _tau_of_sigma: CubicHermiteSpline   # τ = ln r as a function of σ = ln ρ
 
     def rho_of_r(self, r):
         """Inverse of r_of_rho by Newton on the stored τ(σ), slope √φ(r)."""
@@ -254,14 +260,12 @@ class ConformalProfile:
         self._check_r(r)
         tau = np.log(r)
         poly = self._tau_of_sigma
-        # start from the chords between the solver's steps (τ increases
-        # with σ; the breakpoints run inward)
-        sigma_knots = poly.x[::-1]
-        sigma = np.interp(tau, poly(sigma_knots), sigma_knots)
+        # start from the chords between the knots (τ increases with σ)
+        sigma = np.interp(tau, poly(poly.x), poly.x)
         slope = np.sqrt(self.ref.phi(r))  # dτ/dσ at the root
         for _ in range(12):
             step = (poly(sigma) - tau) / slope
-            sigma = np.clip(sigma - step, sigma_knots[0], sigma_knots[-1])
+            sigma = np.clip(sigma - step, poly.x[0], poly.x[-1])
             if np.max(np.abs(step)) < 1e-13:
                 break
         else:
@@ -309,15 +313,17 @@ def _tail_anchor(ref: ReferenceManifold, r_out: float) -> float:
 
 
 def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
-    """Integrate the isothermal coordinate over the span of r_grid.
+    """Isothermal coordinate over the span of r_grid, by quadrature.
 
-    The grid sets the represented range only; accuracy comes from the
-    adaptive integrator (rtol 1e-13).  It integrates dτ/dσ = √φ(e^τ),
-    τ = ln r and σ = ln ρ, inward from the outer anchor
-    σ_hi = ln r_hi + y_hi, where the normalization y = ln(ρ/r) = y_hi is
-    imposed, and stops at the event τ = ln r_lo, which fixes ρ_lo.  The
-    profile evaluates τ(σ) from a piecewise polynomial holding the
-    integrator's quartic dense-output pieces, one per accepted step.
+    The grid sets the represented range only.  The equation
+    dτ/dσ = √φ(e^τ), τ = ln r and σ = ln ρ, separates, so σ is an
+    integral over r.  With x = ln(r − r_h) (x = ln r without a horizon)
+    the integrand dσ/dx = (r − r_h)/(r√φ) stays smooth up to the
+    horizon.  _PROFILE_KNOTS knots run evenly in x from r_lo to r_hi;
+    σ is summed inward from the outer anchor σ_hi = ln r_hi + y_hi,
+    where y = ln(ρ/r) = y_hi is imposed, by 8-point Gauss–Legendre
+    quadrature on each knot interval.  τ(σ) is then the cubic Hermite
+    spline through the knots with the exact slopes √φ.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
@@ -326,53 +332,29 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
         raise ValueError("r_grid touches the horizon")
     ref.require_exterior(r_grid[[0, -1]])
     r_lo, r_hi = float(r_grid[0]), float(r_grid[-1])
-    tau_lo, tau_hi = np.log(r_lo), np.log(r_hi)
+    r_h = ref.r_horizon
+
+    x = np.linspace(np.log(r_lo - r_h), np.log(r_hi - r_h), _PROFILE_KNOTS)
+    r_knots = r_h + np.exp(x)
+    r_knots[[0, -1]] = r_lo, r_hi
+    half = 0.5 * np.diff(x)
+    r_nodes = r_h + np.exp((x[:-1] + half)[:, None]
+                           + half[:, None] * _GAUSS_NODES)
+    phi_nodes = ref.phi(r_nodes)
+    phi_knots = ref.phi(r_knots)
+    if not (np.all(phi_nodes > 0.0) and np.all(phi_knots > 0.0)):  # NaN fails
+        raise ValueError("phi must be positive and finite over r_grid")
+    dsigma_dx = (r_nodes - r_h) / (r_nodes * np.sqrt(phi_nodes))
+    dsigma = half * (dsigma_dx @ _GAUSS_WEIGHTS)
 
     if ref.kind == "tabulated":
         y_hi = 0.0  # normalize at the last tabulated radius
     else:
         y_hi = _tail_anchor(ref, r_hi)
-    sigma_hi = tau_hi + y_hi
-
-    def rhs(sigma, tau):
-        return np.sqrt(ref.phi(np.exp(tau)))
-
-    def reach_r_lo(sigma, tau):
-        return tau[0] - tau_lo
-    reach_r_lo.terminal = True
-
-    phi_min = float(np.min(ref.phi(r_grid)))
-    if not phi_min > 0.0:  # NaN included: the integrator would never finish
-        raise ValueError("phi must be positive and finite over r_grid")
-    # the σ-span is ∫ dτ/√φ; twice its grid estimate is a bound past the event
-    span = 2.0 * (tau_hi - tau_lo) / np.sqrt(phi_min) + 1.0
-    sol = solve_ivp(rhs, (sigma_hi, sigma_hi - span), [tau_hi],
-                    method="RK45", rtol=1e-13, atol=1e-14,
-                    dense_output=True, events=reach_r_lo)
-    if sol.status != 1:
-        raise ValueError(f"profile integration did not reach r_lo: {sol.message}")
-    sigma_lo = float(sol.t_events[0][0])
-    return ConformalProfile(ref, r_lo, r_hi, np.exp(sigma_lo), np.exp(sigma_hi),
-                            _dense_to_ppoly(sol.sol))
-
-
-def _dense_to_ppoly(dense) -> PPoly:
-    """Scalar RK dense output as one PPoly over the solver's own steps.
-
-    Each step's interpolant is y_old + h Σ_k Q_k x^(k+1) with
-    x = (t − t_old)/h; in powers of (t − t_old) the coefficient of
-    degree k+1 is Q_k / h^k.  The breakpoints keep the solver's order
-    (descending for inward integration), which PPoly accepts, so each
-    piece stays expanded about its own t_old.
-    """
-    pieces = dense.interpolants
-    degree = pieces[0].Q.shape[1]
-    c = np.empty((degree + 1, len(pieces)))
-    for i, piece in enumerate(pieces):
-        c[degree, i] = piece.y_old[0]
-        for k in range(degree):
-            c[degree - 1 - k, i] = piece.Q[0, k] / piece.h**k
-    return PPoly(c, dense.ts)
+    sigma = np.log(r_hi) + y_hi - np.append(np.cumsum(dsigma[::-1])[::-1], 0.0)
+    spline = CubicHermiteSpline(sigma, np.log(r_knots), np.sqrt(phi_knots))
+    return ConformalProfile(ref, r_lo, r_hi, np.exp(sigma[0]), np.exp(sigma[-1]),
+                            spline)
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_01_isothermal_profile_closed_form(record_property):
 @pytest.mark.criterion(2, "conformal curvature matches closed forms")
 def test_02_curvature_closed_forms(schw_profile, tmp_path, record_property):
     # analytic radial derivatives: spectral geometry hits the closed
-    # forms at the ODE integration tolerance
+    # forms at the profile's interpolation error, near roundoff
     grid = SphereGrid(16, 32)
     rho0 = float(schw_profile.rho_of_r(4.0))
     geom = curved_geometry(round_surface(grid, rho0), schw_profile)

@@ -266,10 +266,17 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
     ("scenario", {"scenario": {"kind": "custom", "horizon_area": 1.0,
                                "boundary_u0": float("nan"), "r0": 6.0,
                                "s_max": 0.05, "ds": 0.02}}, "boundary_u0"),
+    # rejected before the batch runs, not after the first scenario's report
+    ("scenario", {"scenarios": [SHORT_SCENARIO, {
+        "kind": "custom", "horizon_area": 1.0, "boundary_u0": [1.1, 1.2],
+        "r0": 6.0}]}, "boundary_u0"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, r0=float("nan"))]}, "r0"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
-        "nan-boundary-u0"])
+        "nan-boundary-u0", "batch-unbroadcastable-boundary-u0",
+        "batch-nan-r0"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)
@@ -280,8 +287,8 @@ def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                          "--resolution", "8x16"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "schema error" in err and message in err
-    assert not (tmp_path / "scenario.json").exists()
+    assert "config error: schema error" in err and message in err
+    assert not list(tmp_path.glob("scenario*.json"))
 
 
 def _raise(exc):

@@ -190,6 +190,12 @@ def test_scenario_validation():
     ({"kind": "custom", "boundary_u0": float("nan")}, "boundary_u0"),
     ({"kind": "custom", "boundary_u0": -1.0}, "boundary_u0"),
     ({"kind": "custom", "horizon_area": float("nan")}, "horizon_area"),
+    # each of these would fail only inside penrose_report, ending a batch
+    ({"kind": "custom", "r0": float("nan")}, "r0"),
+    ({"kind": "custom", "r0": float("inf")}, "r0"),
+    ({"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": float("nan")},
+     "r0"),
+    ({"kind": "custom", "boundary_u0": [1.1, 1.2]}, "boundary_u0"),
 ])
 def test_scenario_rejects_bad_mass_or_charge(kw, match):
     kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,

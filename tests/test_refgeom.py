@@ -150,8 +150,9 @@ def schw_profile(schw):
     return isothermal_profile(schw, np.geomspace(2.2, 300.0, 40))
 
 
-def closed_form_rho(m, r):
-    return (r - m + np.sqrt(r**2 - 2 * m * r)) / 2.0
+def closed_form_rho(m, r, e=0.0):
+    # isotropic radius of Reissner–Nordström (Schwarzschild at e = 0)
+    return (r - m + np.sqrt((r - m)**2 - m**2 + e**2)) / 2.0
 
 
 def test_profile_closed_form(schw, schw_profile):
@@ -296,6 +297,18 @@ def test_profile_schwarzschild_closed_form_tight(schw):
     rho = closed_form_rho(1.0, r)
     assert np.max(np.abs(prof.rho_of_r(r) / rho - 1)) <= 1e-11
     assert np.max(np.abs(prof.r_of_rho(rho) / r - 1)) <= 1e-11
+
+
+@pytest.mark.parametrize("m, e", [(1.0, 0.0), (1.0, 0.5)])
+def test_profile_exact_isotropic_radius(m, e):
+    kind = "schwarzschild" if e == 0.0 else "reissner_nordstrom"
+    ref = make_reference(kind, m=m, e=e)
+    prof = isothermal_profile(ref, np.geomspace(1.0005 * ref.r_horizon, 800.0,
+                                                700))
+    r = np.geomspace(prof.r_lo, prof.r_hi, 401)
+    rho = closed_form_rho(m, r, e)
+    assert np.max(np.abs(prof.rho_of_r(r) / rho - 1)) <= 1e-12
+    assert np.max(np.abs(prof.r_of_rho(rho) / r - 1)) <= 1e-12
 
 
 def test_r_of_rho_calls_no_phi(schw):
