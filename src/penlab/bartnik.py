@@ -280,7 +280,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     def checked_bundles():
         for i in range(n):
             b = _make_bundle(fol.geometry(i))
-            if float(np.min(b.c)) <= 0.0:
+            if not float(np.min(b.c)) > 0.0:   # NaN fails too
                 raise ValueError(
                     f"coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice {i}")
             yield b

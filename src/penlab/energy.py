@@ -87,9 +87,6 @@ class EnergyTrace:
     max_mismatch: float
     max_rate: float
 
-    def nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.energy) <= _MONOTONE_TOL))
-
     def series_csv(self) -> str:
         lines = ["s,E,dEds_numeric,dEds_formula"]
         for i in range(len(self.s)):
@@ -232,6 +229,11 @@ class Scenario:
             except ValueError:
                 raise ValueError("custom boundary_u0 must broadcast to the "
                                  "n_theta x n_phi grid") from None
+        # checked here, not first inside penrose_report, so that one bad
+        # value cannot end a batch; FlowConfig owns the flow's rules
+        FlowConfig(ds=self.ds, s_max=self.s_max, store_every=self.store_every)
+        if not self.dt_max > 0.0:
+            raise ValueError("dt_max must be positive")
 
     def reference(self):
         # built on demand, not stored: the manifold holds closures and a

@@ -1,10 +1,19 @@
 """Rotationally symmetric ground truth.
 
 Closed forms and one-dimensional ODE reductions for round surfaces in
-the analytic reference manifolds.  Everything here is written straight
-from φ(r) = 1 − 2m/r + e²/r², on purpose without importing the grid or
-geometry modules, so the two code paths can be compared as independent
-witnesses in tests.
+the analytic reference manifolds:
+
+- t_from_einstein, the matter function T through the static Einstein
+  tensor rather than the potential Hessian;
+- round_flow_u, the round flow and its lapse integrated by DOP853;
+- scenario_closed_form, the exact energies of a Schwarzschild interior;
+- schwarzschild_rho, the closed-form isotropic radius.
+
+`penlab verify` checks the grid pipeline against all four, the
+benchmark gates on round_flow_u and scenario_closed_form, and the tests
+use them as witnesses.  Everything here is written straight from
+φ(r) = 1 − 2m/r + e²/r², on purpose without importing the grid or
+geometry modules, so the two code paths stay independent.
 """
 
 from __future__ import annotations
@@ -15,24 +24,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 __all__ = [
-    "round_geometry",
     "t_from_einstein",
     "round_flow_u",
     "scenario_closed_form",
     "schwarzschild_rho",
-    "exact_schwarzschild_u",
 ]
 
 
 def _params(ref):
-    """Extract (m, e) from a ReferenceManifold-like object or a dict."""
-    if isinstance(ref, dict):
-        kind, m, e = ref["kind"], ref["m"], ref.get("e", 0.0)
-    else:
-        kind, m, e = ref.kind, ref.m, ref.e
-    if kind not in ("schwarzschild", "reissner_nordstrom"):
+    """Extract (m, e) from an analytic ReferenceManifold."""
+    if ref.kind not in ("schwarzschild", "reissner_nordstrom"):
         raise ValueError("oracle covers the analytic kinds only")
-    return float(m), float(e)
+    return float(ref.m), float(ref.e)
 
 
 def _phi(m, e, r):
@@ -41,32 +44,6 @@ def _phi(m, e, r):
 
 def _horizon(m, e):
     return m + np.sqrt(m**2 - e**2)
-
-
-def round_geometry(ref, r):
-    """Closed-form fields of the coordinate sphere of radius r.
-
-    Returns a dict with H0, V, detA0, ric_nu, T, R (scalar curvature),
-    and the complement R − T.  T is the static-potential quantity at
-    the radial normal, which vanishes for every V = √φ reference; the
-    complement carries the 2e²/r⁴ electrovacuum value.
-    """
-    m, e = _params(ref)
-    r = float(r)
-    if r <= _horizon(m, e):
-        raise ValueError("r at or below the horizon")
-    p = _phi(m, e, r)
-    dp = 2.0 * m / r**2 - 2.0 * e**2 / r**3
-    R = 2.0 * e**2 / r**4
-    return {
-        "H0": 2.0 * np.sqrt(p) / r,
-        "V": np.sqrt(p),
-        "detA0": p / r**2,
-        "ric_nu": -dp / r,
-        "T": 0.0,
-        "R": R,
-        "T_complement": R,
-    }
 
 
 def t_from_einstein(ref, r, cos_theta):
@@ -152,14 +129,3 @@ def schwarzschild_rho(m, r):
     r = np.asarray(r, dtype=float)
     return (r - m + np.sqrt(r**2 - 2.0 * m * r)) / 2.0
 
-
-def exact_schwarzschild_u(M, m, r):
-    """Exact solution u(r) = √(φ_m/φ_M) of the reduced u equation.
-
-    The round foliation of the mass-M metric by the mass-m reference
-    spheres has lapse ratio u = H0/H = √(φ_m/φ_M); along dr/ds = √φ_m
-    this solves du/ds = (u − u³)c/H0 exactly, giving the analytic
-    benchmark for the whole PDE pipeline on this family.
-    """
-    r = np.asarray(r, dtype=float)
-    return np.sqrt((1.0 - 2.0 * m / r) / (1.0 - 2.0 * M / r))

@@ -33,7 +33,6 @@ __all__ = [
     "ricci_normal",
     "scalar_curvature",
     "t_function",
-    "static_check",
     "reference_from_csv",
 ]
 
@@ -356,61 +355,3 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
     return ConformalProfile(ref, r_lo, r_hi, np.exp(sigma[0]), np.exp(sigma[-1]),
                             spline)
 
-
-# ----------------------------------------------------------------------
-# static-structure report
-
-def static_check(ref: ReferenceManifold, r_grid, n_angles: int = 21) -> dict:
-    """Pointwise structural checks of the reference on a radial grid.
-
-    Verifies dV/dr > 0, dF/dρ < 0, radial Ricci < 0, and the two-sided
-    curvature bound 0 ≤ T ≤ R̄ over a grid of normal angles.  Equality
-    of T with either bound (within 1e-12 absolute) is flagged, not
-    failed: vacuum saturates both, electrovacuum saturates each at the
-    extreme angles.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    ref.require_exterior(r_grid)
-    checks = {}
-
-    def record(name, values, locations):
-        values = np.asarray(values)
-        i = int(np.argmin(values))
-        checks[name] = {
-            "passed": bool(values[i] > 0),
-            "min_margin": float(values[i]),
-            "location": locations[i],
-        }
-
-    locs_r = [float(r) for r in r_grid]
-    record("dV_dr_positive", ref.dV(r_grid), locs_r)
-    profile = isothermal_profile(ref, r_grid)
-    rho = profile.rho_of_r(r_grid)
-    record("dF_drho_negative", -profile.radial_factors(rho).dF, locs_r)
-    lam_rad, _ = ricci_eigenvalues(ref, r_grid)
-    record("radial_ricci_negative", -lam_rad, locs_r)
-
-    cos_grid = np.linspace(0.0, 1.0, n_angles)
-    rr, cc = np.meshgrid(r_grid, cos_grid, indexing="ij")
-    T = t_function(ref, rr, cc)
-    R = scalar_curvature(ref, rr)
-    eps = 1e-12
-    locs_rc = [(float(r), float(c)) for r in r_grid for c in cos_grid]
-    record("t_nonnegative", (T + eps).ravel(), locs_rc)
-    record("t_below_scalar_curvature", (R - T + eps).ravel(), locs_rc)
-
-    saturation = {
-        "t_zero": bool(np.any(np.abs(T) < 1e-12)),
-        "t_equals_scalar_curvature": bool(np.any(np.abs(R - T) < 1e-12)),
-    }
-    first_violation = None
-    for name, c in checks.items():
-        if not c["passed"]:
-            first_violation = {"check": name, "location": c["location"]}
-            break
-    return {
-        "passed": all(c["passed"] for c in checks.values()),
-        "checks": checks,
-        "saturation": saturation,
-        "first_violation": first_violation,
-    }

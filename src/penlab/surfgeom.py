@@ -121,10 +121,6 @@ class FlatGeometry:
                 -self.sig_tp / self.det_sig,
                 self.sig_tt / self.det_sig)
 
-    def gauss_curvature(self) -> np.ndarray:
-        """Intrinsic curvature from the shape operator (flat ambient)."""
-        return (self.a_tt * self.a_pp - self.a_tp**2) / self.det_sig
-
 
 def flat_geometry(surface: StarSurface) -> FlatGeometry:
     g = surface.grid
@@ -418,8 +414,6 @@ def condition_report(geom: CurvedGeometry) -> dict:
     }
     return {
         "passed": all(m["passed"] for m in monitors.values()),
-        "area": geom.area(),
         "area_radius": geom.area_radius(),
-        "r_range": [float(np.min(geom.r)), float(np.max(geom.r))],
         "monitors": monitors,
     }

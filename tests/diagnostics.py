@@ -1,0 +1,178 @@
+"""Instruments the tests use to check penlab; nothing in the package calls them.
+
+- evolution_diagnostics: three-point s-difference checks of the
+  trajectory evolution laws along a stored foliation;
+- exact_schwarzschild_u: the exact lapse of the round Schwarzschild
+  family, the analytic benchmark for the 1D reduction;
+- gauss_curvature: the flat-chart intrinsic curvature from the shape
+  operator, to compare with the Brioschi formula;
+- nonincreasing: whether an energy series never steps up by more than
+  the audit's monotonicity tolerance.
+"""
+
+from itertools import islice
+
+import numpy as np
+
+from penlab.energy import _MONOTONE_TOL, EnergyTrace
+from penlab.flow import (Foliation, advected_derivative, drift_fields,
+                         lagrange3, neighbour_windows)
+from penlab.refgeom import ConformalProfile
+from penlab.surfgeom import FlatGeometry
+
+
+# ----------------------------------------------------------------------
+# evolution-law diagnostics
+
+def _is_axisymmetric(fol: Foliation) -> bool:
+    for surf in (fol.surfaces[0], fol.surfaces[-1]):
+        spread = np.max(np.abs(surf.G - surf.G.mean(axis=1, keepdims=True)))
+        if spread > 1e-11 * float(np.mean(surf.G)):
+            return False
+    return True
+
+
+def _second_form_residual(prof: ConformalProfile, geoms, slopes) -> float:
+    """Flat second-fundamental-form law, axisymmetric closed forms.
+
+    geoms holds the slice and its two neighbours, slopes their lagrange3
+    s-derivative weights at the slice.
+    """
+    geom = geoms[1]
+    g = geom.grid
+    surf = geom.flat.surface
+    p = surf.partials(third=True)
+    G, Gt, Gtt, Gttt = surf.G, p["t"], p["tt"], p["ttt"]
+    s = g.sin_theta[:, None]
+    c = g.cos_theta[:, None]
+
+    W = geom.flat.W
+    sig_tt, sig_pp = geom.flat.sig_tt, geom.flat.sig_pp
+    a_tt, a_pp = geom.flat.a_tt, geom.flat.a_pp
+
+    radial = prof.radial_factors(G)
+    h, h1, h2 = radial.h, radial.dh, radial.d2h
+    h_t = h1 * Gt
+    h_tt = h2 * Gt**2 + h1 * Gtt
+
+    dsig_tt = 2.0 * (G * Gt + Gt * Gtt)
+    dsig_pp = 2.0 * G * Gt * s * s + 2.0 * G * G * s * c
+    hess_tt = h_tt - dsig_tt / (2.0 * sig_tt) * h_t
+    hess_pp = dsig_pp / (2.0 * sig_tt) * h_t
+
+    law_tt = -hess_tt + h * a_tt**2 / sig_tt
+    law_pp = -hess_pp + h * a_pp**2 / sig_pp
+
+    # drift terms from closed forms (tensor components are not
+    # pole-regular, so no spectral differentiation here)
+    W_t = (G * Gt + Gt * Gtt) / W
+    N = 2.0 * Gt**2 + G**2 - G * Gtt
+    N_t = 3.0 * Gt * Gtt + 2.0 * G * Gt - G * Gttt
+    da_tt = (N_t * W - N * W_t) / W**2
+    M = G * G * s * s - G * Gt * s * c
+    M_t = (2.0 * G * Gt * s * s + 2.0 * G * G * s * c
+           - (Gt**2 + G * Gtt) * s * c - G * Gt * (c * c - s * s))
+    da_pp = (M_t * W - M * W_t) / W**2
+
+    gdot_num = W * h * Gt                       # τ^θ = this / (G sig_tt)
+    den = G * sig_tt
+    dnum = W_t * h * Gt + W * h1 * Gt**2 + W * h * Gtt
+    dden = Gt * sig_tt + G * dsig_tt
+    tau = gdot_num / den
+    dtau = (dnum * den - gdot_num * dden) / den**2
+
+    lie_tt = tau * da_tt + 2.0 * a_tt * dtau
+    lie_pp = tau * da_pp
+
+    fd_tt = sum(w * gi.flat.a_tt for w, gi in zip(slopes, geoms))
+    fd_pp = sum(w * gi.flat.a_pp for w, gi in zip(slopes, geoms))
+    return float(max(np.max(np.abs(fd_tt - lie_tt - law_tt)),
+                     np.max(np.abs(fd_pp - lie_pp - law_pp))))
+
+
+def evolution_diagnostics(fol: Foliation) -> dict:
+    """Three-point s-difference checks of the trajectory evolution laws.
+
+    (a) dρ/ds = cosθ/F² per trajectory; (b) the flat second-form law
+    (axisymmetric runs); (c) the physical mean-curvature first variation
+    at unit lapse; (d) the angle and scale-invariant-convexity rate
+    inequalities, reported as minimum margins.
+    """
+    if len(fol) < 3:
+        raise ValueError("need at least 3 stored slices to differentiate")
+    grid = fol.surfaces[0].grid
+    m_ref = fol.profile.ref.m
+    axisym = _is_axisymmetric(fol)
+
+    n = len(fol)
+    windows = zip(neighbour_windows(fol.s),
+                  neighbour_windows(map(fol.geometry, range(n))))
+    res_a, res_c, marg_d1, marg_d2, res_b = [], [], [], [], []
+    # slices 1..n-2, each at the centre of its window
+    for nodes, geoms in islice(windows, 1, n - 1):
+        geom = geoms[1]
+        slopes = lagrange3(nodes, nodes[1])[1]
+        flat = geom.flat
+        G = flat.surface.G
+        tau_t, tau_p = drift_fields(geom)
+
+        def traj(field):
+            # trajectory s-derivative of field(slice) at the window centre
+            fd = sum(w * field(gi) for w, gi in zip(slopes, geoms))
+            return fd - advected_derivative(grid, field(geom), tau_t, tau_p)
+
+        da = traj(lambda gi: gi.flat.surface.G)
+        res_a.append(np.max(np.abs(da - flat.cos_theta / geom.F**2)))
+
+        dc = traj(lambda gi: gi.H0)
+        res_c.append(np.max(np.abs(dc + geom.a0_sq + geom.ric_nu)))
+
+        dcos = traj(lambda gi: gi.flat.cos_theta)
+        rhs = ((1.0 - flat.cos_theta**2) / (geom.F**2 * G)
+               - np.abs(fol.profile.radial_factors(G).dh))
+        marg_d1.append(np.min(dcos - rhs))
+
+        kap = flat.kappa_min
+        dkr2 = traj(lambda gi: gi.flat.kappa_min * gi.flat.surface.G**2)
+        rhs2 = (2.0 * G**2 * flat.cos_theta * kap - G**3 * kap**2 - m_ref) / (
+            G * geom.F**2)
+        marg_d2.append(np.min(dkr2 - rhs2))
+
+        if axisym:
+            res_b.append(_second_form_residual(fol.profile, geoms, slopes))
+
+    out = {
+        "radial_rate": {"max_residual": float(np.max(res_a))},
+        "mean_curvature_rate": {"max_residual": float(np.max(res_c))},
+        "angle_rate": {"min_margin": float(np.min(marg_d1))},
+        "convexity_rate": {"min_margin": float(np.min(marg_d2))},
+    }
+    if axisym:
+        out["second_form_rate"] = {"max_residual": float(np.max(res_b))}
+    else:
+        out["second_form_rate"] = {"skipped": "non-axisymmetric run"}
+    return out
+
+
+# ----------------------------------------------------------------------
+# closed forms and series checks
+
+def exact_schwarzschild_u(M, m, r):
+    """Exact solution u(r) = √(φ_m/φ_M) of the reduced u equation.
+
+    The round foliation of the mass-M metric by the mass-m reference
+    spheres has lapse ratio u = H0/H = √(φ_m/φ_M); along dr/ds = √φ_m
+    this solves du/ds = (u − u³)c/H0 exactly, giving the analytic
+    benchmark for the whole PDE pipeline on this family.
+    """
+    r = np.asarray(r, dtype=float)
+    return np.sqrt((1.0 - 2.0 * m / r) / (1.0 - 2.0 * M / r))
+
+
+def gauss_curvature(flat: FlatGeometry) -> np.ndarray:
+    """Intrinsic curvature from the shape operator (flat ambient)."""
+    return (flat.a_tt * flat.a_pp - flat.a_tp**2) / flat.det_sig
+
+
+def nonincreasing(trace: EnergyTrace) -> bool:
+    return bool(np.all(np.diff(trace.energy) <= _MONOTONE_TOL))

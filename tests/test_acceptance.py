@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from diagnostics import nonincreasing
 from penlab.bartnik import solve_u
 from penlab.energy import Scenario, monotonicity_check, penrose_report
 from penlab.flow import FlowConfig, compute_constants, run_flow
@@ -142,7 +143,7 @@ def test_05_energy_rate_identity(schw_profile, record_property):
         % (trace.max_mismatch, trace.rate_formula[0]))
     assert trace.max_mismatch < 1e-6
     assert trace.rate_formula[0] == pytest.approx(-0.0117851, abs=1e-5)
-    assert trace.nonincreasing()
+    assert nonincreasing(trace)
     assert trace.max_rate < 0.0
 
     # u identically 1 is the reference itself: zero energy, zero rate,

@@ -282,6 +282,23 @@ def test_solve_requires_positive_coefficient(grid):
         solve_u(fol, 1.1)
 
 
+def test_solve_rejects_nan_coefficient(schw_profile, monkeypatch):
+    # a NaN in c is no positive coefficient; it must not reach the march
+    fol = run_flow(round_surface(SphereGrid(8, 16), schwarzschild_rho(1.0, 4.0)),
+                   schw_profile, FlowConfig(ds=0.05, s_max=0.1, store_every=1))
+    assert len(fol) == 3
+    coefficient = bartnik.reaction_coefficient
+
+    def one_nan(geom):
+        c = coefficient(geom)
+        c[0, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(bartnik, "reaction_coefficient", one_nan)
+    with pytest.raises(ValueError, match="not positive"):
+        solve_u(fol, 1.2, with_residual=False)
+
+
 def test_solve_requires_three_slices(grid, schw_profile):
     # the quadratic coefficient interpolation needs three distinct nodes
     fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),

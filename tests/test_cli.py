@@ -272,11 +272,25 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
         "r0": 6.0}]}, "boundary_u0"),
     ("scenario", {"scenarios": [SHORT_SCENARIO,
                                 dict(SHORT_SCENARIO, r0=float("nan"))]}, "r0"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, ds=-0.02)]}, "ds"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, dt_max=0)]}, "dt_max"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, store_every=0)]},
+     "store_every"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, s_max=float("nan"))]},
+     "s_max"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO,
+                                dict(SHORT_SCENARIO, dt_max=float("nan"))]},
+     "dt_max"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
         "nan-boundary-u0", "batch-unbroadcastable-boundary-u0",
-        "batch-nan-r0"])
+        "batch-nan-r0", "batch-negative-ds", "batch-zero-dt-max",
+        "batch-zero-store-every", "batch-nan-s-max", "batch-nan-dt-max"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)

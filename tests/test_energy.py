@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import penlab.energy
+from diagnostics import nonincreasing
 from penlab.bartnik import UField, solve_u
 from penlab.energy import (EnergyTrace, Scenario, _hypothesis_block,
                            adm_extrapolate, monotonicity_check,
@@ -68,7 +69,7 @@ def test_monotonicity_identity_round(grid, schw_profile):
     trace = monotonicity_check(fol, uf)
     assert trace.max_mismatch < 1e-6
     assert abs(trace.rate_formula[0] - (-0.0117851)) < 1e-5
-    assert trace.nonincreasing()
+    assert nonincreasing(trace)
     assert np.all(trace.rate_formula <= 0.0)
     assert trace.max_rate < 0.0
 
@@ -196,6 +197,12 @@ def test_scenario_validation():
     ({"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": float("nan")},
      "r0"),
     ({"kind": "custom", "boundary_u0": [1.1, 1.2]}, "boundary_u0"),
+    ({"kind": "custom", "ds": -0.02}, "ds"),
+    ({"kind": "custom", "dt_max": 0.0}, "dt_max"),
+    ({"kind": "custom", "dt_max": float("nan")}, "dt_max"),
+    ({"kind": "custom", "store_every": 0}, "store_every"),
+    ({"kind": "custom", "s_max": float("nan")}, "s_max"),
+    ({"kind": "custom", "s_max": float("inf")}, "s_max"),
 ])
 def test_scenario_rejects_bad_mass_or_charge(kw, match):
     kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,
@@ -219,7 +226,7 @@ def test_scenario_flagship():
     assert 0.2 - 1e-4 <= r["E_inf"] <= r["E0"]
     assert r["monotonicity_margin"] <= 1e-8
     assert r["residuals"]["extrapolation_fit"] < 1e-6
-    assert rep.trace.nonincreasing()
+    assert nonincreasing(rep.trace)
 
 
 def test_scenario_equality_case():

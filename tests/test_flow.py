@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from diagnostics import evolution_diagnostics
 from penlab.flow import (
     FlowConfig,
     FlowError,
     compute_constants,
-    evolution_diagnostics,
     flow_speed,
     lagrange3,
     neighbour_windows,

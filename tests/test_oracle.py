@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diagnostics import exact_schwarzschild_u
 from penlab import oracle
 from penlab.refgeom import make_reference, scalar_curvature, t_function
 
@@ -13,34 +14,6 @@ def schw():
 @pytest.fixture(scope="module")
 def rn():
     return make_reference("reissner_nordstrom", m=1.0, e=0.5)
-
-
-def test_round_geometry_schwarzschild(schw):
-    g = oracle.round_geometry(schw, 4.0)
-    assert g["H0"] == pytest.approx(0.3535534, abs=1e-7)
-    assert g["V"] == pytest.approx(0.7071068, abs=1e-7)
-    assert g["detA0"] == pytest.approx(0.03125, abs=1e-12)
-    assert g["ric_nu"] == pytest.approx(-0.03125, abs=1e-12)
-    assert g["T"] == 0.0
-    assert g["R"] == 0.0
-
-
-def test_round_geometry_near_horizon(schw):
-    g = oracle.round_geometry(schw, 2.0001)
-    assert g["H0"] == pytest.approx(0.00707, abs=5e-5)
-
-
-def test_round_geometry_rn(rn):
-    g = oracle.round_geometry(rn, 4.0)
-    assert g["H0"] == pytest.approx(0.5 * np.sqrt(0.515625), rel=1e-12)
-    assert g["V"] == pytest.approx(np.sqrt(0.515625), rel=1e-12)
-    assert g["detA0"] == pytest.approx(0.0322266, abs=1e-7)
-    assert g["T_complement"] == pytest.approx(0.001953125, rel=1e-12)
-
-
-def test_round_geometry_domain(rn):
-    with pytest.raises(ValueError):
-        oracle.round_geometry(rn, 1.5)
 
 
 def test_einstein_route_matches_potential_route(rn, schw):
@@ -102,7 +75,7 @@ def test_exact_family_solves_reduction(schw):
     # u*(r) = √(φ_m/φ_M) must satisfy du/ds = (u−u³)c/H0 along dr/ds = √φ_m
     M, m = 1.2, 1.0
     r = np.linspace(3.0, 200.0, 500)
-    u = oracle.exact_schwarzschild_u(M, m, r)
+    u = exact_schwarzschild_u(M, m, r)
     pm = 1 - 2 * m / r
     pM = 1 - 2 * M / r
     dudr = (m - M) / (r**2 * pM**1.5 * np.sqrt(pm))  # d/dr √(pm/pM)
@@ -115,11 +88,11 @@ def test_exact_family_solves_reduction(schw):
 
 def test_round_flow_matches_exact_family(schw):
     M, m = 1.2, 1.0
-    u0 = oracle.exact_schwarzschild_u(M, m, 4.0)
+    u0 = exact_schwarzschild_u(M, m, 4.0)
     states, E = oracle.round_flow_u(schw, 4.0, float(u0), 80.0)
     r = np.array([st.r for st in states])
     u = np.array([st.u for st in states])
-    assert np.max(np.abs(u - oracle.exact_schwarzschild_u(M, m, r))) < 1e-9
+    assert np.max(np.abs(u - exact_schwarzschild_u(M, m, r))) < 1e-9
     # E(s) = r(φ_m − √(φ_m φ_M)), decreasing to M − m
     pm = 1 - 2 * m / r
     pM = 1 - 2 * M / r

@@ -10,7 +10,6 @@ from penlab.refgeom import (
     ricci_eigenvalues,
     ricci_normal,
     scalar_curvature,
-    static_check,
     t_function,
 )
 
@@ -70,6 +69,13 @@ def test_tabulated_matches_analytic(schw):
     rq = np.linspace(3.0, 100.0, 50)
     assert np.allclose(tab.phi(rq), schw.phi(rq), atol=1e-9)
     assert np.allclose(tab.dV(rq), schw.dV(rq), atol=1e-6)
+    # data whose V falls somewhere past r = 10 gives a falling dV/dr there
+    r = np.linspace(3.0, 30.0, 200)
+    V = 1 - np.exp(-r / 3) + 0.1 * np.exp(-((r - 15.0) ** 2))
+    bumpy = make_reference("tabulated", tabulated_data=(r, np.full_like(r, 0.9), V))
+    rq = np.linspace(5.0, 25.0, 60)
+    dV = bumpy.dV(rq)
+    assert dV.min() < 0 and 10.0 < rq[dV.argmin()] < 25.0
 
 
 def test_domain_guard(schw):
@@ -86,6 +92,9 @@ def test_ricci_schwarzschild(schw):
     assert lam_rad == pytest.approx(-0.03125, abs=1e-12)
     assert lam_tan == pytest.approx(0.015625, abs=1e-12)
     assert scalar_curvature(schw, 4.0) == pytest.approx(0.0, abs=1e-15)
+    # V increases and the radial eigenvalue stays negative outside the horizon
+    r = np.geomspace(2.2, 50.0, 25)
+    assert np.all(schw.dV(r) > 0) and np.all(ricci_eigenvalues(schw, r)[0] < 0)
 
 
 def test_ricci_rn(rn):
@@ -94,6 +103,8 @@ def test_ricci_rn(rn):
     assert lam_rad == pytest.approx(-0.029297, abs=1e-6)
     # tangential eigenvalue is exactly m/r³ for this family
     assert lam_tan == pytest.approx(1 / 64, abs=1e-14)
+    r = np.geomspace(2.0, 50.0, 25)
+    assert np.all(rn.dV(r) > 0) and np.all(ricci_eigenvalues(rn, r)[0] < 0)
 
 
 def test_ricci_flat(flat):
@@ -114,6 +125,8 @@ def test_t_vanishes_in_vacuum(schw):
     c = np.linspace(0, 1, 11)
     rr, cc = np.meshgrid(r, c)
     assert np.max(np.abs(t_function(schw, rr, cc))) < 1e-13
+    # so T meets both bounds 0 <= T <= R with R = 0
+    assert np.max(np.abs(scalar_curvature(schw, rr))) < 1e-13
 
 
 def test_t_rn_closed_form(rn):
@@ -325,32 +338,3 @@ def test_r_of_rho_calls_no_phi(schw):
     prof.r_of_rho(rho)
     assert calls[0] == 0
 
-
-# ---------------------------------------------------------- static_check
-
-def test_static_check_schwarzschild(schw):
-    rep = static_check(schw, np.geomspace(2.2, 50.0, 25))
-    assert rep["passed"]
-    assert rep["saturation"]["t_zero"]
-    assert rep["first_violation"] is None
-
-
-def test_static_check_rn_saturation(rn):
-    rep = static_check(rn, np.geomspace(2.0, 50.0, 25))
-    assert rep["passed"]
-    assert rep["saturation"]["t_zero"]
-    assert rep["saturation"]["t_equals_scalar_curvature"]
-
-
-def test_static_check_violation_located():
-    # V decreasing beyond r = 10 → dV/dr check must fail with a location
-    r = np.linspace(3.0, 30.0, 200)
-    V = 1 - np.exp(-r / 3) + 0.1 * np.exp(-((r - 15.0) ** 2))
-    phi = np.ones_like(r) * 0.9
-    ref = make_reference("tabulated", tabulated_data=(r, phi, V))
-    rep = static_check(ref, np.linspace(5.0, 25.0, 60))
-    assert not rep["passed"]
-    assert not rep["checks"]["dV_dr_positive"]["passed"]
-    assert rep["first_violation"]["check"] == "dV_dr_positive"
-    loc = rep["checks"]["dV_dr_positive"]["location"]
-    assert 10.0 < loc < 25.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diagnostics import gauss_curvature
 from penlab.sphere import SphereGrid
 from penlab.refgeom import make_reference, isothermal_profile
 from penlab.surfgeom import (
@@ -65,7 +66,7 @@ def test_round_flat_values(grid):
         4.0 * np.pi * rho0**2, rel=1e-12)
 
 
-def test_round_curved_frozen_values(grid, schw_profile):
+def test_round_curved_frozen_values(grid, schw, schw_profile):
     rho0 = float(schw_profile.rho_of_r(4.0))
     assert rho0 == pytest.approx(2.9142136, abs=1e-6)
     geom = curved_geometry(round_surface(grid, rho0), schw_profile)
@@ -82,12 +83,18 @@ def test_round_curved_frozen_values(grid, schw_profile):
     assert np.allclose(geom.gauss_k, 0.0625, atol=1e-8)
     assert np.max(np.abs(geom.gauss_residual)) < 1e-8
     assert geom.area_radius() == pytest.approx(4.0, abs=1e-9)
+    # H0 = 2√φ/r holds down to the horizon, where it vanishes
+    near = isothermal_profile(schw, np.geomspace(2.00005, 5.0, 50))
+    geom = curved_geometry(round_surface(grid, float(near.rho_of_r(2.0001))), near)
+    assert np.allclose(geom.H0, np.sqrt(1.0 - 2.0 / 2.0001) / 1.00005, atol=1e-9)
 
 
 def test_round_rn_values(grid, rn_profile):
     rho0 = float(rn_profile.rho_of_r(4.0))
     geom = curved_geometry(round_surface(grid, rho0), rn_profile)
     assert np.allclose(geom.det_a0, 0.0322266, atol=1e-7)
+    assert np.allclose(geom.H0, 0.5 * np.sqrt(0.515625), rtol=1e-9)
+    assert np.allclose(geom.V, np.sqrt(0.515625), rtol=1e-12)
     # radial normal: the directional curvature quantity vanishes
     assert np.max(np.abs(geom.t_field)) < 1e-10
     assert np.max(np.abs(geom.gauss_residual)) < 1e-8
@@ -106,14 +113,14 @@ def test_flat_brioschi_matches_shape_operator(grid):
     surf = perturbed_surface(grid, 3.0, {(2, 0): 0.05, (3, 1): 0.02, (2, -2): 0.015})
     geom = flat_geometry(surf)
     K_intrinsic = _brioschi(surf)
-    K_extrinsic = geom.gauss_curvature()
+    K_extrinsic = gauss_curvature(geom)
     assert np.max(np.abs(K_intrinsic - K_extrinsic)) < 1e-9
 
 
 def test_gauss_bonnet_flat(grid):
     surf = perturbed_surface(grid, 3.0, {(2, 0): 0.06, (4, 2): 0.01})
     geom = flat_geometry(surf)
-    total = grid.integrate(geom.gauss_curvature() * geom.area_density)
+    total = grid.integrate(gauss_curvature(geom) * geom.area_density)
     assert total == pytest.approx(4.0 * np.pi, rel=1e-8)
 
 
