@@ -100,16 +100,23 @@ def _blend(bundles, weights) -> _Bundle:
                      for fields in zip(*bundles)))
 
 
-def _laplacian(grid, b: _Bundle, v: np.ndarray) -> np.ndarray:
-    return b.inv_root * grid.div_grad(v, b.p_tt, b.p_tp, b.p_pp)
+def _laplacian(grid, b: _Bundle, v: np.ndarray, grad=None) -> np.ndarray:
+    return b.inv_root * grid.div_grad(v, b.p_tt, b.p_tp, b.p_pp, grad)
 
 
-def _rate(grid, b: _Bundle, u: np.ndarray) -> np.ndarray:
-    out = (u**2 * _laplacian(grid, b, u) + (u - u**3) * b.c) / b.H0
-    return out + advected_derivative(grid, u, b.tau_t, b.tau_p)
+def _operators(grid, b: _Bundle, v: np.ndarray):
+    """(L_b(v), gradient of v): the pair one substep hands the next."""
+    grad = grid.gradient(v)
+    return _laplacian(grid, b, v, grad), grad
 
 
-def gmres(A, b, x0, M, callback=None):
+def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
+    lap, grad = ops
+    out = (u**2 * lap + (u - u**3) * b.c) / b.H0
+    return out + advected_derivative(grid, u, b.tau_t, b.tau_p, grad)
+
+
+def gmres(A, b, x0, M, callback=None, ax0=None):
     """Solve A x = b by restarted GMRES, right-preconditioned by M.
 
     A and M are callables on flat arrays.  Arnoldi runs modified
@@ -127,10 +134,15 @@ def gmres(A, b, x0, M, callback=None):
     total cap _GMRES_MAXITER is reached or an Arnoldi column vanishes.
     x0 is not modified, and is returned as is when it already solves the
     system.
+
+    A caller that already holds A(x0) passes it as ax0, and then gmres
+    makes no A call at x0.  On success the last A call, if any, was at
+    the x returned, so a caller can keep what that call computed for the
+    solution.
     """
     target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
     x = x0
-    r = b - A(x)
+    r = b - (A(x) if ax0 is None else ax0)
     beta = math.sqrt(float(r @ r))
     iters = 0
     while not beta <= target:   # a NaN residual never converges
@@ -178,22 +190,35 @@ def gmres(A, b, x0, M, callback=None):
     return x, 0
 
 
-def _imex_step(grid, u0, b0, b1, ds):
-    """One trapezoidal step, Laplacian implicit with frozen u² coefficient."""
+def _imex_step(grid, u0, ops0, b0, b1, ds):
+    """One trapezoidal step, Laplacian implicit with frozen u² coefficient.
+
+    ops0 is _operators(grid, b0, u0).  Returns the end state v, the pair
+    (L_b1(v), gradient of v) for the next substep, and the most GMRES
+    iterations a pass made.  The pair comes from GMRES's last operator
+    call, which was at v, so no Laplacian or gradient is taken twice.
+    """
     shape = u0.shape
-    base = u0 + 0.5 * ds * _rate(grid, b0, u0)
+    base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
     v = u0
+    grad = ops0[1]
+    lap = _laplacian(grid, b1, v, grad)
     iters = 0
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
+        last = [lap, grad]   # L_b1 and gradient at matvec's latest argument
 
         def matvec(x):
             x = x.reshape(shape)
-            return (x - scale * _laplacian(grid, b1, x)).ravel()
+            g = grid.gradient(x)
+            lap_x = _laplacian(grid, b1, x, g)
+            last[:] = lap_x, g
+            return (x - scale * lap_x).ravel()
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
-        rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p)
+        rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
+                                                   grad)
 
         alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
 
@@ -205,18 +230,20 @@ def _imex_step(grid, u0, b0, b1, ds):
         def cb(_):
             count[0] += 1
 
-        sol, info = gmres(matvec, rhs.ravel(), v.ravel(), precond, callback=cb)
+        sol, info = gmres(matvec, rhs.ravel(), v.ravel(), precond, callback=cb,
+                          ax0=(v - scale * lap).ravel())
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
             raise StepRejected(f"linear solve stalled (gmres info {info})")
         iters = max(iters, count[0])
+        lap, grad = last
         v_new = sol.reshape(shape)
         if np.max(np.abs(v_new - v)) < 1e-14:
             v = v_new
             break
         v = v_new
-    return v, iters
+    return v, (lap, grad), iters
 
 
 def _check_bounds(u, lo, hi):
@@ -299,14 +326,16 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
             dt_allow = dt_max * min(4.0, (dev0 / dev) ** (1.0 / 3.0))
         n_sub = max(1, int(np.ceil(window / dt_allow - 1e-12)))
         b_start = _blend(nb, lagrange3(nodes, fol.s[k])[0])
+        ops_start = _operators(grid, b_start, u)
         for attempt in range(_MAX_HALVINGS + 1):
             try:
-                v, b0 = u, b_start
+                v, b0, ops = u, b_start, ops_start
                 dt = window / n_sub
                 for i in range(1, n_sub + 1):
                     # each substep starts from the previous one's end blend
+                    # and its Laplacian and gradient there
                     b1 = _blend(nb, lagrange3(nodes, fol.s[k] + i * dt)[0])
-                    v, it = _imex_step(grid, v, b0, b1, dt)
+                    v, ops, it = _imex_step(grid, v, ops, b0, b1, dt)
                     b0 = b1
                     gmax = max(gmax, it)
                     _check_bounds(v, lo, hi)

@@ -234,6 +234,13 @@ class Scenario:
         FlowConfig(ds=self.ds, s_max=self.s_max, store_every=self.store_every)
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
+        if self.perturbation is not None:
+            # G > 0 does not depend on rho0, so the unit sphere decides it
+            grid = SphereGrid(self.n_theta, self.n_phi)
+            try:
+                perturbed_surface(grid, 1.0, self.perturbation)
+            except ValueError as exc:
+                raise ValueError(f"perturbation: {exc}") from None
 
     def reference(self):
         # built on demand, not stored: the manifold holds closures and a

@@ -133,9 +133,13 @@ def drift_fields(geom: CurvedGeometry):
     return tau_t, tau_p
 
 
-def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p):
-    """τ^a ∂_a field, the drift correction for trajectory derivatives."""
-    d_t, d_p = grid.gradient(fieldval)
+def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p,
+                        grad=None):
+    """τ^a ∂_a field, the drift correction for trajectory derivatives.
+
+    grad, when given, is the caller's grid.gradient(fieldval).
+    """
+    d_t, d_p = grid.gradient(fieldval) if grad is None else grad
     return tau_t * d_t + tau_p * d_p
 
 

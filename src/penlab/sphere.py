@@ -245,14 +245,15 @@ class SphereGrid:
         """Stacked first partials (d/dtheta, d/dphi) of a smooth scalar field."""
         return self.synthesize(self.analyze(field), (1, 0), (0, 1))
 
-    def div_grad(self, field: np.ndarray, a_tt, a_tp, a_pp) -> np.ndarray:
+    def div_grad(self, field: np.ndarray, a_tt, a_tp, a_pp, grad=None) -> np.ndarray:
         """Divergence form d_theta(a_tt f_t + a_tp f_p) + d_phi(a_tp f_t + a_pp f_p).
 
         One analysis and one stacked synthesis for the gradient, then one
         stacked analysis of both fluxes and one synthesis of their
-        derivatives.
+        derivatives.  A caller that already holds gradient(field) passes
+        it as grad, which skips the first pair.
         """
-        ft, fp = self.gradient(field)
+        ft, fp = self.gradient(field) if grad is None else grad
         flux = np.array([a_tt * ft + a_tp * fp, a_tp * ft + a_pp * fp])
         div = self.synthesize(self.analyze(flux), (1, 0), (0, 1))
         return div[0] + div[1]

@@ -146,11 +146,39 @@ def test_imex_step_rejects_at_the_iteration_cap(grid, schw_profile, monkeypatch)
     surf = perturbed_surface(grid, schwarzschild_rho(1.0, 6.0), {(2, 0): 0.05})
     b = bartnik._make_bundle(curved_geometry(surf, schw_profile))
     u0 = 1.1 + 0.05 * grid.cos_theta[:, None] * np.ones((grid.n_theta, grid.n_phi))
-    _, iters = bartnik._imex_step(grid, u0, b, b, 0.05)
+    ops = bartnik._operators(grid, b, u0)
+    _, _, iters = bartnik._imex_step(grid, u0, ops, b, b, 0.05)
     assert iters >= 2
     monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 1)
     with pytest.raises(StepRejected, match="gmres info 1"):
-        bartnik._imex_step(grid, u0, b, b, 0.05)
+        bartnik._imex_step(grid, u0, ops, b, b, 0.05)
+
+
+@pytest.mark.parametrize("restart", [30, 2])
+def test_gmres_takes_a_x0_and_ends_at_its_solution(monkeypatch, restart):
+    # the lapse march relies on both: a given A(x0) is not recomputed, and
+    # the last A call of a successful solve is at the x it returns
+    monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
+    a, b = _six_eigenvalue_system()
+    x0 = np.linspace(-1.0, 1.0, len(b))
+    seen = []
+
+    def apply_a(x):
+        seen.append(x.copy())
+        return a @ x
+
+    plain, info = bartnik.gmres(apply_a, b, x0, lambda x: x)
+    assert info == 0
+    assert np.array_equal(seen[0], x0)
+    n_plain = len(seen)
+
+    seen.clear()
+    x, info = bartnik.gmres(apply_a, b, x0, lambda x: x, ax0=a @ x0)
+    assert info == 0
+    assert not any(np.array_equal(arg, x0) for arg in seen)
+    assert len(seen) == n_plain - 1
+    assert np.array_equal(seen[-1], x)
+    assert np.array_equal(x, plain)
 
 
 def test_gmres_callback_once_per_iteration():

@@ -285,12 +285,17 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
     ("scenario", {"scenarios": [SHORT_SCENARIO,
                                 dict(SHORT_SCENARIO, dt_max=float("nan"))]},
      "dt_max"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO, dict(
+        SHORT_SCENARIO, perturbation=[[2, 3, 0.1]])]}, "|m| > ell"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO, dict(
+        SHORT_SCENARIO, perturbation=[[2, 0, 3.0]])]}, "G > 0"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
         "nan-boundary-u0", "batch-unbroadcastable-boundary-u0",
         "batch-nan-r0", "batch-negative-ds", "batch-zero-dt-max",
-        "batch-zero-store-every", "batch-nan-s-max", "batch-nan-dt-max"])
+        "batch-zero-store-every", "batch-nan-s-max", "batch-nan-dt-max",
+        "batch-mode-m-above-ell", "batch-nonpositive-bump"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)

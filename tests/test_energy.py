@@ -203,6 +203,8 @@ def test_scenario_validation():
     ({"kind": "custom", "store_every": 0}, "store_every"),
     ({"kind": "custom", "s_max": float("nan")}, "s_max"),
     ({"kind": "custom", "s_max": float("inf")}, "s_max"),
+    ({"kind": "custom", "perturbation": {(2, 3): 0.1}}, r"\|m\| > ell"),
+    ({"kind": "custom", "perturbation": {(2, 0): 3.0}}, "G > 0"),
 ])
 def test_scenario_rejects_bad_mass_or_charge(kw, match):
     kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,

@@ -174,6 +174,9 @@ def test_div_grad_matches_single_order_transforms(grid):
     assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     assert np.allclose(grid.gradient(f), [ft, fp], rtol=0.0,
                        atol=1e-13 * np.max(np.abs(ft)))
+    # a gradient the caller holds gives the same bytes
+    held = grid.div_grad(f, a_tt, a_tp, a_pp, grad=grid.gradient(f))
+    assert np.array_equal(held, out)
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (12, 16)])

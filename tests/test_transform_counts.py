@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import penlab.bartnik as bartnik
-from penlab.bartnik import _laplacian, _make_bundle
-from penlab.flow import advected_derivative, flow_speed, step_flow
+from penlab.bartnik import _laplacian, _make_bundle, solve_u
+from penlab.flow import (FlowConfig, advected_derivative, flow_speed, run_flow,
+                         step_flow)
 from penlab.oracle import schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
-from penlab.surfgeom import curved_geometry, perturbed_surface
+from penlab.surfgeom import curved_geometry, perturbed_surface, round_surface
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +72,10 @@ def test_operator_transform_counts(setup, counted, name):
 
 def test_imex_step_operator_counts(setup, monkeypatch):
     # right preconditioning applies the round-Helmholtz inverse once per
-    # GMRES iteration; the Laplacian runs once for the explicit half-step
-    # and, per fixed-point pass, once per iteration plus the initial and
-    # final residuals
+    # GMRES iteration; the explicit half-step reuses the Laplacian it is
+    # given, the first pass's initial residual takes one, and each pass
+    # takes one per iteration plus its final residual, whose Laplacian
+    # the next pass's initial residual reuses
     calls = {"helmholtz": 0, "laplacian": 0, "passes": 0, "iterations": 0}
     helmholtz, laplacian, gmres = (SphereGrid.round_helmholtz_inverse,
                                    bartnik._laplacian, bartnik.gmres)
@@ -95,12 +97,50 @@ def test_imex_step_operator_counts(setup, monkeypatch):
 
         return gmres(*args, callback=counting, **kwargs)
 
+    bundle = _make_bundle(setup.geom)
+    ops = bartnik._operators(setup.grid, bundle, setup.field)
     monkeypatch.setattr(SphereGrid, "round_helmholtz_inverse", counted_helmholtz)
     monkeypatch.setattr(bartnik, "_laplacian", counted_laplacian)
     monkeypatch.setattr(bartnik, "gmres", counted_gmres)
-    bundle = _make_bundle(setup.geom)
-    bartnik._imex_step(setup.grid, setup.field, bundle, bundle, 0.05)
+    bartnik._imex_step(setup.grid, setup.field, ops, bundle, bundle, 0.05)
     assert calls["passes"] >= 1
     assert calls["iterations"] >= 2 * calls["passes"]
     assert calls["helmholtz"] == calls["iterations"]
-    assert calls["laplacian"] <= 1 + 2 * calls["passes"] + calls["iterations"]
+    assert calls["laplacian"] <= 1 + calls["passes"] + calls["iterations"]
+
+
+def test_solve_u_transform_budget(setup, counted, monkeypatch):
+    # a window's first substep takes its Laplacian and gradient from
+    # scratch (4 transforms); after that a substep carries its end state's
+    # pair forward, so it costs the first pass's initial flux (2), 6 per
+    # GMRES iteration (preconditioner and Laplacian) and 4 per GMRES call
+    # for the final true residual.  Each stored slice's geometry build
+    # adds its own 2.
+    tally = {"substeps": 0, "gmres_calls": 0, "iterations": 0}
+    step, gmres = bartnik._imex_step, bartnik.gmres
+
+    def counted_step(*args):
+        tally["substeps"] += 1
+        return step(*args)
+
+    def counted_gmres(*args, callback=None, **kwargs):
+        tally["gmres_calls"] += 1
+
+        def counting(residual):
+            tally["iterations"] += 1
+            callback(residual)
+
+        return gmres(*args, callback=counting, **kwargs)
+
+    grid = SphereGrid(8, 16)
+    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
+                   setup.profile, FlowConfig(ds=0.05, s_max=1.0, store_every=2))
+    counted["analyze"] = counted["synthesize"] = 0
+    monkeypatch.setattr(bartnik, "_imex_step", counted_step)
+    monkeypatch.setattr(bartnik, "gmres", counted_gmres)
+    solve_u(fol, 1.2, dt_max=0.02, with_residual=False)
+    windows = len(fol) - 1
+    assert tally["substeps"] >= 4 * windows
+    budget = (4 * windows + 2 * tally["substeps"] + 6 * tally["iterations"]
+              + 4 * tally["gmres_calls"] + 2 * len(fol))
+    assert counted["analyze"] + counted["synthesize"] <= budget
