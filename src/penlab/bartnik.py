@@ -67,37 +67,35 @@ def initial_u(h_physical, h_background) -> np.ndarray:
 # coefficient bundles: everything one step needs, interpolable in s
 
 class _Bundle(NamedTuple):
-    H0: np.ndarray
-    c: np.ndarray
-    tau_t: np.ndarray
-    tau_p: np.ndarray
-    p_tt: np.ndarray
-    p_tp: np.ndarray
-    p_pp: np.ndarray
-    inv_root: np.ndarray
+    """The eight grid fields stacked as one (8, n_theta, n_phi) array, so a
+    blend is one weighted sum; the fields read by name."""
+
+    fields: np.ndarray
     area_radius: float
+
+    H0 = property(lambda b: b.fields[0])
+    c = property(lambda b: b.fields[1])
+    tau_t = property(lambda b: b.fields[2])
+    tau_p = property(lambda b: b.fields[3])
+    p_tt = property(lambda b: b.fields[4])
+    p_tp = property(lambda b: b.fields[5])
+    p_pp = property(lambda b: b.fields[6])
+    inv_root = property(lambda b: b.fields[7])
 
 
 def _make_bundle(geom: CurvedGeometry) -> _Bundle:
     inv_tt, inv_tp, inv_pp = geom.inverse_metric()
     root = np.sqrt(geom.det_sig)
     tau_t, tau_p = drift_fields(geom)
-    return _Bundle(
-        H0=geom.H0,
-        c=reaction_coefficient(geom),
-        tau_t=tau_t,
-        tau_p=tau_p,
-        p_tt=root * inv_tt,
-        p_tp=root * inv_tp,
-        p_pp=root * inv_pp,
-        inv_root=1.0 / root,
-        area_radius=geom.area_radius(),
-    )
+    fields = np.array([geom.H0, reaction_coefficient(geom), tau_t, tau_p,
+                       root * inv_tt, root * inv_tp, root * inv_pp, 1.0 / root])
+    return _Bundle(fields, geom.area_radius())
 
 
 def _blend(bundles, weights) -> _Bundle:
-    return _Bundle(*(sum(w * f for w, f in zip(weights, fields))
-                     for fields in zip(*bundles)))
+    # sum() keeps each element's order (0 + w0 f0) + w1 f1 + w2 f2
+    return _Bundle(sum(w * b.fields for w, b in zip(weights, bundles)),
+                   sum(w * b.area_radius for w, b in zip(weights, bundles)))
 
 
 def _laplacian(grid, b: _Bundle, v: np.ndarray, grad=None) -> np.ndarray:

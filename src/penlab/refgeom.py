@@ -4,7 +4,7 @@ A reference manifold here is the time-symmetric slice of a static
 spacetime: a metric gbar = dr²/φ(r) + r² dS² together with a static
 potential V(r), positive outside the horizon radius where φ vanishes.
 The module provides the curvature of gbar, the direction-dependent
-curvature bound t_function defined through the Hessian of V, and the
+curvature quantity T defined through the Hessian of V, and the
 isothermal (conformally flat) radial coordinate in which gbar takes the
 form F⁴(ρ)(dρ² + ρ² dS²).
 
@@ -30,9 +30,8 @@ __all__ = [
     "make_reference",
     "isothermal_profile",
     "ricci_eigenvalues",
-    "ricci_normal",
     "scalar_curvature",
-    "t_function",
+    "reference_fields",
     "reference_from_csv",
 ]
 
@@ -144,26 +143,32 @@ def reference_from_csv(path) -> ReferenceManifold:
 
 
 # ----------------------------------------------------------------------
-# curvature of gbar = dr²/φ + r² dS²
+# curvature of gbar = dr²/φ + r² dS², each formula written once over
+# evaluated values of φ, φ′, V, V′ and V″
+
+def _ricci(r, p, dp):
+    """Orthonormal-frame Ricci eigenvalues (radial, tangential) from φ, φ′."""
+    return -dp / r, -dp / (2.0 * r) + (1.0 - p) / r**2
+
+
+def _trace(rad, tan):
+    """Trace of a tensor with one radial and two tangential eigenvalues."""
+    return rad + 2.0 * tan
+
+
+def _along(c2, rad, tan):
+    """Its value on a unit vector at angle θ to the radial one, c2 = cos²θ."""
+    return c2 * rad + (1.0 - c2) * tan
+
 
 def ricci_eigenvalues(ref: ReferenceManifold, r):
     """Orthonormal-frame Ricci eigenvalues (radial, tangential)."""
     r = ref.require_exterior(r)
-    lam_rad = -ref.dphi(r) / r
-    lam_tan = -ref.dphi(r) / (2.0 * r) + (1.0 - ref.phi(r)) / r**2
-    return lam_rad, lam_tan
+    return _ricci(r, ref.phi(r), ref.dphi(r))
 
 
 def scalar_curvature(ref: ReferenceManifold, r):
-    lam_rad, lam_tan = ricci_eigenvalues(ref, r)
-    return lam_rad + 2.0 * lam_tan
-
-
-def ricci_normal(ref: ReferenceManifold, r, cos_theta):
-    """Ric(ν,ν) for a unit normal at angle θ to the radial direction."""
-    lam_rad, lam_tan = ricci_eigenvalues(ref, r)
-    c2 = np.asarray(cos_theta, dtype=float) ** 2
-    return c2 * lam_rad + (1.0 - c2) * lam_tan
+    return _trace(*ricci_eigenvalues(ref, r))
 
 
 def angle_threshold(ref: ReferenceManifold, r):
@@ -181,33 +186,26 @@ def angle_threshold(ref: ReferenceManifold, r):
     return np.sqrt(np.clip(ratio, 0.0, 1.0))
 
 
-def hessian_potential(ref: ReferenceManifold, r):
-    """Orthonormal Hessian components of V and its Laplacian.
+def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):
+    """(V, dV/dν, Ric(ν,ν), T, R̄) at radii radial.r, ν at angle θ to ∂r.
 
-    Returns (radial, tangential, laplacian) where the radial component
-    is φV″ + ½φ′V′ and each tangential one is (φ/r)V′.
+    T(r, ν) = (ΔV − D²V(ν,ν))/V + Ric(ν,ν), with the Hessian of V
+    radial φV″ + ½φ′V′ and tangential (φ/r)V′ in the orthonormal frame.
+    T vanishes identically in vacuum, and for V = √φ also in the radial
+    direction; the complement R̄ − T carries the remaining null-energy
+    component.  φ and φ′ come from radial, and V, V′ and V″ are
+    evaluated once each, so a surface costs one call of each.
     """
-    r = ref.require_exterior(r)
-    p, dp = ref.phi(r), ref.dphi(r)
-    dv, d2v = ref.dV(r), ref.d2V(r)
-    rad = p * d2v + 0.5 * dp * dv
+    r = ref.require_exterior(radial.r)
+    p, dp = radial.phi, radial.dphi
+    V, dv = ref.V(r), ref.dV(r)
+    c2 = cos_theta**2
+    lam_rad, lam_tan = _ricci(r, p, dp)
+    ric = _along(c2, lam_rad, lam_tan)
+    rad = p * ref.d2V(r) + 0.5 * dp * dv
     tan = (p / r) * dv
-    return rad, tan, rad + 2.0 * tan
-
-
-def t_function(ref: ReferenceManifold, r, cos_theta):
-    """Direction-dependent curvature quantity T(r, ν).
-
-    Defined through the static potential by
-    T = (Δ̄V − D̄²V(ν,ν))/V + Ric(ν,ν), with ν at angle θ to the radial
-    direction.  Vanishes identically in vacuum, and for V = √φ also in
-    the radial direction; the complement scalar_curvature − T carries
-    the remaining null-energy component.
-    """
-    rad, tan, lap = hessian_potential(ref, r)
-    c2 = np.asarray(cos_theta, dtype=float) ** 2
-    hess_nu = c2 * rad + (1.0 - c2) * tan
-    return (lap - hess_nu) / ref.V(r) + ricci_normal(ref, r, cos_theta)
+    t = (_trace(rad, tan) - _along(c2, rad, tan)) / V + ric
+    return V, np.sqrt(p) * dv * cos_theta, ric, t, _trace(lam_rad, lam_tan)
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +218,10 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class RadialFactors(NamedTuple):
-    """r(ρ) and the conformal factors F = √(r/ρ), h = 1/F² at the same ρ.
+    """r(ρ), the conformal factors F = √(r/ρ), h = 1/F² and φ, φ′ at r.
 
-    Primes are ρ-derivatives: dF = F′, d2F = F″, dh = h′, d2h = h″.
+    Primes on F and h are ρ-derivatives: dF = F′, d2F = F″, dh = h′,
+    d2h = h″; dphi = dφ/dr.
     """
 
     r: np.ndarray
@@ -232,6 +231,8 @@ class RadialFactors(NamedTuple):
     h: np.ndarray
     dh: np.ndarray
     d2h: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ class ConformalProfile:
         return np.exp(self._tau_of_sigma(np.log(rho)))
 
     def radial_factors(self, rho) -> RadialFactors:
-        """r(ρ) with F, F′, F″ and h, h′, h″, all from one evaluation of r."""
+        """r(ρ) with F, F′, F″, h, h′, h″, φ and φ′, from one evaluation of r."""
         rho = np.asarray(rho, dtype=float)
         r = self.r_of_rho(rho)
         p = self.ref.phi(r)
@@ -293,6 +294,7 @@ class ConformalProfile:
             h=rho / r,
             dh=(1.0 - sqp) / r,
             d2h=(-0.5 * r * dp + p - sqp) / (rho * r),
+            phi=p, dphi=dp,
         )
 
     def _check_r(self, r):

@@ -47,6 +47,11 @@ def _orders(order) -> tuple:
     return tuple(order) if isinstance(order, (tuple, list)) else (order,)
 
 
+def _hashable(order):
+    """A list of orders as a tuple; a tuple or a single order as is."""
+    return tuple(order) if isinstance(order, list) else order
+
+
 class SphereGrid:
     """Tensor-product sphere grid with spectral derivative tables.
 
@@ -93,6 +98,7 @@ class SphereGrid:
         # usable phase so the band limit stops one short of it
         self.mmax = min(self.lmax, n_phi // 2 - 1)
         self._build_tables()
+        self._plans = {}    # synthesize signature -> _plan
 
     # ------------------------------------------------------------------
     # basis tables
@@ -197,39 +203,58 @@ class SphereGrid:
         """Evaluate (d/dtheta)^a (d/dphi)^b of expansions on the grid.
 
         C holds one coefficient set (mmax+1, lmax+1) or a stack (k, mmax+1,
-        lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples of k
-        orders, one per entry; a single set is shared by every entry.  So
-        synthesize(C, (1, 0), (0, 1)) returns both first partials of one
-        expansion as a (2, n_theta, n_phi) stack.
+        lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples (or
+        lists) of k orders, one per entry; a single set is shared by every
+        entry.  So synthesize(C, (1, 0), (0, 1)) returns both first partials
+        of one expansion as a (2, n_theta, n_phi) stack.  Everything that
+        depends only on C's shape and the orders is planned on the first
+        call of each signature and looked up after.
         """
+        C = np.ascontiguousarray(C, dtype=complex)
+        key = (C.shape, _hashable(dtheta), _hashable(dphi))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        table, n_sets, gather, shape, idft, squeeze = plan
+        nm = self.mmax + 1
+        # one Legendre matmul of every set against the tables of orders
+        # 0..max side by side; entry j keeps its set's block of its own
+        # order (a single set serves every entry) as (j, m, re/im, theta)
+        rows = C.view(float).reshape(n_sets, nm, -1, 2).transpose(1, 0, 3, 2)
+        ghat = (rows.reshape(nm, 2 * n_sets, -1) @ table
+                ).reshape(nm, n_sets, 2, -1, self.n_theta)
+        grid = ghat[gather].reshape(shape).swapaxes(1, 2) @ idft
+        return grid[0] if squeeze else grid
+
+    def _plan(self, shape: tuple, dtheta, dphi) -> tuple:
+        """(Legendre table, sets, gather, stack shape, phi table, squeeze) of
+        one synthesize signature; raises on a bad one."""
         nt, nm, nl = self.n_theta, self.mmax + 1, self.lmax + 1
         dth, dph = _orders(dtheta), _orders(dphi)
         if not 0 <= min(dth) <= max(dth) <= 3 or not 0 <= min(dph) <= max(dph) <= 3:
             raise ValueError("derivative orders must be 0..3")
-        C = np.ascontiguousarray(C, dtype=complex)
-        sets = C.reshape(-1, nm, nl)
-        n_sets = len(sets)
+        if shape[-2:] != (nm, nl):
+            raise ValueError(f"coefficients must be (..., {nm}, {nl})")
+        n_sets = int(np.prod(shape[:-2]))
         k = max(n_sets, len(dth), len(dph))
         if not {n_sets, len(dth), len(dph)} <= {1, k}:
             raise ValueError("stack and order tuples must have one length")
-        # one Legendre matmul of every set against the tables of orders
-        # 0..max side by side; entry j keeps its set's block of its own
-        # order (a single set serves every entry) as (j, m, re/im, theta)
-        rows = sets.view(float).reshape(n_sets, nm, nl, 2).transpose(1, 0, 3, 2)
-        ghat = (rows.reshape(nm, 2 * n_sets, nl) @ self._synthesis[max(dth)]
-                ).reshape(nm, n_sets, 2, -1, nt)
         if k == 1:
-            ghat = ghat[:, 0, :, dth[0]]    # a view; fancy indexing would copy
+            gather = (slice(None), 0, slice(None), dth[0])   # a view
         else:
-            ghat = ghat[:, np.arange(k) % n_sets, :, list(dth)]
-        ghat = ghat.reshape(k, 2 * nm, nt)
-        # the phi table of each entry's d/dphi order
-        idft = self._idft[dph[0]] if len(set(dph)) == 1 else self._idft[list(dph)]
-        grid = ghat.swapaxes(1, 2) @ idft
-        if C.ndim == 2 and not isinstance(dtheta, (tuple, list)) \
-                and not isinstance(dphi, (tuple, list)):
-            return grid[0]
-        return grid
+            gather = (slice(None), np.arange(k) % n_sets, slice(None), np.array(dth))
+        # the phi table of each entry's d/dphi order; a run of consecutive
+        # orders is a contiguous slice of _idft, any other mix a copy
+        if len(set(dph)) == 1:
+            idft = self._idft[dph[0]]
+        elif dph == tuple(range(dph[0], dph[0] + k)):
+            idft = self._idft[dph[0]:dph[0] + k]
+        else:
+            idft = self._idft[list(dph)]
+        squeeze = len(shape) == 2 and not isinstance(dtheta, tuple) \
+            and not isinstance(dphi, tuple)
+        return (self._synthesis[max(dth)], n_sets, gather, (k, 2 * nm, nt), idft,
+                squeeze)
 
     def partials(self, field: np.ndarray, third: bool = False) -> dict:
         """All partial derivatives of a smooth scalar field up to order 2 (or 3).

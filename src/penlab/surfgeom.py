@@ -17,9 +17,7 @@ from .sphere import SphereGrid
 from .refgeom import (
     ConformalProfile,
     angle_threshold,
-    ricci_normal,
-    scalar_curvature,
-    t_function,
+    reference_fields,
 )
 
 __all__ = [
@@ -318,10 +316,7 @@ class CurvedGeometry:
 
 def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGeometry:
     flat = flat_geometry(surface)
-    ref = profile.ref
-    G = surface.G
-
-    radial = profile.radial_factors(G)
+    radial = profile.radial_factors(surface.G)
     r, F = radial.r, radial.F
     dF_dnu = radial.dF * flat.cos_theta
     ratio = 2.0 * dF_dnu / F
@@ -338,11 +333,8 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     det_sig = F4 * F4 * flat.det_sig
     area_density = F4 * flat.area_density
 
-    V = ref.V(r)
-    dV_dnu = np.sqrt(ref.phi(r)) * ref.dV(r) * flat.cos_theta
-    ric = ricci_normal(ref, r, flat.cos_theta)
-    tfield = t_function(ref, r, flat.cos_theta)
-    rbar = scalar_curvature(ref, r)
+    V, dV_dnu, ric, tfield, rbar = reference_fields(profile.ref, radial,
+                                                    flat.cos_theta)
 
     det_a0 = kappa_min * kappa_max
     a0_sq = kappa_min**2 + kappa_max**2

@@ -7,7 +7,10 @@
 - gauss_curvature: the flat-chart intrinsic curvature from the shape
   operator, to compare with the Brioschi formula;
 - nonincreasing: whether an energy series never steps up by more than
-  the audit's monotonicity tolerance.
+  the audit's monotonicity tolerance;
+- ricci_normal, t_function: Ric(nu, nu) and T(r, nu) per quantity, each
+  evaluating the reference functions itself, to compare with the fields
+  curved_geometry builds from one evaluation of each.
 """
 
 from itertools import islice
@@ -17,7 +20,7 @@ import numpy as np
 from penlab.energy import _MONOTONE_TOL, EnergyTrace
 from penlab.flow import (Foliation, advected_derivative, drift_fields,
                          lagrange3, neighbour_windows)
-from penlab.refgeom import ConformalProfile
+from penlab.refgeom import ConformalProfile, ricci_eigenvalues
 from penlab.surfgeom import FlatGeometry
 
 
@@ -176,3 +179,29 @@ def gauss_curvature(flat: FlatGeometry) -> np.ndarray:
 
 def nonincreasing(trace: EnergyTrace) -> bool:
     return bool(np.all(np.diff(trace.energy) <= _MONOTONE_TOL))
+
+
+# ----------------------------------------------------------------------
+# reference curvature per quantity
+
+def ricci_normal(ref, r, cos_theta):
+    """Ric(ν,ν) for a unit normal at angle θ to the radial direction."""
+    lam_rad, lam_tan = ricci_eigenvalues(ref, r)
+    c2 = np.asarray(cos_theta, dtype=float) ** 2
+    return c2 * lam_rad + (1.0 - c2) * lam_tan
+
+
+def t_function(ref, r, cos_theta):
+    """T(r, ν) = (ΔV − D²V(ν,ν))/V + Ric(ν,ν), ν at angle θ to ∂r.
+
+    The orthonormal Hessian of V is φV″ + ½φ′V′ radially and (φ/r)V′ in
+    each tangential direction.
+    """
+    r = ref.require_exterior(r)
+    p, dp = ref.phi(r), ref.dphi(r)
+    dv, d2v = ref.dV(r), ref.d2V(r)
+    rad = p * d2v + 0.5 * dp * dv
+    tan = (p / r) * dv
+    c2 = np.asarray(cos_theta, dtype=float) ** 2
+    hess_nu = c2 * rad + (1.0 - c2) * tan
+    return (rad + 2.0 * tan - hess_nu) / ref.V(r) + ricci_normal(ref, r, cos_theta)

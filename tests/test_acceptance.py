@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from diagnostics import nonincreasing
+from diagnostics import nonincreasing, t_function
 from penlab.bartnik import solve_u
 from penlab.energy import Scenario, monotonicity_check, penrose_report
 from penlab.flow import FlowConfig, compute_constants, run_flow
 from penlab.oracle import round_flow_u, scenario_closed_form
-from penlab.refgeom import (isothermal_profile, make_reference,
-                            reference_from_csv, t_function)
+from penlab.refgeom import isothermal_profile, make_reference, reference_from_csv
 from penlab.sphere import SphereGrid
 from penlab.surfgeom import curved_geometry, perturbed_surface, round_surface
 

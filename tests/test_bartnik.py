@@ -254,6 +254,24 @@ def test_solve_angular_perturbation_decays(grid, schw_profile):
     assert uf.halvings == 0
 
 
+def test_blend_sums_each_named_field_bitwise(grid, schw_profile):
+    # one weighted sum of the stacked fields is, element by element, the
+    # per-field sum(w * f) over the three neighbouring slices
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 4.0),
+                             {(2, 0): 0.05, (3, 2): 0.01})
+    fol = run_flow(surf, schw_profile, FlowConfig(ds=0.05, s_max=0.1, store_every=1))
+    bundles = [bartnik._make_bundle(fol.geometry(i)) for i in range(3)]
+    weights = np.array([-0.125, 0.75, 0.375])
+    out = bartnik._blend(bundles, weights)
+    names = ("H0", "c", "tau_t", "tau_p", "p_tt", "p_tp", "p_pp", "inv_root")
+    assert out.fields.shape == (len(names),) + surf.G.shape
+    for name in names:
+        want = sum(w * getattr(b, name) for w, b in zip(weights, bundles))
+        assert getattr(out, name).tobytes() == want.tobytes(), name
+    assert out.area_radius == sum(w * b.area_radius
+                                  for w, b in zip(weights, bundles))
+
+
 def test_solve_blends_once_per_substep_node(monkeypatch, round_fol):
     # the blend at a substep's end is the next substep's start, and each
     # window blends at its first node once: n_sub + 1 blends per window

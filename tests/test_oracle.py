@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diagnostics import exact_schwarzschild_u
+from diagnostics import exact_schwarzschild_u, t_function
 from penlab import oracle
-from penlab.refgeom import make_reference, scalar_curvature, t_function
+from penlab.refgeom import make_reference, scalar_curvature
 
 
 @pytest.fixture(scope="module")

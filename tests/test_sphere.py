@@ -179,6 +179,16 @@ def test_div_grad_matches_single_order_transforms(grid):
     assert np.array_equal(held, out)
 
 
+def einsum_synthesis(g, C, dtheta, dphi):
+    """One expansion's (d/dtheta)^a (d/dphi)^b by plain contraction over the
+    same tables and an inverse FFT."""
+    nm = g.mmax + 1
+    Cm = C * ((1j * np.arange(nm)) ** dphi)[:, None]
+    full = np.zeros((g.n_theta, g.n_phi // 2 + 1), dtype=complex)
+    full[:, :nm] = np.einsum('mil,ml->im', g._tables[dtheta], Cm)
+    return np.fft.irfft(full * g.n_phi, n=g.n_phi, axis=1)
+
+
 @pytest.mark.parametrize("shape", [(16, 32), (12, 16)])
 def test_transforms_match_einsum_reference(shape):
     # the matmul transforms against the plain contraction over the same
@@ -192,10 +202,59 @@ def test_transforms_match_einsum_reference(shape):
     assert np.allclose(C, C_ref, rtol=0.0, atol=1e-14 * np.max(np.abs(C_ref)))
     for dtheta in range(4):
         for dphi in range(3):
-            Cm = C * ((1j * np.arange(nm)) ** dphi)[:, None]
-            full = np.zeros((g.n_theta, g.n_phi // 2 + 1), dtype=complex)
-            full[:, :nm] = np.einsum('mil,ml->im', g._tables[dtheta], Cm)
-            ref = np.fft.irfft(full * g.n_phi, n=g.n_phi, axis=1)
+            ref = einsum_synthesis(g, C, dtheta, dphi)
             out = g.synthesize(C, dtheta, dphi)
             assert np.allclose(out, ref, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(ref))), (dtheta, dphi)
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (12, 16)])
+def test_planned_synthesis_repeats_bytes_and_matches_einsum(shape):
+    # every signature src/penlab synthesizes, on a fresh grid so that the
+    # first call builds the plan and the second looks it up
+    g = SphereGrid(*shape)
+    rng = np.random.default_rng(5)
+    C = g.analyze(rng.standard_normal(shape))
+    C2 = g.analyze(rng.standard_normal((2,) + shape))
+    first_partials = ((1, 0, 2, 1, 0), (0, 1, 0, 1, 2))
+    third = ((1, 0, 2, 1, 0, 3, 2, 1, 0), (0, 1, 0, 1, 2, 0, 1, 2, 3))
+    signatures = {
+        "gradient": (C, (1, 0), (0, 1)),
+        "divergence flux": (C2, (1, 0), (0, 1)),
+        "order 0": (C, 0, 0),
+        "partials": (C,) + first_partials,
+        "partials third": (C,) + third,
+    }
+    for name, (coeff, dtheta, dphi) in signatures.items():
+        plans = len(g._plans)
+        first = g.synthesize(coeff, dtheta, dphi)
+        assert len(g._plans) == plans + 1, name
+        again = g.synthesize(coeff, dtheta, dphi)
+        assert len(g._plans) == plans + 1, name
+        assert first.shape == again.shape and first.tobytes() == again.tobytes()
+        sets = coeff.reshape(-1, g.mmax + 1, g.lmax + 1)
+        entries = zip(*np.broadcast_arrays(np.arange(len(first)) % len(sets),
+                                           dtheta, dphi))
+        for out, (j, a, b) in zip(first.reshape(-1, *shape), entries):
+            ref = einsum_synthesis(g, sets[j], a, b)
+            assert np.allclose(out, ref, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(ref))), (name, a, b)
+    # what partials and project return goes through the same plans
+    f = rng.standard_normal(shape)
+    assert g.partials(f, third=True)["tpp"].tobytes() == g.synthesize(
+        g.analyze(f), *third)[7].tobytes()
+    assert g.project(f).shape == shape
+
+    # list-valued orders give the bytes of the tuple ones
+    listed = g.synthesize(C2, [1, 0], [0, 1])
+    assert listed.tobytes() == g.synthesize(C2, (1, 0), (0, 1)).tobytes()
+    assert g.synthesize(C, [1], [0]).shape == (1,) + shape
+
+    # a bad signature raises on every call and stores no plan
+    plans = len(g._plans)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="0..3"):
+            g.synthesize(C, (1, 4), (0, 0))
+        with pytest.raises(ValueError, match="one length"):
+            g.synthesize(C2, (1, 0, 2), 0)
+    assert len(g._plans) == plans

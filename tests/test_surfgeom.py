@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from diagnostics import gauss_curvature
+from diagnostics import gauss_curvature, ricci_normal, t_function
 from penlab.sphere import SphereGrid
-from penlab.refgeom import make_reference, isothermal_profile
+from penlab.refgeom import make_reference, isothermal_profile, scalar_curvature
 from penlab.surfgeom import (
     StarSurface,
     round_surface,
@@ -188,3 +190,46 @@ def test_condition_report_flags_distortion(grid, schw_profile):
     loc = rep["monitors"][failing[0]].get("location")
     if loc is not None:
         assert 0.0 <= loc["theta"] <= np.pi
+
+
+@pytest.mark.parametrize("kind", ["schwarzschild", "reissner_nordstrom",
+                                  "tabulated"])
+def test_curved_geometry_evaluates_each_reference_function_once(kind):
+    if kind == "tabulated":
+        r_t = np.geomspace(2.5, 120.0, 300)
+        ref = make_reference("tabulated", tabulated_data=(
+            r_t, 1.0 - 2.0 / r_t, np.sqrt(1.0 - 2.0 / r_t)))
+        r_grid = np.geomspace(2.6, 110.0, 50)
+    else:
+        ref = make_reference(kind, m=1.0, e=0.5 if kind != "schwarzschild" else 0.0)
+        r_grid = np.geomspace(2.1, 150.0, 50)
+    profile = isothermal_profile(ref, r_grid)
+    names = ("phi", "dphi", "V", "dV", "d2V")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(ref, name)
+
+        def wrapped(r):
+            calls[name] += 1
+            return fn(r)
+        return wrapped
+
+    counted = dataclasses.replace(profile, ref=dataclasses.replace(
+        ref, **{name: counting(name) for name in names}))
+    surf = perturbed_surface(SphereGrid(12, 24), float(profile.rho_of_r(6.0)),
+                             {(2, 0): 0.05, (3, 2): 0.01})
+    geom = curved_geometry(surf, counted)
+    assert all(n <= 1 for n in calls.values()), calls
+
+    # the one-evaluation fields equal the per-quantity formulas bitwise
+    r, c = geom.r, geom.cos_theta
+    expected = {
+        "V": ref.V(r),
+        "dV_dnu": np.sqrt(ref.phi(r)) * ref.dV(r) * c,
+        "ric_nu": ricci_normal(ref, r, c),
+        "t_field": t_function(ref, r, c),
+        "scalar_curv": scalar_curvature(ref, r),
+    }
+    for name, want in expected.items():
+        assert getattr(geom, name).tobytes() == want.tobytes(), name
