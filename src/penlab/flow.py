@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .refgeom import ConformalProfile, angle_threshold, scalar_curvature
+from .refgeom import ConformalProfile, _ricci, _trace, angle_threshold
 from .sphere import SphereGrid
 from .surfgeom import (
     CurvedGeometry,
@@ -326,7 +326,7 @@ def compute_constants(profile: ConformalProfile) -> dict:
     h1 = np.abs(radial.dh)
     h2 = np.abs(radial.d2h)
 
-    rbar = np.maximum(scalar_curvature(ref, r), 0.0)
+    rbar = np.maximum(_trace(*_ricci(r, radial.phi, radial.dphi)), 0.0)
     c3_field = h1 * (F**2 * rho**2 + 1.0)
     c4_field = (2.0 * np.abs(dF) / F + F**2 * np.sqrt(rbar)) * (rho**2 + 1.0)
     c5_field = np.maximum(h2, h1 / rho) * (rho**3 * F**2 + 1.0)

@@ -30,7 +30,6 @@ __all__ = [
     "make_reference",
     "isothermal_profile",
     "ricci_eigenvalues",
-    "scalar_curvature",
     "reference_fields",
     "reference_from_csv",
 ]
@@ -165,10 +164,6 @@ def ricci_eigenvalues(ref: ReferenceManifold, r):
     """Orthonormal-frame Ricci eigenvalues (radial, tangential)."""
     r = ref.require_exterior(r)
     return _ricci(r, ref.phi(r), ref.dphi(r))
-
-
-def scalar_curvature(ref: ReferenceManifold, r):
-    return _trace(*ricci_eigenvalues(ref, r))
 
 
 def angle_threshold(ref: ReferenceManifold, r):

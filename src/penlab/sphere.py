@@ -243,14 +243,8 @@ class SphereGrid:
             gather = (slice(None), 0, slice(None), dth[0])   # a view
         else:
             gather = (slice(None), np.arange(k) % n_sets, slice(None), np.array(dth))
-        # the phi table of each entry's d/dphi order; a run of consecutive
-        # orders is a contiguous slice of _idft, any other mix a copy
-        if len(set(dph)) == 1:
-            idft = self._idft[dph[0]]
-        elif dph == tuple(range(dph[0], dph[0] + k)):
-            idft = self._idft[dph[0]:dph[0] + k]
-        else:
-            idft = self._idft[list(dph)]
+        # the phi table of each entry's d/dphi order, stacked once per plan
+        idft = self._idft[dph[0]] if len(set(dph)) == 1 else self._idft[list(dph)]
         squeeze = len(shape) == 2 and not isinstance(dtheta, tuple) \
             and not isinstance(dphi, tuple)
         return (self._synthesis[max(dth)], n_sets, gather, (k, 2 * nm, nt), idft,

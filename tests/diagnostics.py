@@ -8,9 +8,10 @@
   operator, to compare with the Brioschi formula;
 - nonincreasing: whether an energy series never steps up by more than
   the audit's monotonicity tolerance;
-- ricci_normal, t_function: Ric(nu, nu) and T(r, nu) per quantity, each
-  evaluating the reference functions itself, to compare with the fields
-  curved_geometry builds from one evaluation of each.
+- ricci_normal, t_function, scalar_curvature: Ric(nu, nu), T(r, nu) and
+  the scalar curvature per quantity, each evaluating the reference
+  functions itself, to compare with the fields curved_geometry and
+  compute_constants build from one evaluation of each.
 """
 
 from itertools import islice
@@ -205,3 +206,9 @@ def t_function(ref, r, cos_theta):
     c2 = np.asarray(cos_theta, dtype=float) ** 2
     hess_nu = c2 * rad + (1.0 - c2) * tan
     return (rad + 2.0 * tan - hess_nu) / ref.V(r) + ricci_normal(ref, r, cos_theta)
+
+
+def scalar_curvature(ref, r):
+    """R̄(r), the trace of the Ricci tensor."""
+    lam_rad, lam_tan = ricci_eigenvalues(ref, r)
+    return lam_rad + 2.0 * lam_tan

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from diagnostics import exact_schwarzschild_u, t_function
+from diagnostics import exact_schwarzschild_u, scalar_curvature, t_function
 from penlab import oracle
-from penlab.refgeom import make_reference, scalar_curvature
+from penlab.refgeom import make_reference
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diagnostics import ricci_normal, t_function
+from diagnostics import ricci_normal, scalar_curvature, t_function
 from penlab.refgeom import (
     ConformalProfile,
     isothermal_profile,
     make_reference,
     ricci_eigenvalues,
-    scalar_curvature,
 )
 
 

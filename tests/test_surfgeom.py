@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diagnostics import gauss_curvature, ricci_normal, t_function
+from diagnostics import gauss_curvature, ricci_normal, scalar_curvature, t_function
 from penlab.sphere import SphereGrid
-from penlab.refgeom import make_reference, isothermal_profile, scalar_curvature
+from penlab.refgeom import make_reference, isothermal_profile
 from penlab.surfgeom import (
     StarSurface,
     round_surface,
