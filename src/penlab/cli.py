@@ -188,12 +188,18 @@ def cmd_constants(cfg: dict, args) -> int:
     return 0
 
 
+def _modes(rows) -> dict:
+    """[[l, m, ε], ...] perturbation rows as perturbed_surface's {(l, m): ε}."""
+    return {(int(l), int(m)): float(eps) for l, m, eps in rows}
+
+
 def _flow_from_config(cfg: dict, args):
     ref = _reference_from_config(cfg)
     block = cfg.get("flow", {})
     ds = float(block.get("ds", 0.02))
     s_max = float(block.get("s_max", 10.0))
-    store_every = int(block.get("store_every", 5))
+    # passed as given so that FlowConfig rejects a fractional value
+    store_every = block.get("store_every", 5)
     grid = SphereGrid(*_resolution(cfg, args))
     surface = cfg.get("surface", {})
     r0 = float(surface.get("r0", 4.0))
@@ -201,8 +207,7 @@ def _flow_from_config(cfg: dict, args):
     rho0 = float(profile.rho_of_r(r0))
     modes = surface.get("perturbation")
     if modes:
-        surf = perturbed_surface(grid, rho0, {(int(l), int(m)): float(eps)
-                                              for l, m, eps in modes})
+        surf = perturbed_surface(grid, rho0, _modes(modes))
     else:
         surf = round_surface(grid, rho0)
     return run_flow(surf, profile,
@@ -274,12 +279,17 @@ def _check_profile_closed_form():
     return value, 1e-8
 
 
-def _check_curvature_closed_form():
-    grid = SphereGrid(16, 32)
+def _schwarzschild_fixture():
+    """m = 1 Schwarzschild reference, its profile and the round r = 4 surface."""
     ref = make_reference("schwarzschild", m=1.0)
     profile = isothermal_profile(ref, np.geomspace(2.02, 800.0, 500))
-    geom = curved_geometry(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
-                           profile)
+    surf = round_surface(SphereGrid(16, 32), schwarzschild_rho(1.0, 4.0))
+    return ref, profile, surf
+
+
+def _check_curvature_closed_form():
+    _, profile, surf = _schwarzschild_fixture()
+    geom = curved_geometry(surf, profile)
     h_exact = 2.0 * np.sqrt(0.5) / 4.0
     value = max(float(np.max(np.abs(geom.H0 - h_exact))),
                 float(np.max(np.abs(geom.kappa_min - h_exact / 2.0))),
@@ -313,25 +323,20 @@ def _check_t_bounds():
 
 
 def _check_gauss_identity():
-    grid = SphereGrid(16, 32)
-    ref = make_reference("schwarzschild", m=1.0)
-    profile = isothermal_profile(ref, np.geomspace(2.02, 800.0, 500))
-    rho0 = schwarzschild_rho(1.0, 4.0)
+    _, profile, surf = _schwarzschild_fixture()
+    bumped = perturbed_surface(surf.grid, schwarzschild_rho(1.0, 4.0),
+                               {(2, 0): 0.1})
     value = 0.0
-    for surf in (round_surface(grid, rho0),
-                 perturbed_surface(grid, rho0, {(2, 0): 0.1})):
-        geom = curved_geometry(surf, profile)
+    for sf in (surf, bumped):
+        geom = curved_geometry(sf, profile)
         value = max(value, float(np.max(np.abs(geom.gauss_residual))))
     return value, 1e-9
 
 
 def _round_fixture(ds: float, s_max: float):
-    grid = SphereGrid(16, 32)
-    ref = make_reference("schwarzschild", m=1.0)
-    profile = isothermal_profile(ref, np.geomspace(2.02, 800.0, 500))
-    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)), profile,
-                   FlowConfig(ds=ds, s_max=s_max, store_every=1))
-    return ref, fol
+    ref, profile, surf = _schwarzschild_fixture()
+    return ref, run_flow(surf, profile,
+                         FlowConfig(ds=ds, s_max=s_max, store_every=1))
 
 
 def _check_monotonicity_identity():
@@ -354,11 +359,8 @@ def _check_oracle_equivalence():
 
 
 def _check_energy_closed_form():
-    grid = SphereGrid(16, 32)
-    ref = make_reference("schwarzschild", m=1.0)
-    profile = isothermal_profile(ref, np.geomspace(2.02, 800.0, 500))
-    geom = curved_geometry(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
-                           profile)
+    _, profile, surf = _schwarzschild_fixture()
+    geom = curved_geometry(surf, profile)
     e0 = quasilocal_energy(geom, np.sqrt(1.25))
     value = abs(e0 - scenario_closed_form(1.2, 1.0, 4.0)["LHS"])
     return value, 1e-9
@@ -418,8 +420,7 @@ def _scenario_kwargs(block: dict, ref, resolution) -> dict:
     }
     kw.update((key, block[key]) for key in _SCENARIO_PASSTHROUGH if key in block)
     if "perturbation" in block:
-        kw["perturbation"] = {(int(l), int(m)): float(eps)
-                              for l, m, eps in block["perturbation"]}
+        kw["perturbation"] = _modes(block["perturbation"])
     kw["n_theta"], kw["n_phi"] = resolution
     return kw
 

@@ -329,11 +329,12 @@ def _hypothesis_block(summaries, abort_reason, reference_kind: str,
                       profile) -> dict:
     """Slice-by-slice foliation conditions plus the angle threshold.
 
-    summaries carry each slice's hypothesis_minima, and abort_reason is
-    None when the flow passed.  The flow monitors carry the vacuum-family
-    thresholds; for charged or tabulated references the angle condition
-    is re-gated against the bound from compute_constants, which is the
-    one the general argument needs.
+    summaries carry each slice's min_coefficient, min_shear and
+    min_cos_theta, and abort_reason is None when the flow passed.  The
+    flow's angle monitor takes the cone bound at each point's own
+    radius; for charged or tabulated references the angle condition is
+    re-gated against compute_constants' bound, the largest over the
+    profile's ρ range, which is the one the general argument needs.
     A NaN minimum propagates and fails its gate.
     """
     min_coef, min_shear, min_cos = (

@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .refgeom import ConformalProfile, _ricci, _trace, angle_threshold
+from .refgeom import ConformalProfile, _cone, _ricci, _trace, angle_threshold
 from .sphere import SphereGrid
 from .surfgeom import (
     CurvedGeometry,
     StarSurface,
-    condition_report,
     curved_geometry,
     reaction_coefficient,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Foliation",
     "neighbour_windows",
     "lagrange3",
-    "hypothesis_minima",
     "flow_speed",
     "step_flow",
     "run_flow",
@@ -34,16 +32,6 @@ __all__ = [
     "advected_derivative",
     "compute_constants",
 ]
-
-# monitors whose failure invalidates the foliation (resolution issues
-# are reported but do not abort a run)
-ESSENTIAL_MONITORS = (
-    "mean_curvature",
-    "flat_convexity",
-    "support",
-    "angle",
-    "potential_slope",
-)
 
 # log-grid points on which compute_constants searches each sup
 _CONSTANTS_GRID = 4000
@@ -61,11 +49,11 @@ class FlowConfig:
 
     def __post_init__(self):
         # written as negations so that NaN fails too; an infinite s_max
-        # would overflow the step count
+        # would overflow the step count, and inf % 1 is NaN
         if not (self.ds > 0.0 and 0.0 < self.s_max < np.inf):
             raise ValueError("ds and s_max must be positive, s_max finite")
-        if not self.store_every >= 1:
-            raise ValueError("store_every must be >= 1")
+        if not (self.store_every >= 1 and self.store_every % 1 == 0):
+            raise ValueError("store_every must be a whole number >= 1")
 
 
 def _speed_and_gradient(surface: StarSurface, profile: ConformalProfile):
@@ -215,28 +203,38 @@ class Foliation:
         return "\n".join(lines) + "\n"
 
 
-def hypothesis_minima(geom: CurvedGeometry) -> dict:
-    """Slice minima of the fields the inequality's hypotheses gate on."""
-    return {
-        "min_coefficient": float(np.min(reaction_coefficient(geom))),
-        "min_shear": float(np.min(geom.det_a0 - 0.5 * geom.t_field)),
-        "min_cos_theta": float(np.min(geom.flat.cos_theta)),
-    }
-
-
 def _slice_summary(geom: CurvedGeometry) -> dict:
-    rep = condition_report(geom)
-    G = geom.flat.surface.G
-    failed = [k for k in ESSENTIAL_MONITORS if not rep["monitors"][k]["passed"]]
+    """Monitor verdicts and recorded minima of one stored slice.
+
+    The essential monitors, in failed_monitors order, ask that H0, the
+    flat κ_min, the support function, cosθ less the reference cone bound
+    and dV/dν be positive; a slice that fails one ends the run.  A
+    constant potential (flat reference) has dV/dν identically zero and
+    passes; a NaN fails every check it reaches.  tail_fraction, the
+    spectral tail of G, is recorded but gates nothing.
+    """
+    flat, G = geom.flat, geom.flat.surface.G
+    angle_margin = float(np.min(flat.cos_theta - _cone(*geom.ricci)))
+    checks = {
+        "mean_curvature": np.min(geom.H0) > 0.0,
+        "flat_convexity": np.min(flat.kappa_min) > 0.0,
+        "support": np.min(flat.support) > 0.0,
+        "angle": angle_margin > 0.0,
+        "potential_slope": (np.min(geom.dV_dnu) > 0.0
+                            or not np.any(geom.dV_dnu)),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
     return {
         "min_rho": float(np.min(G)),
-        "min_kappa_rho2": float(np.min(geom.flat.kappa_min * G**2)),
-        "angle_margin": rep["monitors"]["angle"]["min_margin"],
-        "area_radius": rep["area_radius"],
-        "tail_fraction": rep["monitors"]["resolution"]["tail_fraction"],
+        "min_kappa_rho2": float(np.min(flat.kappa_min * G**2)),
+        "angle_margin": angle_margin,
+        "area_radius": geom.area_radius(),
+        "tail_fraction": geom.grid.spectral_tail_fraction(G),
         "passed": not failed,
         "failed_monitors": failed,
-        **hypothesis_minima(geom),
+        "min_coefficient": float(np.min(reaction_coefficient(geom))),
+        "min_shear": float(np.min(geom.det_a0 - 0.5 * geom.t_field)),
+        "min_cos_theta": float(np.min(flat.cos_theta)),
     }
 
 
@@ -326,7 +324,8 @@ def compute_constants(profile: ConformalProfile) -> dict:
     h1 = np.abs(radial.dh)
     h2 = np.abs(radial.d2h)
 
-    rbar = np.maximum(_trace(*_ricci(r, radial.phi, radial.dphi)), 0.0)
+    ricci = _ricci(r, radial.phi, radial.dphi)
+    rbar = np.maximum(_trace(*ricci), 0.0)
     c3_field = h1 * (F**2 * rho**2 + 1.0)
     c4_field = (2.0 * np.abs(dF) / F + F**2 * np.sqrt(rbar)) * (rho**2 + 1.0)
     c5_field = np.maximum(h2, h1 / rho) * (rho**3 * F**2 + 1.0)
@@ -348,7 +347,7 @@ def compute_constants(profile: ConformalProfile) -> dict:
     C4, d4 = sup("C4", c4_field)
     C5, d5 = sup("C5", c5_field)
 
-    g_range = float(np.max(angle_threshold(ref, r)))
+    g_range = float(np.max(_cone(*ricci)))
     r_lo_ext = (ref.r_horizon * (1.0 + 1e-9) if ref.r_horizon > 0
                 else max(ref.r_min, 1e-6))
     r_ext = np.geomspace(r_lo_ext, profile.r_hi * 0.99, _CONSTANTS_GRID)

@@ -166,7 +166,7 @@ def ricci_eigenvalues(ref: ReferenceManifold, r):
     return _ricci(r, ref.phi(r), ref.dphi(r))
 
 
-def angle_threshold(ref: ReferenceManifold, r):
+def _cone(lam_rad, lam_tan):
     """Lower bound on cosθ below which normal convexity can fail.
 
     For a mixed-sign Ricci tensor (radial eigenvalue negative, tangential
@@ -174,16 +174,21 @@ def angle_threshold(ref: ReferenceManifold, r):
     radial one; the critical cosine is √(λ_tan / (λ_tan − λ_rad)).  A flat
     region has no restriction and reports 0.
     """
-    lam_rad, lam_tan = ricci_eigenvalues(ref, r)
     denom = lam_tan - lam_rad
     flat = np.abs(denom) < 1e-300
     ratio = np.where(flat, 0.0, lam_tan / np.where(flat, 1.0, denom))
     return np.sqrt(np.clip(ratio, 0.0, 1.0))
 
 
-def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):
-    """(V, dV/dν, Ric(ν,ν), T, R̄) at radii radial.r, ν at angle θ to ∂r.
+def angle_threshold(ref: ReferenceManifold, r):
+    """The cone bound on cosθ at radii r (see _cone)."""
+    return _cone(*ricci_eigenvalues(ref, r))
 
+
+def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):
+    """(V, dV/dν, Ric(ν,ν), T, (λ_rad, λ_tan)) at radii radial.r.
+
+    ν makes the angle θ with ∂r; (λ_rad, λ_tan) are the Ricci eigenvalues.
     T(r, ν) = (ΔV − D²V(ν,ν))/V + Ric(ν,ν), with the Hessian of V
     radial φV″ + ½φ′V′ and tangential (φ/r)V′ in the orthonormal frame.
     T vanishes identically in vacuum, and for V = √φ also in the radial
@@ -200,7 +205,7 @@ def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):
     rad = p * ref.d2V(r) + 0.5 * dp * dv
     tan = (p / r) * dv
     t = (_trace(rad, tan) - _along(c2, rad, tan)) / V + ric
-    return V, np.sqrt(p) * dv * cos_theta, ric, t, _trace(lam_rad, lam_tan)
+    return V, np.sqrt(p) * dv * cos_theta, ric, t, (lam_rad, lam_tan)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,7 @@ import numpy as np
 from scipy.special import lpmv
 
 from .sphere import SphereGrid
-from .refgeom import (
-    ConformalProfile,
-    angle_threshold,
-    reference_fields,
-)
+from .refgeom import ConformalProfile, _trace, reference_fields
 
 __all__ = [
     "StarSurface",
@@ -31,7 +27,6 @@ __all__ = [
     "reaction_coefficient",
     "brioschi_curvature",
     "metric_partials",
-    "condition_report",
 ]
 
 
@@ -249,10 +244,12 @@ class CurvedGeometry:
     """Physical geometry of a star surface in the reference manifold.
 
     Carries the flat-chart data it was built from plus the conformally
-    rescaled forms and the reference curvature fields along the surface.
+    rescaled forms and the reference curvature fields along the surface;
+    ricci is the (radial, tangential) Ricci eigenvalue pair at r.
     The area density is per unit solid angle (√det σ / sinθ), so surface
     integrals are grid.integrate(field * area_density).  gauss_k needs third
-    derivatives of G, so it and gauss_residual are computed on each read.
+    derivatives of G, so it, gauss_residual and scalar_curv are computed on
+    each read.
     """
 
     flat: FlatGeometry
@@ -273,11 +270,15 @@ class CurvedGeometry:
     a0_sq: np.ndarray
     ric_nu: np.ndarray
     t_field: np.ndarray
-    scalar_curv: np.ndarray
+    ricci: tuple
 
     @property
     def grid(self) -> SphereGrid:
         return self.flat.grid
+
+    @property
+    def scalar_curv(self) -> np.ndarray:
+        return _trace(*self.ricci)
 
     @property
     def gauss_k(self) -> np.ndarray:
@@ -333,8 +334,8 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     det_sig = F4 * F4 * flat.det_sig
     area_density = F4 * flat.area_density
 
-    V, dV_dnu, ric, tfield, rbar = reference_fields(profile.ref, radial,
-                                                    flat.cos_theta)
+    V, dV_dnu, ric, tfield, ricci = reference_fields(profile.ref, radial,
+                                                     flat.cos_theta)
 
     det_a0 = kappa_min * kappa_max
     a0_sq = kappa_min**2 + kappa_max**2
@@ -346,66 +347,10 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
         sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,
         det_sig=det_sig, area_density=area_density,
         det_a0=det_a0, a0_sq=a0_sq,
-        ric_nu=ric, t_field=tfield, scalar_curv=rbar,
+        ric_nu=ric, t_field=tfield, ricci=ricci,
     )
 
 
 def reaction_coefficient(geom: CurvedGeometry) -> np.ndarray:
     """c = detA0 + T/2 − Ric(ν,ν); positivity drives u monotonically to 1."""
     return geom.det_a0 + 0.5 * geom.t_field - geom.ric_nu
-
-
-# ----------------------------------------------------------------------
-# monitors
-
-# largest spectral tail fraction of G the resolution monitor passes
-_TAIL_TOL = 1e-6
-
-
-def _located_min(grid: SphereGrid, field: np.ndarray):
-    idx = np.unravel_index(int(np.argmin(field)), field.shape)
-    return float(field[idx]), {
-        "theta": float(grid.theta[idx[0]]),
-        "phi": float(grid.phi[idx[1]]),
-    }
-
-
-def condition_report(geom: CurvedGeometry) -> dict:
-    """Pointwise health checks for one surface of a prospective foliation.
-
-    Each monitor reports its worst value, where it occurs, and whether the
-    sign condition holds; `passed` is the conjunction.  The angle monitor
-    compares cosθ against the reference cone bound along the surface.
-    """
-    grid = geom.grid
-    thresh = angle_threshold(geom.profile.ref, geom.r)
-    margin = geom.flat.cos_theta - thresh
-
-    h_min, h_loc = _located_min(grid, geom.H0)
-    k_min, k_loc = _located_min(grid, geom.flat.kappa_min)
-    sup_min, sup_loc = _located_min(grid, geom.flat.support)
-    ang_min, ang_loc = _located_min(grid, margin)
-    dv_min, dv_loc = _located_min(grid, geom.dV_dnu)
-    # a constant potential (flat reference) has dV/dnu identically zero;
-    # that degenerate case passes, a genuine sign change does not
-    dv_ok = dv_min > 0.0 or float(np.max(np.abs(geom.dV_dnu))) == 0.0
-    tail = grid.spectral_tail_fraction(geom.flat.surface.G)
-
-    monitors = {
-        "mean_curvature": {"min": h_min, "location": h_loc, "passed": h_min > 0.0},
-        "flat_convexity": {"min": k_min, "location": k_loc, "passed": k_min > 0.0},
-        "support": {"min": sup_min, "location": sup_loc, "passed": sup_min > 0.0},
-        "angle": {
-            "min_margin": ang_min,
-            "location": ang_loc,
-            "threshold_max": float(np.max(thresh)),
-            "passed": ang_min > 0.0,
-        },
-        "potential_slope": {"min": dv_min, "location": dv_loc, "passed": dv_ok},
-        "resolution": {"tail_fraction": tail, "passed": tail < _TAIL_TOL},
-    }
-    return {
-        "passed": all(m["passed"] for m in monitors.values()),
-        "area_radius": geom.area_radius(),
-        "monitors": monitors,
-    }

@@ -310,6 +310,20 @@ def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
     assert not list(tmp_path.glob("scenario*.json"))
 
 
+@pytest.mark.parametrize("command, config", [
+    ("flow", {"flow": {"ds": 0.05, "s_max": 0.25, "store_every": 2.5}}),
+    ("scenario", {"scenario": dict(SHORT_SCENARIO, store_every=2.5)}),
+])
+def test_fractional_store_every_exits_2(tmp_path, capsys, command, config):
+    # neither truncated to 2 nor read as every 5th step
+    cfg = write_config(tmp_path, config)
+    code = console_main([command, "--config", cfg, "--out", str(tmp_path),
+                         "--resolution", "8x16"])
+    assert code == 2
+    assert "store_every must be a whole number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _raise(exc):
     def stage(*args, **kwargs):
         raise exc
@@ -351,15 +365,15 @@ def test_nonpositive_coefficient_solve_exits_3(tmp_path, monkeypatch, capsys):
     # the gate reads the flow's own slice summaries; slice 1 reports a
     # nonpositive reaction coefficient
     message = "coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice 1"
-    minima, slices = penlab.flow.hypothesis_minima, itertools.count()
+    summary, slices = penlab.flow._slice_summary, itertools.count()
 
     def bad_slice_1(geom):
-        out = minima(geom)
+        out = summary(geom)
         if next(slices) == 1:
             out["min_coefficient"] = -1.0
         return out
 
-    monkeypatch.setattr(penlab.flow, "hypothesis_minima", bad_slice_1)
+    monkeypatch.setattr(penlab.flow, "_slice_summary", bad_slice_1)
     cfg = write_config(tmp_path, {
         "flow": {"ds": 0.05, "s_max": 0.15, "store_every": 1}})
     code = console_main(["solve", "--config", cfg, "--out", str(tmp_path),

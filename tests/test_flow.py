@@ -80,6 +80,14 @@ def test_cfl_flag_on_oversized_step(grid, flat_profile):
     assert big["cfl"] > 1.0 > small["cfl"]
 
 
+@pytest.mark.parametrize("store_every", [2.5, 0.5, np.inf, np.nan, 0])
+def test_config_store_every_whole_number(store_every):
+    # k % 2.5 == 0 would store every 5th step, and NaN or inf none
+    with pytest.raises(ValueError, match="store_every"):
+        FlowConfig(store_every=store_every)
+    assert FlowConfig(store_every=2.0).store_every == 2
+
+
 # ----------------------------------------------------------------- full runs
 
 def test_round_flow_matches_reduced_ode(grid, schw, schw_profile):

@@ -1,5 +1,7 @@
-"""One geometry build per slice per pass, one flow speed per surface, and
-hypothesis minima from the flow."""
+"""One geometry build per slice per pass, one flow speed per surface, one
+reference evaluation per stored slice, and hypothesis minima from the flow."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import penlab.flow
 import penlab.surfgeom
 from penlab.bartnik import solve_u
 from penlab.energy import Scenario, penrose_report
-from penlab.flow import FlowConfig, flow_speed, run_flow
+from penlab.flow import FlowConfig, compute_constants, flow_speed, run_flow
 from penlab.oracle import schwarzschild_rho
 from penlab.refgeom import ConformalProfile, isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
@@ -75,6 +77,34 @@ def test_hypothesis_minima_match_slice_geometry():
         float(np.min(g.det_a0 - 0.5 * g.t_field)) for g in geoms)
     assert hyp["angle_vs_constant"]["min_cos_theta"] == min(
         float(np.min(g.cos_theta)) for g in geoms)
+
+
+def test_one_phi_evaluation_per_stored_slice():
+    # the summary's cone bound reads the Ricci pair of its slice build, and
+    # compute_constants' rho grid reads phi from radial_factors; only the
+    # full-exterior grid evaluates them again
+    ref = make_reference("reissner_nordstrom", m=1.0, e=0.5)
+    profile = isothermal_profile(ref, np.geomspace(1.9, 200.0, 500))
+    surf = perturbed_surface(SphereGrid(8, 16), float(profile.rho_of_r(5.0)),
+                             {(2, 0): 0.05})
+    calls = {"phi": 0, "dphi": 0}
+
+    def counting(name):
+        fn = getattr(ref, name)
+
+        def wrapped(r):
+            calls[name] += 1
+            return fn(r)
+        return wrapped
+
+    counted = dataclasses.replace(profile, ref=dataclasses.replace(
+        ref, **{name: counting(name) for name in calls}))
+    fol = run_flow(surf, counted, FlowConfig(ds=0.05, s_max=0.2, store_every=1))
+    assert len(fol) == 5 and not fol.aborted
+    assert calls == {"phi": 5, "dphi": 5}
+    calls.update(phi=0, dphi=0)
+    compute_constants(counted)
+    assert calls == {"phi": 2, "dphi": 2}
 
 
 def test_flow_speed_once_per_surface(monkeypatch):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from diagnostics import gauss_curvature, ricci_normal, scalar_curvature, t_function
+from penlab.flow import _slice_summary
 from penlab.sphere import SphereGrid
-from penlab.refgeom import make_reference, isothermal_profile
+from penlab.refgeom import _cone, make_reference, isothermal_profile
 from penlab.surfgeom import (
     StarSurface,
     round_surface,
@@ -14,7 +15,6 @@ from penlab.surfgeom import (
     curved_geometry,
     metric_partials,
     brioschi_curvature,
-    condition_report,
 )
 
 
@@ -169,27 +169,22 @@ def test_laplacian_integrates_to_zero(grid, schw_profile):
 
 
 def test_condition_report_round(grid, schw_profile):
+    # the slice summary of a round Schwarzschild sphere at r = 4
     rho0 = float(schw_profile.rho_of_r(4.0))
     geom = curved_geometry(round_surface(grid, rho0), schw_profile)
-    rep = condition_report(geom)
-    assert rep["passed"]
-    mon = rep["monitors"]
-    assert mon["angle"]["threshold_max"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
-    assert mon["angle"]["min_margin"] == pytest.approx(1.0 - 1.0 / np.sqrt(3.0), abs=1e-9)
-    assert mon["mean_curvature"]["min"] == pytest.approx(0.3535534, abs=1e-6)
-    assert rep["area_radius"] == pytest.approx(4.0, abs=1e-9)
+    summary = _slice_summary(geom)
+    assert summary["passed"] and summary["failed_monitors"] == []
+    assert np.max(_cone(*geom.ricci)) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
+    assert summary["angle_margin"] == pytest.approx(1.0 - 1.0 / np.sqrt(3.0), abs=1e-9)
+    assert np.min(geom.H0) == pytest.approx(0.3535534, abs=1e-6)
+    assert summary["area_radius"] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_condition_report_flags_distortion(grid, schw_profile):
     surf = perturbed_surface(grid, 3.5, {(2, 0): 0.45})
-    geom = curved_geometry(surf, schw_profile)
-    rep = condition_report(geom)
-    assert not rep["passed"]
-    failing = [k for k, v in rep["monitors"].items() if not v["passed"]]
-    assert failing
-    loc = rep["monitors"][failing[0]].get("location")
-    if loc is not None:
-        assert 0.0 <= loc["theta"] <= np.pi
+    summary = _slice_summary(curved_geometry(surf, schw_profile))
+    assert not summary["passed"]
+    assert summary["failed_monitors"]
 
 
 @pytest.mark.parametrize("kind", ["schwarzschild", "reissner_nordstrom",
