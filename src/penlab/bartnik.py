@@ -84,11 +84,15 @@ class _Bundle(NamedTuple):
 
 
 def _make_bundle(geom: CurvedGeometry) -> _Bundle:
-    inv_tt, inv_tp, inv_pp = geom.inverse_metric()
-    root = np.sqrt(geom.det_sig)
+    # √det σ σ^ab is conformally invariant in two dimensions, so Δ_σ's
+    # divergence coefficients are the flat chart's; only 1/√det σ has F⁴
+    sin = geom.grid.sin_theta[:, None]
+    root = geom.flat.area_density * sin
+    inv_tt, inv_tp, inv_pp = geom.flat.inverse_metric()
     tau_t, tau_p = drift_fields(geom)
     fields = np.array([geom.H0, reaction_coefficient(geom), tau_t, tau_p,
-                       root * inv_tt, root * inv_tp, root * inv_pp, 1.0 / root])
+                       root * inv_tt, root * inv_tp, root * inv_pp,
+                       1.0 / (geom.area_density * sin)])
     return _Bundle(fields, geom.area_radius())
 
 
@@ -386,19 +390,19 @@ def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
     for k, (nodes, geoms, u_win) in enumerate(windows):
         at = 0 if k == 0 else 2 if k == n - 1 else 1   # slice k in its window
         g = geoms[at]
-        tau_t, tau_p = drift_fields(g)
+        b = _make_bundle(g)   # the march's own drift and Laplacian
         slopes = lagrange3(nodes, nodes[at])[1]
 
         def traj_dh(w):
             fd = sum(d * gi.H0 / wi for d, gi, wi in zip(slopes, geoms, w))
             here = g.H0 / w[at]
-            return fd - advected_derivative(grid, here, tau_t, tau_p)
+            return fd - advected_derivative(grid, here, b.tau_t, b.tau_p)
 
         def num(w):
             # one functional for both fields so the two evaluations cancel
             # bitwise when u is exactly 1
             wk = w[at]
-            return (-(2.0 / wk) * (traj_dh(w) + g.laplacian(wk))
+            return (-(2.0 / wk) * (traj_dh(w) + _laplacian(grid, b, wk))
                     - (g.a0_sq + g.H0**2) / wk**2)
 
         u = u_win[at]

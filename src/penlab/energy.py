@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bartnik import UField, initial_u, solve_u
-from .flow import FlowConfig, Foliation, compute_constants, run_flow
+from .flow import (FlowConfig, FlowError, Foliation, compute_constants,
+                   run_flow)
 from .refgeom import isothermal_profile, make_reference
 from .sphere import SphereGrid
 from .surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
@@ -368,9 +369,12 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     """Run flow, lapse solve, and energy audit; compare E(0) with the bound.
 
     The hypotheses block gates the verdict: when any foliation condition
-    fails the verdict is "hypotheses not met" regardless of the margin.
+    fails the verdict is "hypotheses not met" regardless of the margin,
+    and when an interior scenario's first leaf fails its monitors E0 and
+    the margin are None.
     Otherwise the verdict states whether E(0) >= sqrt(A_h/16pi) - m.
-    A failed flow step raises FlowError and a failed lapse step StepRejected.
+    A failed flow step, or a first leaf that reaches inside the inner
+    horizon, raises FlowError; a failed lapse step raises StepRejected.
     """
     ref = sc.reference()
     profile = run_profile(ref, sc.r0, sc.s_max, sc.profile_points)
@@ -383,33 +387,36 @@ def penrose_report(sc: Scenario) -> PenroseReport:
 
     fol = run_flow(surf, profile, FlowConfig(ds=sc.ds, s_max=sc.s_max,
                                              store_every=sc.store_every))
-    g0 = curved_geometry(fol.surfaces[0], profile)
     hypotheses = _hypothesis_block(fol.summaries, fol.abort_reason,
                                    ref.kind, profile)
-    u0 = _boundary_u0(sc, g0)
 
-    trace = None
-    ufield = None
-    e_inf = None
+    trace = ufield = e_inf = scalar_max = e0 = None
     fit = {"fit_residual": None}
-    scalar_max = None
-    if len(fol) >= 3 and hypotheses["coefficient_positive"]["passed"]:
-        ufield = solve_u(fol, u0, dt_max=sc.dt_max,
-                         with_residual=sc.with_residual)
-        trace = monotonicity_check(fol, ufield)
-        e0 = float(trace.energy[0])
+    # interior boundary data H0/H need a first leaf that passes its
+    # monitors (H0 > 0 among them); a custom lapse is given outright
+    if sc.kind == "custom" or fol.summaries[0]["passed"]:
+        g0 = curved_geometry(fol.surfaces[0], profile)
         try:
-            fit = adm_extrapolate(trace, ufield)
-            e_inf = fit["E_inf"]
+            u0 = _boundary_u0(sc, g0)
         except ValueError as exc:
-            fit = {"fit_residual": None, "error": str(exc)}
-        if ufield.residual is not None:
-            scalar_max = float(np.max(np.abs(ufield.residual)))
-    else:
-        e0 = quasilocal_energy(g0, u0)
+            raise FlowError(f"first leaf: {exc}") from exc
+        if len(fol) >= 3 and hypotheses["coefficient_positive"]["passed"]:
+            ufield = solve_u(fol, u0, dt_max=sc.dt_max,
+                             with_residual=sc.with_residual)
+            trace = monotonicity_check(fol, ufield)
+            e0 = float(trace.energy[0])
+            try:
+                fit = adm_extrapolate(trace, ufield)
+                e_inf = fit["E_inf"]
+            except ValueError as exc:
+                fit = {"fit_residual": None, "error": str(exc)}
+            if ufield.residual is not None:
+                scalar_max = float(np.max(np.abs(ufield.residual)))
+        else:
+            e0 = quasilocal_energy(g0, u0)
 
     rhs = sc.rhs()
-    margin = e0 - rhs
+    margin = None if e0 is None else e0 - rhs
     if not hypotheses["all_passed"]:
         verdict = "hypotheses not met"
     elif margin >= 0.0:

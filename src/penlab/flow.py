@@ -111,11 +111,12 @@ def drift_fields(geom: CurvedGeometry):
     """Tangential velocity τ^a of grid labels relative to normal trajectories.
 
     The same field serves the flat and curved pictures; trajectory
-    derivatives of any scalar are ∂_s|grid − τ^a ∂_a.
+    derivatives of any scalar are ∂_s|grid − τ^a ∂_a.  The graph speed
+    is flow_speed's W/r.
     """
     flat = geom.flat
     inv_tt, inv_tp, inv_pp = flat.inverse_metric()
-    gdot = flat.W / (flat.surface.G * geom.F**2)
+    gdot = flat.W / geom.r
     tau_t = gdot * (inv_tt * flat.Gt + inv_tp * flat.Gp)
     tau_p = gdot * (inv_tp * flat.Gt + inv_pp * flat.Gp)
     return tau_t, tau_p

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 __all__ = [
@@ -303,14 +302,14 @@ class ConformalProfile:
 
 
 def _tail_anchor(ref: ReferenceManifold, r_out: float) -> float:
-    """y(r_out) = −∫_{r_out}^∞ (1/√φ − 1) dt/t via the substitution t = r_out/x."""
+    """y(r_out) = ln(ρ/r) = −∫_{r_out}^∞ (1/√φ − 1) dt/t for an analytic kind.
 
-    def integrand(x):
-        t = r_out / x
-        return (1.0 / np.sqrt(ref.phi(t)) - 1.0) / x
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return -val
+    The integral has the closed form of the Reissner–Nordström isotropic
+    radius, ρ = (r − m + √(r² − 2mr + e²))/2, with e = 0 for Schwarzschild.
+    """
+    m, e = ref.m, ref.e
+    return float(np.log((r_out - m + np.sqrt(r_out**2 - 2.0 * m * r_out + e**2))
+                        / (2.0 * r_out)))
 
 
 def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:

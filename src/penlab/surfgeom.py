@@ -244,12 +244,12 @@ class CurvedGeometry:
     """Physical geometry of a star surface in the reference manifold.
 
     Carries the flat-chart data it was built from plus the conformally
-    rescaled forms and the reference curvature fields along the surface;
-    ricci is the (radial, tangential) Ricci eigenvalue pair at r.
-    The area density is per unit solid angle (√det σ / sinθ), so surface
-    integrals are grid.integrate(field * area_density).  gauss_k needs third
-    derivatives of G, so it, gauss_residual and scalar_curv are computed on
-    each read.
+    rescaled curvatures and the reference curvature fields along the
+    surface; ricci is the (radial, tangential) Ricci eigenvalue pair at r.
+    The metric F⁴σ̃ is not stored; its area density is per unit solid
+    angle (√det σ / sinθ), so surface integrals are grid.integrate(field *
+    area_density).  gauss_k needs third derivatives of G, so it,
+    gauss_residual and scalar_curv are computed on each read.
     """
 
     flat: FlatGeometry
@@ -261,10 +261,6 @@ class CurvedGeometry:
     H0: np.ndarray
     kappa_min: np.ndarray
     kappa_max: np.ndarray
-    sig_tt: np.ndarray
-    sig_tp: np.ndarray
-    sig_pp: np.ndarray
-    det_sig: np.ndarray
     area_density: np.ndarray
     det_a0: np.ndarray
     a0_sq: np.ndarray
@@ -296,23 +292,11 @@ class CurvedGeometry:
     def cos_theta(self) -> np.ndarray:
         return self.flat.cos_theta
 
-    def inverse_metric(self):
-        return (self.sig_pp / self.det_sig,
-                -self.sig_tp / self.det_sig,
-                self.sig_tt / self.det_sig)
-
     def area(self) -> float:
         return self.grid.integrate(self.area_density)
 
     def area_radius(self) -> float:
         return float(np.sqrt(self.area() / (4.0 * np.pi)))
-
-    def laplacian(self, field: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami of a scalar in the induced physical metric."""
-        g = self.grid
-        inv_tt, inv_tp, inv_pp = self.inverse_metric()
-        dens = self.area_density * g.sin_theta[:, None]  # √det σ
-        return g.div_grad(field, dens * inv_tt, dens * inv_tp, dens * inv_pp) / dens
 
 
 def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGeometry:
@@ -327,12 +311,7 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
     kappa_max = (flat.kappa_max + ratio) / F2
     H0 = (flat.H + 2.0 * ratio) / F2
 
-    F4 = F2 * F2
-    sig_tt = F4 * flat.sig_tt
-    sig_tp = F4 * flat.sig_tp
-    sig_pp = F4 * flat.sig_pp
-    det_sig = F4 * F4 * flat.det_sig
-    area_density = F4 * flat.area_density
+    area_density = F2 * F2 * flat.area_density
 
     V, dV_dnu, ric, tfield, ricci = reference_fields(profile.ref, radial,
                                                      flat.cos_theta)
@@ -344,8 +323,7 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
         flat=flat, profile=profile, r=r, F=F,
         V=V, dV_dnu=dV_dnu, H0=H0,
         kappa_min=kappa_min, kappa_max=kappa_max,
-        sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,
-        det_sig=det_sig, area_density=area_density,
+        area_density=area_density,
         det_a0=det_a0, a0_sq=a0_sq,
         ric_nu=ric, t_field=tfield, ricci=ricci,
     )

@@ -1,5 +1,7 @@
 """Lapse-equation solver: stepping, maximum principle, residual checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from penlab.flow import FlowConfig, Foliation, run_flow, step_flow
 from penlab.oracle import round_flow_u, schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
-from penlab.surfgeom import curved_geometry, perturbed_surface, round_surface
+from penlab.surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
+                             round_surface)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,32 @@ def test_reaction_coefficient_rn(grid):
     phi, dphi = 0.515625, 0.1171875
     assert reaction_coefficient(geom) == pytest.approx(
         phi / 16.0 + dphi / 4.0, abs=1e-9)
+
+
+def test_bundle_operator_is_the_rescaled_metrics(grid):
+    # √det σ σ^ab is conformally invariant in two dimensions, so the
+    # bundle takes it from the flat chart; it must equal the one formed
+    # from σ = F⁴σ̃ itself, and only 1/√det σ carries F⁴
+    rn = make_reference("reissner_nordstrom", m=1.0, e=0.5)
+    prof = isothermal_profile(rn, np.geomspace(1.9, 500.0, 500))
+    surf = perturbed_surface(grid, float(prof.rho_of_r(6.0)),
+                             {(2, 0): 0.05, (3, 2): 0.01})
+    geom = curved_geometry(surf, prof)
+    assert not {"sig_tt", "sig_tp", "sig_pp", "det_sig"} & {
+        f.name for f in dataclasses.fields(CurvedGeometry)}
+    assert not hasattr(CurvedGeometry, "inverse_metric")
+    assert not hasattr(CurvedGeometry, "laplacian")
+
+    flat, F4 = geom.flat, geom.F**4
+    sig_tt, sig_tp, sig_pp = F4 * flat.sig_tt, F4 * flat.sig_tp, F4 * flat.sig_pp
+    det = sig_tt * sig_pp - sig_tp**2
+    root = np.sqrt(det)
+    b = bartnik._make_bundle(geom)
+    for got, want in ((b.p_tt, root * sig_pp / det),
+                      (b.p_tp, -root * sig_tp / det),
+                      (b.p_pp, root * sig_tt / det),
+                      (b.inv_root, 1.0 / root)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_initial_u_flagship(round_geom):

@@ -10,8 +10,9 @@ import penlab.cli
 import penlab.flow
 from penlab.bartnik import StepRejected
 from penlab.cli import console_main
-from penlab.energy import PenroseReport
+from penlab.energy import PenroseReport, Scenario, penrose_report
 from penlab.flow import FlowError
+from penlab.surfgeom import CurvedGeometry
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -138,6 +139,66 @@ def test_verify_fault_injection(tmp_path, capsys):
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
     assert failed == ["t_function_consistency"]
     assert "t_function_consistency" in capsys.readouterr().err
+
+
+def test_verify_fails_nan_residual(tmp_path, monkeypatch, capsys):
+    # max(0.0, nan) is 0.0; the checks must not fold a NaN away
+    monkeypatch.setattr(CurvedGeometry, "gauss_residual",
+                        property(lambda g: np.full(g.H0.shape, np.nan)))
+    assert console_main(["verify", "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "verify.json").read_text())
+    failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+    assert failed == ["gauss_identity"]
+    assert "gauss_identity" in capsys.readouterr().err
+
+
+# two 8x16 Schwarzschild blocks; the second's first leaf is not mean-convex
+NON_CONVEX_BATCH = {
+    "flow": {"resolution": [8, 16]},
+    "scenarios": [
+        {"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": 4.0,
+         "s_max": 0.5},
+        {"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": 4.0,
+         "s_max": 0.5, "perturbation": [[2, 0, 0.45]]},
+    ],
+}
+
+
+def test_scenario_batch_first_leaf_not_mean_convex(tmp_path, capsys):
+    cfg = write_config(tmp_path, NON_CONVEX_BATCH)
+    out = tmp_path / "out"
+    assert console_main(["scenario", "--config", cfg, "--out", str(out)]) == 3
+    first = json.loads((out / "scenario_0.json").read_text())
+    assert first["verdict"] == "inequality holds"
+    second = json.loads((out / "scenario_1.json").read_text())
+    assert second["verdict"] == "hypotheses not met"
+    assert second["E0"] is None and second["margin"] is None
+    assert not second["hypotheses"]["surface_conditions"]["passed"]
+    assert "scenario_1: hypotheses not met; margin null" in \
+        capsys.readouterr().out
+
+
+def test_scenario_first_leaf_inside_inner_horizon(tmp_path, capsys):
+    # the perturbed first leaf passes its monitors but reaches inside
+    # r = 2 inner_m = 3.8, where the inner metric has no boundary data
+    sc = Scenario(kind="schwarzschild_interior", m=1.0, inner_m=1.9, r0=4.0,
+                  s_max=0.3, n_theta=8, n_phi=16,
+                  perturbation={(2, 0): 0.2})
+    with pytest.raises(FlowError, match="inner metric degenerate"):
+        penrose_report(sc)
+    cfg = write_config(tmp_path, {
+        "flow": {"resolution": [8, 16]},
+        "scenarios": [NON_CONVEX_BATCH["scenarios"][0],
+                      {"kind": "schwarzschild_interior", "inner_m": 1.9,
+                       "r0": 4.0, "s_max": 0.3,
+                       "perturbation": [[2, 0, 0.2]]}],
+    })
+    out = tmp_path / "out"
+    assert console_main(["scenario", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "scenario_1.json").read_text())
+    assert report == {"verdict": "error", "error": "run aborted (FlowError): "
+                      "first leaf: inner metric degenerate on the surface"}
+    assert "scenario_1: error" in capsys.readouterr().out
 
 
 def test_scenario_flagship_margin(tmp_path):

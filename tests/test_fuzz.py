@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from penlab.cli import console_main
@@ -84,4 +84,42 @@ def test_cli_random_config(command, cfg):
             code = console_main([command, "--config", str(path),
                                  "--out", tmp, "--resolution", "8x16"])
     assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
+# a fixed good block, then a perturbed copy whose first leaf may fail its
+# monitors (H0 is negative somewhere at (2, 0) amplitude 0.45)
+GOOD_BLOCK = {"kind": "schwarzschild_interior", "inner_m": 1.2, "r0": 4.0,
+              "ds": 0.05, "s_max": 0.3}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(a20=0.45, a30=0.0)
+@example(a20=0.0, a30=0.0)
+@given(a20=st.floats(-0.5, 0.5), a30=st.floats(-0.1, 0.1))
+def test_batch_reports_every_scenario(a20, a30):
+    cfg = {"flow": {"resolution": [8, 16]},
+           "scenarios": [GOOD_BLOCK, dict(GOOD_BLOCK, perturbation=[
+               [2, 0, a20], [3, 0, a30]])]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = console_main(["scenario", "--config", str(path),
+                                 "--out", tmp])
+        reports = [json.loads((Path(tmp) / f"scenario_{i}.json").read_text())
+                   for i in (0, 1)]
+    verdicts = [r["verdict"] for r in reports]
+    assert verdicts[0] == "inequality holds"
+    # the README's batch rule: 1 if any is violated, else 3 if any was
+    # gated or ended in error, else 0
+    if "inequality violated" in verdicts:
+        assert code == 1
+    elif {"hypotheses not met", "error"} & set(verdicts):
+        assert code == 3
+    else:
+        assert code == 0
     assert "Traceback" not in err.getvalue()

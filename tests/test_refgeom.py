@@ -322,6 +322,26 @@ def test_profile_exact_isotropic_radius(m, e):
     assert np.max(np.abs(prof.r_of_rho(rho) / r - 1)) <= 1e-12
 
 
+def test_tail_anchor_closed_form_matches_quadrature():
+    # the outer anchor y = ln(ρ/r) is the isotropic radius in closed form;
+    # the quadrature of −(1/√φ − 1)/t over [r, ∞) it replaced agrees
+    from scipy.integrate import quad
+
+    import penlab.refgeom as refgeom
+
+    assert not hasattr(refgeom, "quad")
+    for m, e in ((0.3, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 0.99)):
+        kind = "schwarzschild" if e == 0.0 else "reissner_nordstrom"
+        ref = make_reference(kind, m=m, e=e)
+        for r in (2.5, 9.0, 66.0):
+            def integrand(x):
+                return (1.0 / np.sqrt(ref.phi(r / x)) - 1.0) / x
+
+            val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12,
+                          limit=200)
+            assert abs(refgeom._tail_anchor(ref, r) + val) <= 1e-15
+
+
 def test_r_of_rho_calls_no_phi(schw):
     calls = [0]
 

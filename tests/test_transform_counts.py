@@ -53,7 +53,6 @@ OPERATORS = {
     "curved_geometry": (lambda x: curved_geometry(x.surf, x.profile), 1, 1),
     "bartnik._laplacian": (
         lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field), 2, 2),
-    "CurvedGeometry.laplacian": (lambda x: x.geom.laplacian(x.field), 2, 2),
     "advected_derivative": (
         lambda x: advected_derivative(x.grid, x.field, x.geom.H0, x.geom.H0),
         1, 1),
