@@ -84,14 +84,13 @@ class _Bundle(NamedTuple):
 
 
 def _make_bundle(geom: CurvedGeometry) -> _Bundle:
-    # √det σ σ^ab is conformally invariant in two dimensions, so Δ_σ's
-    # divergence coefficients are the flat chart's; only 1/√det σ has F⁴
-    sin = geom.grid.sin_theta[:, None]
-    root = geom.flat.area_density * sin
-    inv_tt, inv_tp, inv_pp = geom.flat.inverse_metric()
+    # √det σ σ^ab is conformally invariant in two dimensions, so Δ_σ's divergence
+    # coefficients are the flat chart's adj σ̃ / √det σ̃; only 1/√det σ has F⁴
+    flat, sin = geom.flat, geom.grid.sin_theta[:, None]
+    k = 1.0 / (flat.area_density * sin)
     tau_t, tau_p = drift_fields(geom)
     fields = np.array([geom.H0, reaction_coefficient(geom), tau_t, tau_p,
-                       root * inv_tt, root * inv_tp, root * inv_pp,
+                       k * flat.sig_pp, -k * flat.sig_tp, k * flat.sig_tt,
                        1.0 / (geom.area_density * sin)])
     return _Bundle(fields, geom.area_radius())
 

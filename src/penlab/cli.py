@@ -223,7 +223,7 @@ def cmd_flow(cfg: dict, args) -> int:
         "s_final": fol.s[-1],
         "aborted": fol.aborted,
         "abort_reason": fol.abort_reason,
-        "all_conditions_passed": fol.all_passed(),
+        "all_conditions_passed": not fol.aborted,
         "max_cfl": fol.max_cfl,
         "final_area_radius": fol.summaries[-1]["area_radius"],
     }

@@ -233,6 +233,8 @@ class Scenario:
         # checked here, not first inside penrose_report, so that one bad
         # value cannot end a batch; FlowConfig owns the flow's rules
         FlowConfig(ds=self.ds, s_max=self.s_max, store_every=self.store_every)
+        # the same rule run_profile applies, so it fails before a batch runs
+        _profile_range(ref, self.r0, self.s_max)
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
         if self.perturbation is not None:
@@ -288,12 +290,12 @@ class PenroseReport:
         return self.report["verdict"]
 
 
-def run_profile(ref, r0: float, s_max: float, points: int = 900):
-    """Isothermal profile for a flow from area radius r0 to s = s_max.
+def _profile_range(ref, r0: float, s_max: float):
+    """Radial range (r_lo, r_far) of the profile a flow from r0 needs.
 
-    The radial range runs from just outside the horizon (the table's inner
-    end for a tabulated reference without one) out to 1.5 (r0 + s_max),
-    clipped to a table's own range.
+    It runs from just outside the horizon (the table's inner end for a
+    tabulated reference without one) out to 1.5 (r0 + s_max), clipped to
+    a table's own range.  Raises ValueError unless r0 lies above r_lo.
     """
     r_far = (r0 + s_max) * 1.5
     r_lo = ref.r_horizon * 1.0005 if ref.r_horizon > 0 else ref.r_min
@@ -302,6 +304,12 @@ def run_profile(ref, r0: float, s_max: float, points: int = 900):
         r_far = min(r_far, ref.r_max * 0.999999)
     if r_lo >= r0:
         raise ValueError("r0 is below the usable profile range")
+    return r_lo, r_far
+
+
+def run_profile(ref, r0: float, s_max: float, points: int = 900):
+    """Isothermal profile for a flow from area radius r0 to s = s_max."""
+    r_lo, r_far = _profile_range(ref, r0, s_max)
     return isothermal_profile(ref, np.geomspace(r_lo, r_far, points))
 
 

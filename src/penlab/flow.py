@@ -57,12 +57,12 @@ class FlowConfig:
 
 
 def _speed_and_gradient(surface: StarSurface, profile: ConformalProfile):
-    """Flow speed of a surface plus the gradient (G_θ, G_φ) it was built from."""
+    """Flow speed of a surface plus the gradient (G_θ, G_φ) and W it came from."""
     g = surface.grid
     G = surface.G
     Gt, Gp = g.gradient(G)
     W = np.sqrt(G**2 + Gt**2 + (Gp / g.sin_theta[:, None]) ** 2)
-    return W / profile.r_of_rho(G), Gt, Gp
+    return W / profile.r_of_rho(G), Gt, Gp, W
 
 
 def flow_speed(surface: StarSurface, profile: ConformalProfile) -> np.ndarray:
@@ -70,12 +70,17 @@ def flow_speed(surface: StarSurface, profile: ConformalProfile) -> np.ndarray:
     return _speed_and_gradient(surface, profile)[0]
 
 
+def _drift(gdot, Gt, Gp, W, sin_theta):
+    """Label drift Ġ σ̃^ab ∂_b G = Ġ (G_θ, G_φ/sin²θ)/W² of a radial graph."""
+    scale = gdot / W**2
+    return scale * Gt, scale * Gp / sin_theta**2
+
+
 def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
     """One classical RK4 step of the graph flow, projected onto the band.
 
     Returns (new surface, info); info carries a CFL-style advection
-    number for the tangential drift and the flow speed of the input
-    surface (the first stage).
+    number for the tangential drift of the input surface.
     Raises FlowError if the update loses star-shapedness.
     """
     g = surface.grid
@@ -85,8 +90,8 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
 
     G0 = surface.G
     try:
-        # the first stage's gradient also sets the CFL number below
-        k1, Gt, Gp = _speed_and_gradient(surface, profile)
+        # the first stage's gradient and W also set the CFL number below
+        k1, Gt, Gp, W = _speed_and_gradient(surface, profile)
         k2 = rate(G0 + 0.5 * ds * k1)
         k3 = rate(G0 + 0.5 * ds * k2)
         k4 = rate(G0 + ds * k3)
@@ -98,13 +103,11 @@ def step_flow(surface: StarSurface, profile: ConformalProfile, ds: float):
         raise FlowError("flow update lost star-shapedness (G <= 0 or non-finite)")
 
     # tangential label drift limits the usable step, not the normal motion
-    s = g.sin_theta[:, None]
+    tau_t, tau_p = _drift(k1, Gt, Gp, W, g.sin_theta[:, None])
     d_theta = float(np.min(np.diff(g.theta)))
     d_phi = 2.0 * np.pi / g.n_phi
-    tau_t = k1 * Gt / (G0**2 + Gt**2)
-    tau_p = k1 * (Gp / s**2) / G0**2
     cfl = ds * float(np.max(np.abs(tau_t)) / d_theta + np.max(np.abs(tau_p)) / d_phi)
-    return StarSurface(g, G1), {"cfl": cfl, "speed": k1}
+    return StarSurface(g, G1), {"cfl": cfl}
 
 
 def drift_fields(geom: CurvedGeometry):
@@ -115,11 +118,8 @@ def drift_fields(geom: CurvedGeometry):
     is flow_speed's W/r.
     """
     flat = geom.flat
-    inv_tt, inv_tp, inv_pp = flat.inverse_metric()
-    gdot = flat.W / geom.r
-    tau_t = gdot * (inv_tt * flat.Gt + inv_tp * flat.Gp)
-    tau_p = gdot * (inv_tp * flat.Gt + inv_pp * flat.Gp)
-    return tau_t, tau_p
+    return _drift(flat.W / geom.r, flat.Gt, flat.Gp, flat.W,
+                  geom.grid.sin_theta[:, None])
 
 
 def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p,
@@ -191,9 +191,6 @@ class Foliation:
     def geometry(self, i: int) -> CurvedGeometry:
         return curved_geometry(self.surfaces[i], self.profile)
 
-    def all_passed(self) -> bool:
-        return all(s["passed"] for s in self.summaries)
-
     def series_csv(self) -> str:
         lines = ["s,min_cos_theta,min_kappa_rho2,min_rho,condition_flags"]
         for sv, sm in zip(self.s, self.summaries):
@@ -245,35 +242,35 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
 
     Stored slices carry condition summaries; when a stored slice fails an
     essential monitor the run stops there, so the failing slice is the
-    last one, and the foliation records the failing monitors.
+    last one, and the foliation records the failing monitors.  A step, or
+    a stored slice's own build, that leaves the profile raises FlowError.
     """
     n_steps = max(1, int(round(config.s_max / config.ds)))
     ds = config.s_max / n_steps
 
     fol = Foliation(profile=profile, s=[], surfaces=[], summaries=[])
-    # flow speed of a stored slice: the first RK stage of the step that
-    # leaves it, so no surface's speed is computed twice; only the newest
-    # known speed is kept
-    n_speeds, prev_speed = 0, None
+    prev_speed = None   # flow speed W/r of the last stored slice
 
     def store(s_val, surf):
-        summary = _slice_summary(curved_geometry(surf, profile))
+        nonlocal prev_speed
+        try:
+            geom = curved_geometry(surf, profile)
+        except ValueError as exc:
+            # a stored slice leaving profile coverage, as in step_flow
+            raise FlowError(f"slice at s = {s_val:.6g}: {exc}") from exc
+        speed = geom.flat.W / geom.r
+        summary = _slice_summary(geom)
+        # discrete unit-lapse residual against the slice before it
         summary["unit_lapse_residual"] = 0.0
+        if fol.s:
+            fd = (surf.G - fol.surfaces[-1].G) / (s_val - fol.s[-1])
+            summary["unit_lapse_residual"] = float(
+                np.max(np.abs(fd / (0.5 * (speed + prev_speed)) - 1.0)))
+        prev_speed = speed
         fol.s.append(s_val)
         fol.surfaces.append(surf)
         fol.summaries.append(summary)
         return summary
-
-    def record_speed(gdot):
-        # discrete unit-lapse residual of stored slice j (the first with
-        # no known speed) vs the slice before it
-        nonlocal n_speeds, prev_speed
-        j = n_speeds
-        if j:
-            fd = (fol.surfaces[j].G - fol.surfaces[j - 1].G) / (fol.s[j] - fol.s[j - 1])
-            fol.summaries[j]["unit_lapse_residual"] = float(
-                np.max(np.abs(fd / (0.5 * (gdot + prev_speed)) - 1.0)))
-        n_speeds, prev_speed = j + 1, gdot
 
     summary = store(0.0, surface)
     if not summary["passed"]:
@@ -287,8 +284,6 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
             current, info = step_flow(current, profile, ds)
         except FlowError as exc:
             raise FlowError(f"step {k} (s = {k * ds:.6g}): {exc}") from exc
-        if n_speeds < len(fol):
-            record_speed(info["speed"])
         fol.max_cfl = max(fol.max_cfl, info["cfl"])
         if k % config.store_every == 0 or k == n_steps:
             summary = store(k * ds, current)
@@ -297,8 +292,6 @@ def run_flow(surface: StarSurface, profile: ConformalProfile,
                     f"condition failure at s = {k * ds:.6g}: "
                     f"{summary['failed_monitors']}")
                 break
-    # the last stored slice is left by no step
-    record_speed(flow_speed(fol.surfaces[-1], profile))
     return fol
 
 

@@ -109,11 +109,6 @@ class FlatGeometry:
     def grid(self) -> SphereGrid:
         return self.surface.grid
 
-    def inverse_metric(self):
-        return (self.sig_pp / self.det_sig,
-                -self.sig_tp / self.det_sig,
-                self.sig_tt / self.det_sig)
-
 
 def flat_geometry(surface: StarSurface) -> FlatGeometry:
     g = surface.grid

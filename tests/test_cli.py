@@ -201,6 +201,30 @@ def test_scenario_first_leaf_inside_inner_horizon(tmp_path, capsys):
     assert "scenario_1: error" in capsys.readouterr().out
 
 
+def test_scenario_batch_leaf_outside_profile(tmp_path, capsys):
+    # the second block's first stored leaf reaches below the profile's
+    # inner end; it ends as an error and the batch goes on
+    cfg = write_config(tmp_path, {
+        "flow": {"resolution": [8, 16]},
+        "scenarios": [NON_CONVEX_BATCH["scenarios"][0],
+                      {"inner_m": 0.5, "r0": 2.5, "s_max": 0.3,
+                       "perturbation": [[2, 0, -0.9]]}],
+    })
+    out = tmp_path / "out"
+    assert console_main(["scenario", "--config", cfg, "--out", str(out)]) == 3
+    first = json.loads((out / "scenario_0.json").read_text())
+    assert first["verdict"] == "inequality holds"
+    report = json.loads((out / "scenario_1.json").read_text())
+    assert report["verdict"] == "error"
+    assert "s = 0: rho outside the profile range" in report["error"]
+    assert "scenario_1: error" in capsys.readouterr().out
+    cfg = write_config(tmp_path, {
+        "flow": {"resolution": [8, 16], "s_max": 0.3},
+        "surface": {"r0": 2.5, "perturbation": [[2, 0, -0.9]]},
+    }, name="flow.json")
+    assert console_main(["flow", "--config", cfg, "--out", str(out)]) == 3
+
+
 def test_scenario_flagship_margin(tmp_path):
     cfg = write_config(tmp_path, {
         "flow": {"resolution": [8, 16]},

@@ -205,6 +205,9 @@ def test_scenario_validation():
     ({"kind": "custom", "s_max": float("inf")}, "s_max"),
     ({"kind": "custom", "perturbation": {(2, 3): 0.1}}, r"\|m\| > ell"),
     ({"kind": "custom", "perturbation": {(2, 0): 3.0}}, "G > 0"),
+    # outside the horizon but below run_profile's inner end
+    ({"kind": "schwarzschild_interior", "inner_m": 0.5, "r0": 2.0005},
+     "usable profile range"),
 ])
 def test_scenario_rejects_bad_mass_or_charge(kw, match):
     kw = {"m": 1.0, "r0": 6.0, "horizon_area": 16 * np.pi,

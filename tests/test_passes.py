@@ -10,7 +10,7 @@ import penlab.flow
 import penlab.surfgeom
 from penlab.bartnik import solve_u
 from penlab.energy import Scenario, penrose_report
-from penlab.flow import FlowConfig, compute_constants, flow_speed, run_flow
+from penlab.flow import FlowConfig, compute_constants, run_flow
 from penlab.oracle import schwarzschild_rho
 from penlab.refgeom import ConformalProfile, isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
@@ -109,8 +109,8 @@ def test_one_phi_evaluation_per_stored_slice():
 
 def test_flow_speed_once_per_surface(monkeypatch):
     # r_of_rho is read by the speed directly and by each radial_factors
-    # call once; the speed's share is 4 RK stages per step plus the last
-    # stored slice, whose speed no step computes
+    # call once; the speed's share is the 4 RK stages per step, because a
+    # stored slice takes its speed W/r from its own build
     calls = {"r_of_rho": 0, "radial_factors": 0}
 
     def counting(name):
@@ -129,8 +129,8 @@ def test_flow_speed_once_per_surface(monkeypatch):
         monkeypatch.setattr(ConformalProfile, name, counting(name))
     fol = run_flow(surf, profile, FlowConfig(ds=0.05, s_max=0.3, store_every=2))
     assert len(fol) == 4
-    assert calls["r_of_rho"] - calls["radial_factors"] == 4 * 6 + 1
-    speeds = [flow_speed(sf, profile) for sf in fol.surfaces]
+    assert calls["r_of_rho"] - calls["radial_factors"] == 4 * 6
+    speeds = [geom.flat.W / geom.r for geom in map(fol.geometry, range(len(fol)))]
     assert fol.summaries[0]["unit_lapse_residual"] == 0.0
     for j in range(1, len(fol)):
         fd = (fol.surfaces[j].G - fol.surfaces[j - 1].G) / (fol.s[j] - fol.s[j - 1])
