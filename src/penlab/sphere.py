@@ -25,12 +25,15 @@ and the FFT wins from 64x128 on (36 against 56 us).  The tests, the
 benchmark and the CLI default use grids up to 32x64, so there is one
 path and no size switch.
 
-Both transforms take stacks: analyze maps (..., n_theta, n_phi) fields
-to (..., mmax+1, lmax+1) coefficients in one call, and synthesize
-evaluates a stack of coefficient sets, each with its own derivative
-orders, so an operator costs one analysis and one synthesis however
-many fields and derivatives it needs (the batching of many fields per
-Legendre pass in Schaeffer, G-Cubed 14, 2013).
+Coefficients have one layout, the rows the Legendre matmul works in:
+analyze maps a stack of k real fields (..., n_theta, n_phi) to one real
+(mmax+1, 2k, lmax+1) array whose rows 2j and 2j+1 hold the real and
+imaginary parts of field j's coefficients (fields in C order), and
+synthesize takes such an array as it is, evaluating each set with its
+own derivative orders.  An operator costs one analysis and one synthesis
+however many fields and derivatives it needs (the batching of many
+fields per Legendre pass in Schaeffer, G-Cubed 14, 2013), and no complex
+view or transposed copy sits between the two.
 """
 
 from __future__ import annotations
@@ -180,62 +183,54 @@ class SphereGrid:
     # ------------------------------------------------------------------
     # transforms
 
-    # Coefficients travel through the matmuls as real (re, im) pairs: the
-    # pair axis rides along as extra matmul rows, and a complex array
-    # viewed as float64 is exactly that interleaved layout.
-
     def analyze(self, field: np.ndarray) -> np.ndarray:
-        """Expand real grid fields: (..., n_theta, n_phi) -> (..., mmax+1, lmax+1).
+        """Expand real grid fields: (..., n_theta, n_phi) -> (mmax+1, 2k, lmax+1).
 
-        Returns complex coefficients, one set per field of the stack.
+        The k fields of the stack, in C order, become row pairs: row 2j
+        holds the real and row 2j+1 the imaginary parts of field j's
+        coefficients, by m and l.
         """
-        nt, nm, nl = self.n_theta, self.mmax + 1, self.lmax + 1
+        nt, nm = self.n_theta, self.mmax + 1
         field = np.asarray(field, dtype=float)
-        lead = field.shape[:-2]
         # (k, m, re/im, theta) per field k, then one Legendre pass over m
         fhat = (self._dft @ field.swapaxes(-1, -2)).reshape(-1, nm, 2, nt)
-        k = len(fhat)
-        rows = fhat.transpose(1, 0, 2, 3).reshape(nm, 2 * k, nt)
-        C = (rows @ self._analysis).reshape(nm, k, 2, nl).transpose(1, 0, 3, 2)
-        return np.ascontiguousarray(C).view(complex).reshape(lead + (nm, nl))
+        rows = fhat.transpose(1, 0, 2, 3).reshape(nm, 2 * len(fhat), nt)
+        return rows @ self._analysis
 
     def synthesize(self, C: np.ndarray, dtheta=0, dphi=0) -> np.ndarray:
         """Evaluate (d/dtheta)^a (d/dphi)^b of expansions on the grid.
 
-        C holds one coefficient set (mmax+1, lmax+1) or a stack (k, mmax+1,
+        C holds k coefficient sets as analyze returns them, (mmax+1, 2k,
         lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples (or
-        lists) of k orders, one per entry; a single set is shared by every
+        lists) of orders, one per entry; a single set is shared by every
         entry.  So synthesize(C, (1, 0), (0, 1)) returns both first partials
-        of one expansion as a (2, n_theta, n_phi) stack.  Everything that
+        of one expansion as a (2, n_theta, n_phi) stack, and one set with
+        single orders gives one (n_theta, n_phi) field.  Everything that
         depends only on C's shape and the orders is planned on the first
         call of each signature and looked up after.
         """
-        C = np.ascontiguousarray(C, dtype=complex)
         key = (C.shape, _hashable(dtheta), _hashable(dphi))
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan(*key)
-        table, n_sets, gather, shape, idft, squeeze = plan
-        nm = self.mmax + 1
+        table, blocks, gather, shape, idft, squeeze = plan
         # one Legendre matmul of every set against the tables of orders
         # 0..max side by side; entry j keeps its set's block of its own
         # order (a single set serves every entry) as (j, m, re/im, theta)
-        rows = C.view(float).reshape(n_sets, nm, -1, 2).transpose(1, 0, 3, 2)
-        ghat = (rows.reshape(nm, 2 * n_sets, -1) @ table
-                ).reshape(nm, n_sets, 2, -1, self.n_theta)
+        ghat = (C @ table).reshape(blocks)
         grid = ghat[gather].reshape(shape).swapaxes(1, 2) @ idft
         return grid[0] if squeeze else grid
 
     def _plan(self, shape: tuple, dtheta, dphi) -> tuple:
-        """(Legendre table, sets, gather, stack shape, phi table, squeeze) of
-        one synthesize signature; raises on a bad one."""
+        """(Legendre table, block shape, gather, stack shape, phi table,
+        squeeze) of one synthesize signature; raises on a bad one."""
         nt, nm, nl = self.n_theta, self.mmax + 1, self.lmax + 1
         dth, dph = _orders(dtheta), _orders(dphi)
         if not 0 <= min(dth) <= max(dth) <= 3 or not 0 <= min(dph) <= max(dph) <= 3:
             raise ValueError("derivative orders must be 0..3")
-        if shape[-2:] != (nm, nl):
-            raise ValueError(f"coefficients must be (..., {nm}, {nl})")
-        n_sets = int(np.prod(shape[:-2]))
+        if len(shape) != 3 or shape[::2] != (nm, nl) or shape[1] % 2 or not shape[1]:
+            raise ValueError(f"coefficients must be ({nm}, 2k, {nl}) rows")
+        n_sets = shape[1] // 2
         k = max(n_sets, len(dth), len(dph))
         if not {n_sets, len(dth), len(dph)} <= {1, k}:
             raise ValueError("stack and order tuples must have one length")
@@ -245,10 +240,10 @@ class SphereGrid:
             gather = (slice(None), np.arange(k) % n_sets, slice(None), np.array(dth))
         # the phi table of each entry's d/dphi order, stacked once per plan
         idft = self._idft[dph[0]] if len(set(dph)) == 1 else self._idft[list(dph)]
-        squeeze = len(shape) == 2 and not isinstance(dtheta, tuple) \
+        squeeze = n_sets == 1 and not isinstance(dtheta, tuple) \
             and not isinstance(dphi, tuple)
-        return (self._synthesis[max(dth)], n_sets, gather, (k, 2 * nm, nt), idft,
-                squeeze)
+        return (self._synthesis[max(dth)], (nm, n_sets, 2, -1, nt), gather,
+                (k, 2 * nm, nt), idft, squeeze)
 
     def partials(self, field: np.ndarray, third: bool = False) -> dict:
         """All partial derivatives of a smooth scalar field up to order 2 (or 3).
@@ -287,14 +282,11 @@ class SphereGrid:
         A resolved smooth field has a tiny tail; values near one mean the
         grid is too coarse for the field and derivatives are unreliable.
         """
-        C = self.analyze(field)
-        ells = np.arange(self.lmax + 1)
-        power = np.abs(C) ** 2
+        power = self.analyze(field) ** 2
         total = power.sum()
         if total == 0.0:
             return 0.0
-        tail = power[:, ells >= self.lmax - 1].sum()
-        return float(tail / total)
+        return float(power[..., -2:].sum() / total)
 
     def integrate(self, field: np.ndarray) -> float:
         """Solid-angle integral of a grid field."""

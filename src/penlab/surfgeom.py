@@ -97,7 +97,6 @@ class FlatGeometry:
     a_tt: np.ndarray
     a_tp: np.ndarray
     a_pp: np.ndarray
-    det_sig: np.ndarray
     H: np.ndarray
     kappa_min: np.ndarray
     kappa_max: np.ndarray
@@ -142,7 +141,7 @@ def flat_geometry(surface: StarSurface) -> FlatGeometry:
     return FlatGeometry(
         surface=surface, Gt=Gt, Gp=Gp, W=W,
         sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,
-        a_tt=a_tt, a_tp=a_tp, a_pp=a_pp, det_sig=det_sig,
+        a_tt=a_tt, a_tp=a_tp, a_pp=a_pp,
         H=H, kappa_min=kappa_min, kappa_max=kappa_max,
         support=G**2 / W, cos_theta=G / W, area_density=G * W,
     )

@@ -175,7 +175,8 @@ def exact_schwarzschild_u(M, m, r):
 
 def gauss_curvature(flat: FlatGeometry) -> np.ndarray:
     """Intrinsic curvature from the shape operator (flat ambient)."""
-    return (flat.a_tt * flat.a_pp - flat.a_tp**2) / flat.det_sig
+    det_sig = (flat.surface.G * flat.grid.sin_theta[:, None] * flat.W) ** 2
+    return (flat.a_tt * flat.a_pp - flat.a_tp**2) / det_sig
 
 
 def nonincreasing(trace: EnergyTrace) -> bool:

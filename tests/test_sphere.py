@@ -10,6 +10,20 @@ def grid():
     return SphereGrid(24, 48)
 
 
+def swap_layout(C):
+    """Complex sets (..., mmax+1, lmax+1) <-> analyze's real rows (mmax+1, 2k,
+    lmax+1), whose rows 2j and 2j+1 are set j's real and imaginary parts.
+
+    Complex input gives rows; real rows give the k complex sets stacked as
+    (k, mmax+1, lmax+1).
+    """
+    if np.iscomplexobj(C):
+        nm, nl = C.shape[-2:]
+        pairs = np.stack([C.real, C.imag], axis=-3).reshape(-1, nm, nl)
+        return np.ascontiguousarray(pairs.transpose(1, 0, 2))
+    return (C[:, 0::2] + 1j * C[:, 1::2]).transpose(1, 0, 2)
+
+
 def harmonic(grid, ell, m):
     th = grid.theta[:, None] * np.ones((1, grid.n_phi))
     ph = np.ones((grid.n_theta, 1)) * grid.phi[None, :]
@@ -36,8 +50,8 @@ def test_analysis_synthesis_roundtrip(grid):
     C *= grid._coeff_mask
     # only keep moderately low degrees so the field is well inside the band
     C[:, grid.lmax - 1:] = 0.0
-    f = grid.synthesize(C)
-    C2 = grid.analyze(f)
+    f = grid.synthesize(swap_layout(C))
+    C2 = swap_layout(grid.analyze(f))[0]
     assert np.allclose(C2, C, atol=1e-12)
 
 
@@ -131,20 +145,22 @@ def test_round_helmholtz_inverse_is_identity_off_band(grid):
 def test_stacked_analysis_matches_per_field(grid):
     fields = np.random.default_rng(11).standard_normal(
         (2, 3, grid.n_theta, grid.n_phi))
-    C = grid.analyze(fields)
-    assert C.shape == (2, 3, grid.mmax + 1, grid.lmax + 1)
+    rows = grid.analyze(fields)
+    assert rows.shape == (grid.mmax + 1, 12, grid.lmax + 1)
+    C = swap_layout(rows).reshape(2, 3, grid.mmax + 1, grid.lmax + 1)
     for i in range(2):
         for j in range(3):
-            ref = grid.analyze(fields[i, j])
+            ref = swap_layout(grid.analyze(fields[i, j]))[0]
             assert np.allclose(C[i, j], ref, rtol=0.0,
                                atol=1e-14 * np.max(np.abs(ref)))
 
 
 def test_stacked_synthesis_matches_single_orders(grid):
-    Cs = grid.analyze(np.random.default_rng(12).standard_normal(
+    rows = grid.analyze(np.random.default_rng(12).standard_normal(
         (3, grid.n_theta, grid.n_phi)))
+    Cs = [swap_layout(C) for C in swap_layout(rows)]   # each set's own rows
     # one order pair per stacked set, then many pairs sharing one set
-    stacked = grid.synthesize(Cs, (1, 0, 3), (0, 2, 1))
+    stacked = grid.synthesize(rows, (1, 0, 3), (0, 2, 1))
     orders = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3))
     shared = grid.synthesize(Cs[1], *zip(*orders))
     assert stacked.shape == (3, grid.n_theta, grid.n_phi)
@@ -159,7 +175,7 @@ def test_stacked_synthesis_matches_single_orders(grid):
     with pytest.raises(ValueError, match="0..3"):
         grid.synthesize(Cs[0], (1, 4), (0, 0))
     with pytest.raises(ValueError, match="one length"):
-        grid.synthesize(Cs[:2], (1, 0, 2), 0)
+        grid.synthesize(rows[:, :4], (1, 0, 2), 0)
 
 
 def test_div_grad_matches_single_order_transforms(grid):
@@ -180,8 +196,8 @@ def test_div_grad_matches_single_order_transforms(grid):
 
 
 def einsum_synthesis(g, C, dtheta, dphi):
-    """One expansion's (d/dtheta)^a (d/dphi)^b by plain contraction over the
-    same tables and an inverse FFT."""
+    """One complex expansion's (d/dtheta)^a (d/dphi)^b by plain contraction
+    over the same tables and an inverse FFT."""
     nm = g.mmax + 1
     Cm = C * ((1j * np.arange(nm)) ** dphi)[:, None]
     full = np.zeros((g.n_theta, g.n_phi // 2 + 1), dtype=complex)
@@ -198,12 +214,13 @@ def test_transforms_match_einsum_reference(shape):
     f = np.random.default_rng(3).standard_normal(shape)
     fhat = np.fft.rfft(f, axis=1)[:, :nm] / g.n_phi
     C_ref = np.einsum('mil,im->ml', g._analysis, fhat) * g._coeff_mask
-    C = g.analyze(f)
+    rows = g.analyze(f)
+    C = swap_layout(rows)[0]
     assert np.allclose(C, C_ref, rtol=0.0, atol=1e-14 * np.max(np.abs(C_ref)))
     for dtheta in range(4):
         for dphi in range(3):
             ref = einsum_synthesis(g, C, dtheta, dphi)
-            out = g.synthesize(C, dtheta, dphi)
+            out = g.synthesize(rows, dtheta, dphi)
             assert np.allclose(out, ref, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(ref))), (dtheta, dphi)
 
@@ -232,7 +249,7 @@ def test_planned_synthesis_repeats_bytes_and_matches_einsum(shape):
         again = g.synthesize(coeff, dtheta, dphi)
         assert len(g._plans) == plans + 1, name
         assert first.shape == again.shape and first.tobytes() == again.tobytes()
-        sets = coeff.reshape(-1, g.mmax + 1, g.lmax + 1)
+        sets = swap_layout(coeff)
         entries = zip(*np.broadcast_arrays(np.arange(len(first)) % len(sets),
                                            dtheta, dphi))
         for out, (j, a, b) in zip(first.reshape(-1, *shape), entries):
@@ -258,3 +275,31 @@ def test_planned_synthesis_repeats_bytes_and_matches_einsum(shape):
         with pytest.raises(ValueError, match="one length"):
             g.synthesize(C2, (1, 0, 2), 0)
     assert len(g._plans) == plans
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (12, 16), (16, 32)])
+def test_coefficient_rows_are_re_im_pairs(shape):
+    # the one coefficient layout: rows 2j and 2j+1 of a stack's analysis
+    # are Re and Im of field j's einsum reference; (12, 16) has mmax < lmax
+    g = SphereGrid(*shape)
+    nm, nl = g.mmax + 1, g.lmax + 1
+    fields = np.random.default_rng(17).standard_normal((3,) + shape)
+    fields[2] = np.cos(g.theta)[:, None] ** 2 * np.sin(g.phi)   # resolved
+    rows = g.analyze(fields)
+    assert rows.shape == (nm, 6, nl) and rows.dtype == np.float64
+    ells = np.arange(nl)
+    for j, f in enumerate(fields):
+        fhat = np.fft.rfft(f, axis=1)[:, :nm] / g.n_phi
+        ref = np.einsum('mil,im->ml', g._analysis, fhat) * g._coeff_mask
+        atol = 1e-14 * np.max(np.abs(ref))
+        assert np.allclose(rows[:, 2 * j], ref.real, rtol=0.0, atol=atol)
+        assert np.allclose(rows[:, 2 * j + 1], ref.imag, rtol=0.0, atol=atol)
+        # the tail fraction (rows squared) against the complex formula on
+        # the same coefficients
+        power = np.abs(swap_layout(rows)[j]) ** 2
+        expected = power[:, ells >= g.lmax - 1].sum() / power.sum()
+        assert g.spectral_tail_fraction(f) == pytest.approx(expected, rel=1e-15,
+                                                            abs=0.0)
+    # a complex (m, l) set is not a coefficient layout
+    with pytest.raises(ValueError, match="rows"):
+        g.synthesize(swap_layout(rows)[0])
