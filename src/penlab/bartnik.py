@@ -56,9 +56,10 @@ def initial_u(h_physical, h_background) -> np.ndarray:
     """
     h = np.asarray(h_physical, dtype=float)
     h0 = np.asarray(h_background, dtype=float)
-    if np.any(h <= 0.0):
+    # written as negations so that NaN fails too
+    if not np.all(h > 0.0):
         raise ValueError("physical mean curvature must be positive")
-    if np.any(h0 <= 0.0):
+    if not np.all(h0 > 0.0):
         raise ValueError("background mean curvature must be positive")
     return h0 / h
 

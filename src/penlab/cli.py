@@ -136,6 +136,17 @@ def _resolution(cfg: dict, args) -> tuple:
     return n_theta, n_phi
 
 
+def _radial_range(block: dict, ref, analytic_min: float) -> tuple:
+    """The profile block's (r_min, r_max).  A table defaults to just inside
+    its own ends, so a first row at the horizon (phi = 0) is never sampled;
+    an analytic reference defaults to (analytic_min, 100 m)."""
+    if ref.kind == "tabulated":
+        r_min, r_max = ref.r_min * 1.000001, ref.r_max * 0.999999
+    else:
+        r_min, r_max = analytic_min, 100.0 * ref.m
+    return float(block.get("r_min", r_min)), float(block.get("r_max", r_max))
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -143,12 +154,7 @@ def cmd_profile(cfg: dict, args) -> int:
     out = _out_dir(args)
     ref = _reference_from_config(cfg)
     block = cfg.get("profile", {})
-    if ref.kind == "tabulated":
-        r_min = float(block.get("r_min", ref.r_min))
-        r_max = float(block.get("r_max", ref.r_max))
-    else:
-        r_min = float(block.get("r_min", 2.5 * ref.m))
-        r_max = float(block.get("r_max", 100.0 * ref.m))
+    r_min, r_max = _radial_range(block, ref, 2.5 * ref.m)
     points = int(block.get("points", 391))
     r = np.linspace(r_min, r_max, points)
     try:
@@ -170,13 +176,8 @@ def cmd_profile(cfg: dict, args) -> int:
 def cmd_constants(cfg: dict, args) -> int:
     out = _out_dir(args)
     ref = _reference_from_config(cfg)
-    block = cfg.get("profile", {})
-    if ref.kind == "tabulated":
-        r_min = float(block.get("r_min", ref.r_min * 1.000001))
-        r_max = float(block.get("r_max", ref.r_max * 0.999999))
-    else:
-        r_min = float(block.get("r_min", ref.r_horizon * 1.0025))
-        r_max = float(block.get("r_max", 100.0 * ref.m))
+    r_min, r_max = _radial_range(cfg.get("profile", {}), ref,
+                                 ref.r_horizon * 1.0025)
     # compute_constants samples its own grid; only the range matters here
     profile = isothermal_profile(ref, (r_min, r_max))
     cons = compute_constants(profile)

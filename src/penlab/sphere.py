@@ -25,15 +25,18 @@ and the FFT wins from 64x128 on (36 against 56 us).  The tests, the
 benchmark and the CLI default use grids up to 32x64, so there is one
 path and no size switch.
 
-Coefficients have one layout, the rows the Legendre matmul works in:
-analyze maps a stack of k real fields (..., n_theta, n_phi) to one real
-(mmax+1, 2k, lmax+1) array whose rows 2j and 2j+1 hold the real and
-imaginary parts of field j's coefficients (fields in C order), and
-synthesize takes such an array as it is, evaluating each set with its
-own derivative orders.  An operator costs one analysis and one synthesis
-however many fields and derivatives it needs (the batching of many
-fields per Legendre pass in Schaeffer, G-Cubed 14, 2013), and no complex
-view or transposed copy sits between the two.
+Coefficients have one layout: analyze maps k real fields (..., n_theta,
+n_phi) to one real (k, mmax+1, 2, lmax+1) array, a block per field in C
+order holding the real ([j, m, 0]) and imaginary ([j, m, 1]) parts by l.
+An operator costs one analysis and one synthesis however many fields and
+derivatives it needs (the batching of Schaeffer, G-Cubed 14, 2013), and
+no complex view or transposed copy sits between the stages.  synthesize
+plans each signature on its first call: the plan stacks each entry's
+d/dtheta-order table and phi table, (mmax+1)(lmax+1) n_theta + 2(mmax+1)
+n_phi doubles, 6, 40 and 288 KB per entry at 8x16, 16x32 and 32x64.  With
+the package's 19 entries planned (gradient and flux 2 each, project 1,
+partials 5, third partials 9) a grid holds 114, 760 and 5472 KB of plans
+beside its 16, 128 and 1024 KB of shared theta tables.
 """
 
 from __future__ import annotations
@@ -43,16 +46,6 @@ import numpy as np
 # (name, d/dtheta order, d/dphi order) of the entries partials returns
 _PARTIALS = (("t", 1, 0), ("p", 0, 1), ("tt", 2, 0), ("tp", 1, 1), ("pp", 0, 2))
 _THIRD_PARTIALS = (("ttt", 3, 0), ("ttp", 2, 1), ("tpp", 1, 2), ("ppp", 0, 3))
-
-
-def _orders(order) -> tuple:
-    """One derivative order, or a tuple or list of them, as a tuple."""
-    return tuple(order) if isinstance(order, (tuple, list)) else (order,)
-
-
-def _hashable(order):
-    """A list of orders as a tuple; a tuple or a single order as is."""
-    return tuple(order) if isinstance(order, list) else order
 
 
 class SphereGrid:
@@ -151,19 +144,12 @@ class SphereGrid:
                - 2.0 * m2 * (cot * inv_sin2)[None, :, None] * P)
 
         self._analysis = P * self.w[None, :, None]
-        # the l >= m entries; P[m, :, l < m] is exactly zero, so the
+        # synthesis tables (d/dtheta order, m, l, theta), contiguous: BLAS
+        # sums against a transposed view in another order, so the layout
+        # sets the output bytes.  P[m, :, l < m] is exactly zero, so the
         # transforms need no mask
-        self._coeff_mask = ells[None, :] >= np.arange(mmax + 1)[:, None]
-        # synthesis tables (m, l, theta) of the orders 0..3 side by side;
-        # _tables views them.  The hot orders 0 and 0..1 get contiguous
-        # copies (a strided slice is slower in BLAS); order 2 and up use all
-        # four blocks.
-        full = np.concatenate([T.transpose(0, 2, 1) for T in (P, dP, d2P, d3P)],
-                              axis=2)
-        self._synthesis = [np.ascontiguousarray(full[:, :, :nt]),
-                           np.ascontiguousarray(full[:, :, :2 * nt]), full, full]
-        self._tables = tuple(full[:, :, d * nt:(d + 1) * nt].transpose(0, 2, 1)
-                             for d in range(4))
+        self._synthesis = np.ascontiguousarray(
+            np.stack([P, dP, d2P, d3P]).swapaxes(2, 3))
 
         # real DFT in phi over the resolved modes: rows (m, cos) and
         # (m, sin) per mode.  Analysis divides by n_phi.  Synthesis weighs
@@ -184,66 +170,56 @@ class SphereGrid:
     # transforms
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
-        """Expand real grid fields: (..., n_theta, n_phi) -> (mmax+1, 2k, lmax+1).
+        """Expand real grid fields: (..., n_theta, n_phi) -> (k, mmax+1, 2, lmax+1).
 
-        The k fields of the stack, in C order, become row pairs: row 2j
-        holds the real and row 2j+1 the imaginary parts of field j's
-        coefficients, by m and l.
+        The k fields of the stack, in C order, get one block each: [j, m, 0]
+        holds the real and [j, m, 1] the imaginary parts of field j's
+        coefficients of order m, by l.
         """
-        nt, nm = self.n_theta, self.mmax + 1
         field = np.asarray(field, dtype=float)
-        # (k, m, re/im, theta) per field k, then one Legendre pass over m
-        fhat = (self._dft @ field.swapaxes(-1, -2)).reshape(-1, nm, 2, nt)
-        rows = fhat.transpose(1, 0, 2, 3).reshape(nm, 2 * len(fhat), nt)
-        return rows @ self._analysis
+        # (k, m, re/im, theta) per field, then one Legendre pass per m
+        fhat = (self._dft @ field.swapaxes(-1, -2)).reshape(
+            -1, self.mmax + 1, 2, self.n_theta)
+        return fhat @ self._analysis
 
     def synthesize(self, C: np.ndarray, dtheta=0, dphi=0) -> np.ndarray:
         """Evaluate (d/dtheta)^a (d/dphi)^b of expansions on the grid.
 
-        C holds k coefficient sets as analyze returns them, (mmax+1, 2k,
-        lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples (or
-        lists) of orders, one per entry; a single set is shared by every
-        entry.  So synthesize(C, (1, 0), (0, 1)) returns both first partials
-        of one expansion as a (2, n_theta, n_phi) stack, and one set with
-        single orders gives one (n_theta, n_phi) field.  Everything that
-        depends only on C's shape and the orders is planned on the first
-        call of each signature and looked up after.
+        C holds k coefficient sets as analyze returns them, (k, mmax+1, 2,
+        lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples of
+        orders, one per entry; a single set is shared by every entry.  So
+        synthesize(C, (1, 0), (0, 1)) returns both first partials of one
+        expansion as a (2, n_theta, n_phi) stack, and one set with single
+        orders gives one (n_theta, n_phi) field.  Each signature (C's shape
+        and the orders) is planned on its first call.
         """
-        key = (C.shape, _hashable(dtheta), _hashable(dphi))
+        key = (C.shape, dtheta, dphi)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan(*key)
-        table, blocks, gather, shape, idft, squeeze = plan
-        # one Legendre matmul of every set against the tables of orders
-        # 0..max side by side; entry j keeps its set's block of its own
-        # order (a single set serves every entry) as (j, m, re/im, theta)
-        ghat = (C @ table).reshape(blocks)
-        grid = ghat[gather].reshape(shape).swapaxes(1, 2) @ idft
+        table, idft, shape, squeeze = plan
+        # each entry's set against its own theta-order table, then against
+        # its own phi-order table
+        grid = (C @ table).reshape(shape).swapaxes(1, 2) @ idft
         return grid[0] if squeeze else grid
 
     def _plan(self, shape: tuple, dtheta, dphi) -> tuple:
-        """(Legendre table, block shape, gather, stack shape, phi table,
-        squeeze) of one synthesize signature; raises on a bad one."""
-        nt, nm, nl = self.n_theta, self.mmax + 1, self.lmax + 1
-        dth, dph = _orders(dtheta), _orders(dphi)
-        if not 0 <= min(dth) <= max(dth) <= 3 or not 0 <= min(dph) <= max(dph) <= 3:
+        """(theta tables, phi tables, stack shape, squeeze) of one synthesize
+        signature; raises on a bad one."""
+        nm, nl = self.mmax + 1, self.lmax + 1
+        dth, dph = (o if isinstance(o, tuple) else (o,) for o in (dtheta, dphi))
+        if not 0 <= min(dth + dph) <= max(dth + dph) <= 3:
             raise ValueError("derivative orders must be 0..3")
-        if len(shape) != 3 or shape[::2] != (nm, nl) or shape[1] % 2 or not shape[1]:
-            raise ValueError(f"coefficients must be ({nm}, 2k, {nl}) rows")
-        n_sets = shape[1] // 2
+        if len(shape) != 4 or shape[1:] != (nm, 2, nl) or not shape[0]:
+            raise ValueError(f"coefficients must be (k, {nm}, 2, {nl}) blocks")
+        n_sets = shape[0]
         k = max(n_sets, len(dth), len(dph))
         if not {n_sets, len(dth), len(dph)} <= {1, k}:
             raise ValueError("stack and order tuples must have one length")
-        if k == 1:
-            gather = (slice(None), 0, slice(None), dth[0])   # a view
-        else:
-            gather = (slice(None), np.arange(k) % n_sets, slice(None), np.array(dth))
-        # the phi table of each entry's d/dphi order, stacked once per plan
-        idft = self._idft[dph[0]] if len(set(dph)) == 1 else self._idft[list(dph)]
         squeeze = n_sets == 1 and not isinstance(dtheta, tuple) \
             and not isinstance(dphi, tuple)
-        return (self._synthesis[max(dth)], (nm, n_sets, 2, -1, nt), gather,
-                (k, 2 * nm, nt), idft, squeeze)
+        return (self._synthesis[list(dth)], self._idft[list(dph)],
+                (max(n_sets, len(dth)), 2 * nm, self.n_theta), squeeze)
 
     def partials(self, field: np.ndarray, third: bool = False) -> dict:
         """All partial derivatives of a smooth scalar field up to order 2 (or 3).

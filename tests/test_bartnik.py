@@ -99,10 +99,14 @@ def test_initial_u_flagship(round_geom):
 
 
 def test_initial_u_rejects_nonpositive(round_geom):
-    with pytest.raises(ValueError, match="positive"):
-        initial_u(-0.1, round_geom.H0)
-    with pytest.raises(ValueError, match="positive"):
-        initial_u(round_geom.H0, 0.0 * round_geom.H0)
+    H0 = round_geom.H0
+    # NaN fails too, alone or at one point of a field
+    nan_point = H0.copy()
+    nan_point.flat[3] = np.nan
+    for h, h0 in ((-0.1, H0), (H0, 0.0 * H0), (np.nan, 1.0), (1.0, np.nan),
+                  (nan_point, H0), (H0, nan_point)):
+        with pytest.raises(ValueError, match="positive"):
+            initial_u(h, h0)
 
 
 # ------------------------------------------------------------ linear solve

@@ -57,6 +57,27 @@ def test_profile_flat_table(tmp_path):
         assert abs(F - 1.0) < 1e-12
 
 
+def test_profile_table_from_horizon_default_range(tmp_path):
+    # a Schwarzschild table whose first row is the horizon (phi = 0): profile
+    # and constants both default to the range just inside the table's ends
+    r = np.linspace(2.0, 50.0, 400)
+    table = tmp_path / "schwarzschild.csv"
+    table.write_text("r,phi,V\n" + "\n".join(
+        f"{v:.17g},{1.0 - 2.0 / v:.17g},{np.sqrt(1.0 - 2.0 / v):.17g}"
+        for v in r) + "\n")
+    cfg = write_config(tmp_path, {
+        "reference": {"kind": "tabulated", "table": str(table)},
+        "profile": {"points": 50},
+    })
+    for command in ("profile", "constants"):
+        assert console_main([command, "--config", cfg,
+                             "--out", str(tmp_path)]) == 0, command
+    rows = (tmp_path / "profile.csv").read_text().strip().split("\n")[1:]
+    r_out = [float(row.split(",")[0]) for row in rows]
+    assert len(r_out) == 50
+    assert r_out[0] == 2.0 * 1.000001 and r_out[-1] == 50.0 * 0.999999
+
+
 def test_profile_extremal_reference_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "reference": {"kind": "reissner_nordstrom", "m": 1.0, "e": 1.0}})
