@@ -67,15 +67,41 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _flag(block: dict, key: str) -> bool:
+    """A JSON boolean, False when absent: bool("false") would be true."""
+    value = block.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"schema error: {key} must be true or false, "
+                          f"got {value!r}")
+    return value
+
+
+def _scenario_blocks(cfg: dict) -> list:
+    """The "scenarios" list, else the one "scenario" block (the flagship
+    by default).  Each block must be an object: any other value would be
+    read key by key."""
+    if "scenarios" in cfg:
+        blocks = cfg["scenarios"]
+    else:
+        blocks = [cfg.get("scenario", {"kind": "schwarzschild_interior",
+                                       "inner_m": 1.2, "r0": 4.0,
+                                       "s_max": 40.0})]
+    if not (isinstance(blocks, list) and blocks
+            and all(isinstance(b, dict) for b in blocks)):
+        raise ConfigError("schema error: scenarios must be a non-empty list "
+                          "of objects, scenario one object")
+    return blocks
+
+
 def _denormalize(cfg: dict) -> dict:
     """Rescale mass-normalized lengths to geometric units in place."""
-    if not cfg.get("normalized"):
+    if not _flag(cfg, "normalized"):
         return cfg
     cfg = copy.deepcopy(cfg)
     scale = float(cfg.get("reference", {}).get("m", 1.0))
     blocks = [(name, cfg[name]) for name in _LENGTH_FIELDS if name in cfg]
     if "scenarios" in cfg:
-        blocks += [("scenario", sc) for sc in cfg["scenarios"]]
+        blocks += [("scenario", sc) for sc in _scenario_blocks(cfg)]
     for name, block in blocks:
         for key in _LENGTH_FIELDS[name]:
             if key in block:
@@ -239,6 +265,7 @@ def cmd_solve(cfg: dict, args) -> int:
     block = cfg.get("solver", {})
     u0 = float(block.get("u0", 1.2))
     dt_max = float(block.get("dt_max", 0.01))
+    with_residual = _flag(block, "with_residual")
     fol = _flow_from_config(cfg, args)
     if fol.aborted:
         print(f"flow aborted: {fol.abort_reason}", file=sys.stderr)
@@ -249,8 +276,7 @@ def cmd_solve(cfg: dict, args) -> int:
             print("foliation condition failed: coefficient detA0 + T/2 - "
                   f"Ric(nu,nu) not positive on slice {i}", file=sys.stderr)
             return 3
-    uf = solve_u(fol, u0, dt_max=dt_max,
-                 with_residual=bool(block.get("with_residual", False)))
+    uf = solve_u(fol, u0, dt_max=dt_max, with_residual=with_residual)
     (out / "u_series.csv").write_text(uf.series_csv())
     report = {
         "decay_bounded": uf.decay_bounded,
@@ -437,12 +463,7 @@ def _scenario_worker(sc: Scenario):
 
 def cmd_scenario(cfg: dict, args) -> int:
     out = _out_dir(args)
-    if "scenarios" in cfg:
-        blocks = cfg["scenarios"]
-    else:
-        blocks = [cfg.get("scenario",
-                          {"kind": "schwarzschild_interior",
-                           "inner_m": 1.2, "r0": 4.0, "s_max": 40.0})]
+    blocks = _scenario_blocks(cfg)
     ref = _reference_from_config(cfg)
     if ref.kind == "tabulated":
         raise ConfigError("schema error: scenarios need a schwarzschild or "

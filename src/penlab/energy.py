@@ -237,6 +237,8 @@ class Scenario:
         _profile_range(ref, self.r0, self.s_max)
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
+        if not isinstance(self.with_residual, (bool, np.bool_)):
+            raise ValueError("with_residual must be true or false")
         if self.perturbation is not None:
             # G > 0 does not depend on rho0, so the unit sphere decides it
             grid = SphereGrid(self.n_theta, self.n_phi)

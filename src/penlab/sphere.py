@@ -31,21 +31,21 @@ order holding the real ([j, m, 0]) and imaginary ([j, m, 1]) parts by l.
 An operator costs one analysis and one synthesis however many fields and
 derivatives it needs (the batching of Schaeffer, G-Cubed 14, 2013), and
 no complex view or transposed copy sits between the stages.  synthesize
-plans each signature on its first call: the plan stacks each entry's
-d/dtheta-order table and phi table, (mmax+1)(lmax+1) n_theta + 2(mmax+1)
-n_phi doubles, 6, 40 and 288 KB per entry at 8x16, 16x32 and 32x64.  With
-the package's 19 entries planned (gradient and flux 2 each, project 1,
-partials 5, third partials 9) a grid holds 114, 760 and 5472 KB of plans
-beside its 16, 128 and 1024 KB of shared theta tables.
+reads one fixed table of the ten ENTRIES, (d/dtheta)^a (d/dphi)^b with
+a + b <= 3, each entry a d/dtheta-order Legendre table and a d/dphi-order
+DFT table.  Their order makes every operator's entries an int or a slice:
+0 for project and the Helmholtz inverse, 1:3 for the gradient and the
+divergence flux, 1:6 for partials and 1:10 with the third partials.  The
+table holds 60, 400 and 2880 KB at 8x16, 16x32 and 32x64 and is built
+once with the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# (name, d/dtheta order, d/dphi order) of the entries partials returns
-_PARTIALS = (("t", 1, 0), ("p", 0, 1), ("tt", 2, 0), ("tp", 1, 1), ("pp", 0, 2))
-_THIRD_PARTIALS = (("ttt", 3, 0), ("ttp", 2, 1), ("tpp", 1, 2), ("ppp", 0, 3))
+# the synthesis entries: one t per d/dtheta, one p per d/dphi
+ENTRIES = ("", "t", "p", "tt", "tp", "pp", "ttt", "ttp", "tpp", "ppp")
 
 
 class SphereGrid:
@@ -94,7 +94,6 @@ class SphereGrid:
         # usable phase so the band limit stops one short of it
         self.mmax = min(self.lmax, n_phi // 2 - 1)
         self._build_tables()
-        self._plans = {}    # synthesize signature -> _plan
 
     # ------------------------------------------------------------------
     # basis tables
@@ -144,27 +143,29 @@ class SphereGrid:
                - 2.0 * m2 * (cot * inv_sin2)[None, :, None] * P)
 
         self._analysis = P * self.w[None, :, None]
-        # synthesis tables (d/dtheta order, m, l, theta), contiguous: BLAS
-        # sums against a transposed view in another order, so the layout
-        # sets the output bytes.  P[m, :, l < m] is exactly zero, so the
+        # synthesis tables (entry, m, l, theta), contiguous: BLAS sums
+        # against a transposed view in another order, so the layout sets
+        # the output bytes.  P[m, :, l < m] is exactly zero, so the
         # transforms need no mask
+        dtheta = [e.count("t") for e in ENTRIES]
         self._synthesis = np.ascontiguousarray(
-            np.stack([P, dP, d2P, d3P]).swapaxes(2, 3))
+            np.stack([P, dP, d2P, d3P])[dtheta].swapaxes(2, 3))
 
         # real DFT in phi over the resolved modes: rows (m, cos) and
         # (m, sin) per mode.  Analysis divides by n_phi.  Synthesis weighs
         # m = 0 once and m > 0 twice (the conjugate modes), which is what
-        # irfft does with every mode above mmax zero; its table of d/dphi
-        # order b carries the factor (i m)^b as m^b and a phase b pi/2.
+        # irfft does with every mode above mmax zero; an entry's table of
+        # d/dphi order b carries the factor (i m)^b as m^b and a phase b pi/2.
         m = np.arange(mmax + 1)
         angle = m[:, None] * self.phi[None, :]
         self._dft = (np.stack([np.cos(angle), -np.sin(angle)], axis=1)
                      / self.n_phi).reshape(2 * (mmax + 1), self.n_phi)
-        b = np.arange(4)[:, None]
+        b = np.array([e.count("p") for e in ENTRIES])[:, None]
         shifted = angle[None, :, None, :] + 0.5 * np.pi * b[:, :, None, None]
         weight = (np.where(m == 0, 1.0, 2.0) * m**b)[:, :, None, None]
         cos_sin = np.concatenate([np.cos(shifted), -np.sin(shifted)], axis=2)
-        self._idft = (weight * cos_sin).reshape(4, 2 * (mmax + 1), self.n_phi)
+        self._idft = (weight * cos_sin).reshape(len(ENTRIES), 2 * (mmax + 1),
+                                                self.n_phi)
 
     # ------------------------------------------------------------------
     # transforms
@@ -182,44 +183,24 @@ class SphereGrid:
             -1, self.mmax + 1, 2, self.n_theta)
         return fhat @ self._analysis
 
-    def synthesize(self, C: np.ndarray, dtheta=0, dphi=0) -> np.ndarray:
-        """Evaluate (d/dtheta)^a (d/dphi)^b of expansions on the grid.
+    def synthesize(self, C: np.ndarray, entries=0) -> np.ndarray:
+        """Evaluate table entries of expansions on the grid.
 
         C holds k coefficient sets as analyze returns them, (k, mmax+1, 2,
-        lmax+1).  dtheta (0..3) and dphi (0..3) are orders, or tuples of
-        orders, one per entry; a single set is shared by every entry.  So
-        synthesize(C, (1, 0), (0, 1)) returns both first partials of one
-        expansion as a (2, n_theta, n_phi) stack, and one set with single
-        orders gives one (n_theta, n_phi) field.  Each signature (C's shape
-        and the orders) is planned on its first call.
+        lmax+1).  entries is an index or a slice of ENTRIES; a single set
+        is shared by every entry, else set j goes with entry j.  So
+        synthesize(C, slice(1, 3)) returns both first partials of one
+        expansion as a (2, n_theta, n_phi) stack, and an index gives one
+        (n_theta, n_phi) field of a single set.
         """
-        key = (C.shape, dtheta, dphi)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(*key)
-        table, idft, shape, squeeze = plan
-        # each entry's set against its own theta-order table, then against
-        # its own phi-order table
-        grid = (C @ table).reshape(shape).swapaxes(1, 2) @ idft
-        return grid[0] if squeeze else grid
-
-    def _plan(self, shape: tuple, dtheta, dphi) -> tuple:
-        """(theta tables, phi tables, stack shape, squeeze) of one synthesize
-        signature; raises on a bad one."""
-        nm, nl = self.mmax + 1, self.lmax + 1
-        dth, dph = (o if isinstance(o, tuple) else (o,) for o in (dtheta, dphi))
-        if not 0 <= min(dth + dph) <= max(dth + dph) <= 3:
-            raise ValueError("derivative orders must be 0..3")
-        if len(shape) != 4 or shape[1:] != (nm, 2, nl) or not shape[0]:
-            raise ValueError(f"coefficients must be (k, {nm}, 2, {nl}) blocks")
-        n_sets = shape[0]
-        k = max(n_sets, len(dth), len(dph))
-        if not {n_sets, len(dth), len(dph)} <= {1, k}:
-            raise ValueError("stack and order tuples must have one length")
-        squeeze = n_sets == 1 and not isinstance(dtheta, tuple) \
-            and not isinstance(dphi, tuple)
-        return (self._synthesis[list(dth)], self._idft[list(dph)],
-                (max(n_sets, len(dth)), 2 * nm, self.n_theta), squeeze)
+        nm = self.mmax + 1
+        if C.shape[1:] != (nm, 2, self.lmax + 1):
+            raise ValueError(f"coefficients must be (k, {nm}, 2, "
+                             f"{self.lmax + 1}) blocks")
+        # each entry's set against its theta-order table, then its phi table
+        grid = (C @ self._synthesis[entries]).reshape(
+            -1, 2 * nm, self.n_theta).swapaxes(1, 2) @ self._idft[entries]
+        return grid[0] if len(C) == 1 and isinstance(entries, int) else grid
 
     def partials(self, field: np.ndarray, third: bool = False) -> dict:
         """All partial derivatives of a smooth scalar field up to order 2 (or 3).
@@ -227,13 +208,13 @@ class SphereGrid:
         Returns a dict keyed by 't', 'p', 'tt', 'tp', 'pp' and, with
         third=True, also 'ttt', 'ttp', 'tpp', 'ppp'.
         """
-        orders = _PARTIALS + (_THIRD_PARTIALS if third else ())
-        names, dtheta, dphi = zip(*orders)
-        return dict(zip(names, self.synthesize(self.analyze(field), dtheta, dphi)))
+        k = 10 if third else 6
+        return dict(zip(ENTRIES[1:k], self.synthesize(self.analyze(field),
+                                                      slice(1, k))))
 
     def gradient(self, field: np.ndarray) -> np.ndarray:
         """Stacked first partials (d/dtheta, d/dphi) of a smooth scalar field."""
-        return self.synthesize(self.analyze(field), (1, 0), (0, 1))
+        return self.synthesize(self.analyze(field), slice(1, 3))
 
     def div_grad(self, field: np.ndarray, a_tt, a_tp, a_pp, grad=None) -> np.ndarray:
         """Divergence form d_theta(a_tt f_t + a_tp f_p) + d_phi(a_tp f_t + a_pp f_p).
@@ -245,7 +226,7 @@ class SphereGrid:
         """
         ft, fp = self.gradient(field) if grad is None else grad
         flux = np.array([a_tt * ft + a_tp * fp, a_tp * ft + a_pp * fp])
-        div = self.synthesize(self.analyze(flux), (1, 0), (0, 1))
+        div = self.synthesize(self.analyze(flux), slice(1, 3))
         return div[0] + div[1]
 
     def project(self, field: np.ndarray) -> np.ndarray:

@@ -395,13 +395,32 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
         SHORT_SCENARIO, perturbation=[[2, 3, 0.1]])]}, "|m| > ell"),
     ("scenario", {"scenarios": [SHORT_SCENARIO, dict(
         SHORT_SCENARIO, perturbation=[[2, 0, 3.0]])]}, "G > 0"),
+    # bool("false") is true: these would rescale every length, compute the
+    # residual, or run nothing and exit 0
+    ("flow", {"normalized": "false", "reference": {"m": 2.0},
+              "surface": {"r0": 5.0}, "flow": {"ds": 0.1, "s_max": 0.2}},
+     "normalized"),
+    ("solve", {"solver": {"with_residual": "false"},
+               "flow": {"ds": 0.05, "s_max": 0.15, "store_every": 1}},
+     "with_residual"),
+    ("scenario", {"scenarios": [dict(SHORT_SCENARIO,
+                                     with_residual="false")]},
+     "with_residual"),
+    ("scenario", {"scenarios": []}, "non-empty list"),
+    # an object would be read key by key as scenario blocks
+    ("scenario", {"scenarios": SHORT_SCENARIO}, "non-empty list"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO, [1, 2]]}, "non-empty list"),
+    ("scenario", {"scenario": "dink"}, "scenario one object"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
         "nan-boundary-u0", "batch-unbroadcastable-boundary-u0",
         "batch-nan-r0", "batch-negative-ds", "batch-zero-dt-max",
         "batch-zero-store-every", "batch-nan-s-max", "batch-nan-dt-max",
-        "batch-mode-m-above-ell", "batch-nonpositive-bump"])
+        "batch-mode-m-above-ell", "batch-nonpositive-bump",
+        "string-normalized", "string-solver-with-residual",
+        "string-scenario-with-residual", "empty-scenarios",
+        "object-scenarios", "non-object-scenario", "string-scenario"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)

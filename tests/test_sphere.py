@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from penlab.sphere import SphereGrid
+from penlab.sphere import ENTRIES, SphereGrid
 
 
 @pytest.fixture(scope="module")
@@ -164,23 +164,18 @@ def test_stacked_synthesis_matches_single_orders(grid):
     rows = grid.analyze(np.random.default_rng(12).standard_normal(
         (3, grid.n_theta, grid.n_phi)))
     Cs = [swap_layout(C) for C in swap_layout(rows)]   # each set's own rows
-    # one order pair per stacked set, then many pairs sharing one set
-    stacked = grid.synthesize(rows, (1, 0, 3), (0, 2, 1))
-    orders = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3))
-    shared = grid.synthesize(Cs[1], *zip(*orders))
+    # one entry per stacked set, then every entry sharing one set
+    stacked = grid.synthesize(rows, slice(6, 9))
+    shared = grid.synthesize(Cs[1], slice(0, len(ENTRIES)))
     assert stacked.shape == (3, grid.n_theta, grid.n_phi)
-    assert shared.shape == (len(orders), grid.n_theta, grid.n_phi)
-    pairs = [(Cs[0], 1, 0, stacked[0]), (Cs[1], 0, 2, stacked[1]),
-             (Cs[2], 3, 1, stacked[2])]
-    pairs += [(Cs[1], a, b, out) for (a, b), out in zip(orders, shared)]
-    for C, a, b, out in pairs:
-        ref = grid.synthesize(C, a, b)
+    assert shared.shape == (len(ENTRIES), grid.n_theta, grid.n_phi)
+    pairs = [(C, 6 + j, out) for j, (C, out) in enumerate(zip(Cs, stacked))]
+    pairs += [(Cs[1], entry, out) for entry, out in enumerate(shared)]
+    for C, entry, out in pairs:
+        ref = grid.synthesize(C, entry)
+        assert ref.shape == (grid.n_theta, grid.n_phi)
         assert np.allclose(out, ref, rtol=0.0,
-                           atol=1e-13 * np.max(np.abs(ref))), (a, b)
-    with pytest.raises(ValueError, match="0..3"):
-        grid.synthesize(Cs[0], (1, 4), (0, 0))
-    with pytest.raises(ValueError, match="one length"):
-        grid.synthesize(rows[:2], (1, 0, 2), 0)
+                           atol=1e-13 * np.max(np.abs(ref))), ENTRIES[entry]
 
 
 def test_div_grad_matches_single_order_transforms(grid):
@@ -188,9 +183,12 @@ def test_div_grad_matches_single_order_transforms(grid):
     f = grid.project(rng.standard_normal((grid.n_theta, grid.n_phi)))
     a_tt, a_tp, a_pp = 1.0 + 0.1 * rng.random((3, grid.n_theta, grid.n_phi))
     C = grid.analyze(f)
-    ft, fp = grid.synthesize(C, 1, 0), grid.synthesize(C, 0, 1)
-    ref = (grid.synthesize(grid.analyze(a_tt * ft + a_tp * fp), 1, 0)
-           + grid.synthesize(grid.analyze(a_tp * ft + a_pp * fp), 0, 1))
+    ft, fp = grid.synthesize(C, ENTRIES.index("t")), grid.synthesize(
+        C, ENTRIES.index("p"))
+    ref = (grid.synthesize(grid.analyze(a_tt * ft + a_tp * fp),
+                           ENTRIES.index("t"))
+           + grid.synthesize(grid.analyze(a_tp * ft + a_pp * fp),
+                             ENTRIES.index("p")))
     out = grid.div_grad(f, a_tt, a_tp, a_pp)
     assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     assert np.allclose(grid.gradient(f), [ft, fp], rtol=0.0,
@@ -200,13 +198,13 @@ def test_div_grad_matches_single_order_transforms(grid):
     assert np.array_equal(held, out)
 
 
-def einsum_synthesis(g, C, dtheta, dphi):
-    """One complex expansion's (d/dtheta)^a (d/dphi)^b by plain contraction
-    over the same tables and an inverse FFT."""
+def einsum_synthesis(g, C, entry):
+    """One complex expansion's table entry (d/dtheta)^a (d/dphi)^b by plain
+    contraction over the same theta table and an inverse FFT."""
     nm = g.mmax + 1
-    Cm = C * ((1j * np.arange(nm)) ** dphi)[:, None]
+    Cm = C * ((1j * np.arange(nm)) ** ENTRIES[entry].count("p"))[:, None]
     full = np.zeros((g.n_theta, g.n_phi // 2 + 1), dtype=complex)
-    full[:, :nm] = np.einsum('mli,ml->im', g._synthesis[dtheta], Cm)
+    full[:, :nm] = np.einsum('mli,ml->im', g._synthesis[entry], Cm)
     return np.fft.irfft(full * g.n_phi, n=g.n_phi, axis=1)
 
 
@@ -222,59 +220,74 @@ def test_transforms_match_einsum_reference(shape):
     rows = g.analyze(f)
     C = swap_layout(rows)[0]
     assert np.allclose(C, C_ref, rtol=0.0, atol=1e-14 * np.max(np.abs(C_ref)))
-    for dtheta in range(4):
-        for dphi in range(3):
-            ref = einsum_synthesis(g, C, dtheta, dphi)
-            out = g.synthesize(rows, dtheta, dphi)
-            assert np.allclose(out, ref, rtol=0.0,
-                               atol=1e-13 * np.max(np.abs(ref))), (dtheta, dphi)
+    for entry, name in enumerate(ENTRIES):
+        # an entry's theta table is the pure d/dtheta entry of its order
+        pure = ENTRIES.index("t" * name.count("t"))
+        assert np.array_equal(g._synthesis[entry], g._synthesis[pure]), name
+        ref = einsum_synthesis(g, C, entry)
+        out = g.synthesize(rows, entry)
+        assert np.allclose(out, ref, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(ref))), name
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (12, 16)])
-def test_planned_synthesis_repeats_bytes_and_matches_einsum(shape):
-    # every signature src/penlab synthesizes, on a fresh grid so that the
-    # first call builds the plan and the second looks it up
+def test_synthesis_entries_repeat_bytes_and_match_einsum(shape):
+    # every signature src/penlab synthesizes: one set against an entry or
+    # a slice of entries, and the divergence flux's two sets against two
     g = SphereGrid(*shape)
     rng = np.random.default_rng(5)
     C = g.analyze(rng.standard_normal(shape))
     C2 = g.analyze(rng.standard_normal((2,) + shape))
-    first_partials = ((1, 0, 2, 1, 0), (0, 1, 0, 1, 2))
-    third = ((1, 0, 2, 1, 0, 3, 2, 1, 0), (0, 1, 0, 1, 2, 0, 1, 2, 3))
     signatures = {
-        "gradient": (C, (1, 0), (0, 1)),
-        "divergence flux": (C2, (1, 0), (0, 1)),
-        "order 0": (C, 0, 0),
-        "partials": (C,) + first_partials,
-        "partials third": (C,) + third,
+        "gradient": (C, slice(1, 3)),
+        "divergence flux": (C2, slice(1, 3)),
+        "order 0": (C, 0),
+        "partials": (C, slice(1, 6)),
+        "partials third": (C, slice(1, 10)),
     }
-    for name, (coeff, dtheta, dphi) in signatures.items():
-        plans = len(g._plans)
-        first = g.synthesize(coeff, dtheta, dphi)
-        assert len(g._plans) == plans + 1, name
-        again = g.synthesize(coeff, dtheta, dphi)
-        assert len(g._plans) == plans + 1, name
+    for name, (coeff, entries) in signatures.items():
+        first = g.synthesize(coeff, entries)
+        again = g.synthesize(coeff, entries)
         assert first.shape == again.shape and first.tobytes() == again.tobytes()
         sets = swap_layout(coeff)
-        entries = zip(*np.broadcast_arrays(np.arange(len(first)) % len(sets),
-                                           dtheta, dphi))
-        for out, (j, a, b) in zip(first.reshape(-1, *shape), entries):
-            ref = einsum_synthesis(g, sets[j], a, b)
+        indices = np.arange(len(ENTRIES))[entries].reshape(-1)
+        for i, (out, entry) in enumerate(zip(first.reshape(-1, *shape),
+                                             indices)):
+            ref = einsum_synthesis(g, sets[i % len(sets)], entry)
             assert np.allclose(out, ref, rtol=0.0,
-                               atol=1e-13 * np.max(np.abs(ref))), (name, a, b)
-    # what partials and project return goes through the same plans
+                               atol=1e-13 * np.max(np.abs(ref))), (
+                name, ENTRIES[entry])
+    # what partials and project return goes through the same entries
     f = rng.standard_normal(shape)
     assert g.partials(f, third=True)["tpp"].tobytes() == g.synthesize(
-        g.analyze(f), *third)[7].tobytes()
+        g.analyze(f), slice(1, 10))[7].tobytes()
     assert g.project(f).shape == shape
 
-    # a bad signature raises on every call and stores no plan
-    plans = len(g._plans)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="0..3"):
-            g.synthesize(C, (1, 4), (0, 0))
-        with pytest.raises(ValueError, match="one length"):
-            g.synthesize(C2, (1, 0, 2), 0)
-    assert len(g._plans) == plans
+
+def test_grid_state_is_fixed_at_construction():
+    # every operator reads the tables built with the grid and stores nothing
+    g = SphereGrid(12, 16)
+    state = dict(vars(g))
+    # arrays and numbers only: no container that could grow
+    assert all(isinstance(v, (np.ndarray, int, float)) for v in state.values())
+    rng = np.random.default_rng(19)
+    f = rng.standard_normal((g.n_theta, g.n_phi))
+    a = 1.0 + 0.1 * rng.random((3, g.n_theta, g.n_phi))
+    operators = {
+        "gradient": g.gradient,
+        "div_grad": lambda f: g.div_grad(f, *a),
+        "div_grad held": lambda f: g.div_grad(f, *a, grad=g.gradient(f)),
+        "project": g.project,
+        "partials": g.partials,
+        "partials third": lambda f: g.partials(f, third=True),
+        "helmholtz": lambda f: g.round_helmholtz_inverse(f, 0.1),
+        "tail fraction": g.spectral_tail_fraction,
+        "stacked analyze": lambda f: g.analyze(np.stack([f, 2.0 * f])),
+    }
+    for name, op in operators.items():
+        op(f)
+        assert vars(g).keys() == state.keys(), name
+        assert all(vars(g)[k] is v for k, v in state.items()), name
 
 
 @pytest.mark.parametrize("shape", [(8, 16), (12, 16), (16, 32)])
