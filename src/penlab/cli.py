@@ -2,10 +2,10 @@
 
 One subcommand per pipeline stage (profile, flow, solve, verify,
 scenario, constants).  All physical quantities are in geometric units;
-with "normalized": true the length-valued config fields are interpreted
-in units of the reference mass.  Outputs are deterministic: floats are
-written with repr precision, JSON keys are sorted, and nothing
-timestamps the files.
+with "normalized": true each length, mass and area in the config, a
+default included, is read in units of the reference mass m.  Outputs
+are deterministic: floats are written with repr precision, JSON keys
+are sorted, and nothing timestamps the files.
 
 Exit codes: 0 success, 1 failed check or violated inequality, 2 usage
 or configuration error, 3 hypotheses or foliation conditions unmet.
@@ -14,7 +14,7 @@ or configuration error, 3 hypotheses or foliation conditions unmet.
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,75 +40,136 @@ class ConfigError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# config plumbing: one table of every block's keys
 
-_LENGTH_FIELDS = {
-    "reference": ("e",),
-    "surface": ("r0",),
-    "flow": ("ds", "s_max"),
-    "solver": ("dt_max",),
-    "profile": ("r_min", "r_max"),
-    "scenario": ("r0", "ds", "s_max", "dt_max", "inner_m"),
-}
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
-
-
-def _flag(block: dict, key: str) -> bool:
-    """A JSON boolean, False when absent: bool("false") would be true."""
-    value = block.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"schema error: {key} must be true or false, "
-                          f"got {value!r}")
+def _given(value):
     return value
 
 
-def _scenario_blocks(cfg: dict) -> list:
-    """The "scenarios" list, else the one "scenario" block (the flagship
-    by default).  Each block must be an object: any other value would be
-    read key by key."""
-    if "scenarios" in cfg:
-        blocks = cfg["scenarios"]
-    else:
-        blocks = [cfg.get("scenario", {"kind": "schwarzschild_interior",
-                                       "inner_m": 1.2, "r0": 4.0,
-                                       "s_max": 40.0})]
+def _number(value) -> float:
+    """A JSON number: a string or a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("must be a number")
+    return float(value)
+
+
+def _whole(value) -> int:
+    if not _number(value).is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    """A JSON boolean: bool("false") would be true."""
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _modes(rows) -> dict:
+    """[[l, m, ε], ...] perturbation rows as perturbed_surface's {(l, m): ε}."""
+    return {(_whole(l), _whole(m)): _number(eps) for l, m, eps in rows}
+
+
+def _resolution(value) -> tuple:
+    """[n_theta, n_phi], or the text "NxM" that --resolution takes."""
+    if isinstance(value, str):
+        value = [int(v) if v.strip().isdigit() else v
+                 for v in value.lower().split("x")]
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError("must look like 16x32")
+    return tuple(_whole(v) for v in value)
+
+
+_FIELD = {f.name: f.default for f in dataclasses.fields(Scenario)}
+# key -> (parser, default, power of m the value carries under "normalized");
+# a key whose default is None may be left out or written null.  A scenario
+# key's default is its Scenario field's; kind and r0 have none there.
+_SCENARIO = {
+    "kind": (_given, "schwarzschild_interior", 0), "r0": (_number, 4.0, 1),
+    **{key: (parse, _FIELD[key], power) for key, parse, power in (
+        ("inner_m", _number, 1), ("horizon_area", _number, 2),
+        ("boundary_u0", _given, 0), ("perturbation", _modes, 0),
+        ("ds", _number, 1), ("s_max", _number, 1), ("store_every", _whole, 0),
+        ("dt_max", _number, 1), ("with_residual", _flag, 0))},
+}
+_SCHEMA = {
+    "reference": {"kind": (_given, "schwarzschild", 0),
+                  "m": (_number, 1.0, 0), "e": (_number, 0.0, 1),
+                  "table": (_given, None, 0)},
+    # r_min and r_max default to the reference's own range (_radial_range)
+    "profile": {"r_min": (_number, None, 1), "r_max": (_number, None, 1),
+                "points": (_whole, 391, 0)},
+    "surface": {key: _SCENARIO[key] for key in ("r0", "perturbation")},
+    "flow": {"resolution": (_resolution,
+                            [_FIELD["n_theta"], _FIELD["n_phi"]], 0),
+             "s_max": (_number, 10.0, 1),
+             **{key: _SCENARIO[key] for key in ("ds", "store_every")}},
+    "solver": {"u0": (_number, 1.2, 0),
+               **{key: _SCENARIO[key] for key in ("dt_max", "with_residual")}},
+    "scenario": _SCENARIO,
+}
+# the top level: the blocks, a "scenarios" list of scenario blocks,
+# "normalized" and "inject"; the flagship runs when a config names none
+_SCHEMA["config"] = {
+    **{name: (_given, {}, 0) for name in _SCHEMA},
+    "scenario": (_given, {"inner_m": 1.2}, 0), "scenarios": (_given, None, 0),
+    "normalized": (_flag, False, 0), "inject": (_given, None, 0),
+}
+
+
+def _block(block, name: str, m: float) -> dict:
+    """One block: unknown keys rejected, defaults filled in, values parsed
+    and multiplied by m**power, so a default scales like a written value."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"schema error: {name} must be an object")
+    unknown = ", ".join(sorted(set(block) - set(_SCHEMA[name])))
+    if unknown:
+        raise ConfigError(f"schema error: unknown {name} key(s): {unknown}")
+    out = {}
+    for key, (parse, default, power) in _SCHEMA[name].items():
+        value = block.get(key, default)
+        if value is not None or default is not None:
+            try:
+                value = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"schema error: {key} {exc}, "
+                                  f"got {value!r}") from None
+            if power:
+                value = value * m**power
+        out[key] = value
+    return out
+
+
+def _read_config(args) -> dict:
+    """Every block of the --config file parsed, so that a misspelled key
+    fails each subcommand, not only the one that reads it."""
+    raw = {}
+    if args.config is not None:
+        if not Path(args.config).is_file():
+            raise ConfigError(f"config file not found: {args.config}")
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    root = _block(raw, "config", 1.0)
+    # "normalized" lengths are in units of m, itself in geometric units
+    m = (_block(root["reference"], "reference", 1.0)["m"]
+         if root["normalized"] else 1.0)
+    blocks = (root["scenarios"] if root["scenarios"] is not None
+              else [root["scenario"]])
+    # each block must be an object: any other value would be read key by key
     if not (isinstance(blocks, list) and blocks
             and all(isinstance(b, dict) for b in blocks)):
         raise ConfigError("schema error: scenarios must be a non-empty list "
                           "of objects, scenario one object")
-    return blocks
-
-
-def _denormalize(cfg: dict) -> dict:
-    """Rescale mass-normalized lengths to geometric units in place."""
-    if not _flag(cfg, "normalized"):
-        return cfg
-    cfg = copy.deepcopy(cfg)
-    scale = float(cfg.get("reference", {}).get("m", 1.0))
-    blocks = [(name, cfg[name]) for name in _LENGTH_FIELDS if name in cfg]
-    if "scenarios" in cfg:
-        blocks += [("scenario", sc) for sc in _scenario_blocks(cfg)]
-    for name, block in blocks:
-        for key in _LENGTH_FIELDS[name]:
-            if key in block:
-                block[key] = block[key] * scale
-        if name == "scenario" and "horizon_area" in block:
-            block["horizon_area"] = block["horizon_area"] * scale**2
-    cfg["normalized"] = False
+    cfg = {name: _block(root[name], name, m)
+           for name in ("reference", "profile", "surface", "flow", "solver")}
+    cfg["scenarios"] = [_block(b, "scenario", m) for b in blocks]
+    if args.resolution:
+        cfg["flow"]["resolution"] = _block(
+            {"resolution": args.resolution}, "flow", m)["resolution"]
+    cfg["inject"] = root["inject"]
     return cfg
 
 
@@ -134,35 +195,16 @@ def _out_dir(args) -> Path:
 
 
 def _reference_from_config(cfg: dict):
-    block = cfg.get("reference", {})
-    kind = block.get("kind", "schwarzschild")
-    if "table" in block:
+    block = cfg["reference"]
+    if block["table"] is not None:
         return reference_from_csv(block["table"])
-    m = float(block.get("m", 1.0))
-    e = float(block.get("e", 0.0))
     try:
-        return make_reference(kind, m=m, e=e)
+        return make_reference(block["kind"], m=block["m"], e=block["e"])
     except ValueError as exc:
         raise ConfigError(f"schema error: {exc}") from exc
 
 
-def _resolution(cfg: dict, args) -> tuple:
-    if getattr(args, "resolution", None):
-        text = args.resolution
-    else:
-        res = cfg.get("flow", {}).get("resolution", [16, 32])
-        if isinstance(res, (list, tuple)) and len(res) == 2:
-            return int(res[0]), int(res[1])
-        text = str(res)
-    try:
-        n_theta, n_phi = (int(v) for v in text.lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"resolution must look like 16x32, got {text!r}") \
-            from exc
-    return n_theta, n_phi
-
-
-def _radial_range(block: dict, ref, analytic_min: float) -> tuple:
+def _radial_range(cfg: dict, ref, analytic_min: float) -> tuple:
     """The profile block's (r_min, r_max).  A table defaults to just inside
     its own ends, so a first row at the horizon (phi = 0) is never sampled;
     an analytic reference defaults to (analytic_min, 100 m)."""
@@ -170,7 +212,9 @@ def _radial_range(block: dict, ref, analytic_min: float) -> tuple:
         r_min, r_max = ref.r_min * 1.000001, ref.r_max * 0.999999
     else:
         r_min, r_max = analytic_min, 100.0 * ref.m
-    return float(block.get("r_min", r_min)), float(block.get("r_max", r_max))
+    block = cfg["profile"]
+    return (r_min if block["r_min"] is None else block["r_min"],
+            r_max if block["r_max"] is None else block["r_max"])
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +223,8 @@ def _radial_range(block: dict, ref, analytic_min: float) -> tuple:
 def cmd_profile(cfg: dict, args) -> int:
     out = _out_dir(args)
     ref = _reference_from_config(cfg)
-    block = cfg.get("profile", {})
-    r_min, r_max = _radial_range(block, ref, 2.5 * ref.m)
-    points = int(block.get("points", 391))
-    r = np.linspace(r_min, r_max, points)
+    r = np.linspace(*_radial_range(cfg, ref, 2.5 * ref.m),
+                    cfg["profile"]["points"])
     try:
         profile = isothermal_profile(ref, r)
     except ValueError as exc:
@@ -195,15 +237,14 @@ def cmd_profile(cfg: dict, args) -> int:
               for a, b, c, d in zip(r, rho, F, V)]
     path = out / "profile.csv"
     path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({points} rows)")
+    print(f"wrote {path} ({len(r)} rows)")
     return 0
 
 
 def cmd_constants(cfg: dict, args) -> int:
     out = _out_dir(args)
     ref = _reference_from_config(cfg)
-    r_min, r_max = _radial_range(cfg.get("profile", {}), ref,
-                                 ref.r_horizon * 1.0025)
+    r_min, r_max = _radial_range(cfg, ref, ref.r_horizon * 1.0025)
     # compute_constants samples its own grid; only the range matters here
     profile = isothermal_profile(ref, (r_min, r_max))
     cons = compute_constants(profile)
@@ -215,35 +256,23 @@ def cmd_constants(cfg: dict, args) -> int:
     return 0
 
 
-def _modes(rows) -> dict:
-    """[[l, m, ε], ...] perturbation rows as perturbed_surface's {(l, m): ε}."""
-    return {(int(l), int(m)): float(eps) for l, m, eps in rows}
-
-
-def _flow_from_config(cfg: dict, args):
+def _flow_from_config(cfg: dict):
     ref = _reference_from_config(cfg)
-    block = cfg.get("flow", {})
-    ds = float(block.get("ds", 0.02))
-    s_max = float(block.get("s_max", 10.0))
-    # passed as given so that FlowConfig rejects a fractional value
-    store_every = block.get("store_every", 5)
-    grid = SphereGrid(*_resolution(cfg, args))
-    surface = cfg.get("surface", {})
-    r0 = float(surface.get("r0", 4.0))
-    profile = run_profile(ref, r0, s_max)
-    rho0 = float(profile.rho_of_r(r0))
-    modes = surface.get("perturbation")
-    if modes:
-        surf = perturbed_surface(grid, rho0, _modes(modes))
+    flow, surface = cfg["flow"], cfg["surface"]
+    grid = SphereGrid(*flow["resolution"])
+    profile = run_profile(ref, surface["r0"], flow["s_max"])
+    rho0 = float(profile.rho_of_r(surface["r0"]))
+    if surface["perturbation"]:
+        surf = perturbed_surface(grid, rho0, surface["perturbation"])
     else:
         surf = round_surface(grid, rho0)
-    return run_flow(surf, profile,
-                    FlowConfig(ds=ds, s_max=s_max, store_every=store_every))
+    return run_flow(surf, profile, FlowConfig(
+        ds=flow["ds"], s_max=flow["s_max"], store_every=flow["store_every"]))
 
 
 def cmd_flow(cfg: dict, args) -> int:
     out = _out_dir(args)
-    fol = _flow_from_config(cfg, args)
+    fol = _flow_from_config(cfg)
     (out / "flow_series.csv").write_text(fol.series_csv())
     report = {
         "slices": len(fol),
@@ -262,11 +291,7 @@ def cmd_flow(cfg: dict, args) -> int:
 
 def cmd_solve(cfg: dict, args) -> int:
     out = _out_dir(args)
-    block = cfg.get("solver", {})
-    u0 = float(block.get("u0", 1.2))
-    dt_max = float(block.get("dt_max", 0.01))
-    with_residual = _flag(block, "with_residual")
-    fol = _flow_from_config(cfg, args)
+    fol = _flow_from_config(cfg)
     if fol.aborted:
         print(f"flow aborted: {fol.abort_reason}", file=sys.stderr)
         return 3
@@ -276,7 +301,7 @@ def cmd_solve(cfg: dict, args) -> int:
             print("foliation condition failed: coefficient detA0 + T/2 - "
                   f"Ric(nu,nu) not positive on slice {i}", file=sys.stderr)
             return 3
-    uf = solve_u(fol, u0, dt_max=dt_max, with_residual=with_residual)
+    uf = solve_u(fol, **cfg["solver"])
     (out / "u_series.csv").write_text(uf.series_csv())
     report = {
         "decay_bounded": uf.decay_bounded,
@@ -390,7 +415,7 @@ def _check_energy_closed_form():
 
 def cmd_verify(cfg: dict, args) -> int:
     out = _out_dir(args)
-    inject = cfg.get("inject")
+    inject = cfg["inject"]
     if inject not in (None, "t_sign_flip"):
         raise ConfigError(f"unknown fault injection: {inject!r}")
     checks = [
@@ -424,29 +449,6 @@ def cmd_verify(cfg: dict, args) -> int:
 # ----------------------------------------------------------------------
 # scenarios
 
-# scenario keys handed to Scenario as given
-_SCENARIO_PASSTHROUGH = ("inner_m", "horizon_area", "boundary_u0", "ds",
-                         "s_max", "store_every", "dt_max", "with_residual")
-
-
-def _scenario_kwargs(block: dict, ref, resolution) -> dict:
-    unknown = set(block) - {"kind", "r0", "perturbation",
-                            *_SCENARIO_PASSTHROUGH}
-    if unknown:
-        raise ValueError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
-    kw = {
-        "kind": block.get("kind", "schwarzschild_interior"),
-        "m": ref.m,
-        "e": ref.e,
-        "r0": float(block.get("r0", 4.0)),
-    }
-    kw.update((key, block[key]) for key in _SCENARIO_PASSTHROUGH if key in block)
-    if "perturbation" in block:
-        kw["perturbation"] = _modes(block["perturbation"])
-    kw["n_theta"], kw["n_phi"] = resolution
-    return kw
-
-
 def _abort_message(exc: Exception) -> str:
     return f"run aborted ({type(exc).__name__}): {exc}"
 
@@ -463,15 +465,14 @@ def _scenario_worker(sc: Scenario):
 
 def cmd_scenario(cfg: dict, args) -> int:
     out = _out_dir(args)
-    blocks = _scenario_blocks(cfg)
     ref = _reference_from_config(cfg)
     if ref.kind == "tabulated":
         raise ConfigError("schema error: scenarios need a schwarzschild or "
                           "reissner_nordstrom reference, not a table")
-    resolution = _resolution(cfg, args)
+    n_theta, n_phi = cfg["flow"]["resolution"]
     try:
-        scenarios = [Scenario(**_scenario_kwargs(b, ref, resolution))
-                     for b in blocks]
+        scenarios = [Scenario(m=ref.m, e=ref.e, n_theta=n_theta, n_phi=n_phi,
+                              **block) for block in cfg["scenarios"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schema error: {exc}") from exc
 
@@ -531,8 +532,7 @@ def console_main(argv=None) -> int:
         sub.add_parser(name, parents=[common])
     args = parser.parse_args(argv)
     try:
-        cfg = _denormalize(_load_config(args.config))
-        return handlers[args.command](cfg, args)
+        return handlers[args.command](_read_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -543,7 +543,7 @@ def console_main(argv=None) -> int:
         print(_abort_message(exc), file=sys.stderr)
         return 3
     except (TypeError, ValueError) as exc:
-        # a config value of the wrong type or range reaches float()/int()
+        # a type or range that a library routine rejects
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

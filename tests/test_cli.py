@@ -346,6 +346,49 @@ def test_normalized_units(tmp_path):
     report = json.loads((tmp_path / "scenario.json").read_text())
     assert report["scenario"]["r0"] == 8.0
     assert abs(report["margin"] - 2 * 0.0111456) < 4e-4
+    # the defaults are rescaled too: surface.r0 4 is 4 m = 8, not the
+    # m = 2 horizon, so this flow runs and writes what the same config
+    # in geometric units writes
+    outputs = []
+    for name, config in [
+        ("normalized", {"normalized": True, "reference": {"m": 2.0},
+                        "flow": {"ds": 0.1, "s_max": 0.2}}),
+        ("geometric", {"reference": {"m": 2.0}, "surface": {"r0": 8.0},
+                       "flow": {"ds": 0.2, "s_max": 0.4}}),
+    ]:
+        out = tmp_path / name
+        assert console_main(["flow", "--config", write_config(
+            tmp_path, config, f"{name}.json"), "--out", str(out),
+            "--resolution", "8x16"]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["flow_report.json", "flow_series.csv"]
+    assert json.loads(outputs[0]["flow_report.json"])["s_final"] == 0.4
+
+
+def test_normalized_scenario_is_scale_covariant(tmp_path):
+    # E and sqrt(A/16 pi) - m carry one power of the mass: a normalized
+    # perturbed RN scenario at m gives m times its m = 1 energies, with its
+    # default ds and dt_max rescaled like the lengths it writes
+    reports = {}
+    for m in (1.0, 2.0, 0.37):
+        cfg = write_config(tmp_path, {
+            "normalized": True,
+            "reference": {"kind": "reissner_nordstrom", "m": m, "e": 0.3},
+            "flow": {"resolution": [8, 16]},
+            "scenario": {"kind": "rn_interior", "inner_m": 1.1, "r0": 5.0,
+                         "s_max": 3.0,
+                         "perturbation": [[2, 1, 0.02], [3, 0, 0.01]]},
+        })
+        out = tmp_path / str(m)
+        assert console_main(["scenario", "--config", cfg,
+                             "--out", str(out)]) == 0
+        reports[m] = json.loads((out / "scenario.json").read_text())
+    base = reports[1.0]
+    for m in (2.0, 0.37):
+        assert reports[m]["verdict"] == base["verdict"]
+        for key in ("E0", "E_inf", "margin"):
+            assert reports[m][key] / m == pytest.approx(base[key], rel=1e-12)
 
 
 
@@ -411,6 +454,31 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
     ("scenario", {"scenarios": SHORT_SCENARIO}, "non-empty list"),
     ("scenario", {"scenarios": [SHORT_SCENARIO, [1, 2]]}, "non-empty list"),
     ("scenario", {"scenario": "dink"}, "scenario one object"),
+    # a misspelled key or block would fall back silently to its default;
+    # each subcommand reads every block, not only its own
+    ("profile", {"reference": {"mass": 2.0}},
+     "unknown reference key(s): mass"),
+    ("profile", {"profile": {"point": 50}}, "unknown profile key(s): point"),
+    ("flow", {"surface": {"r_0": 5.0}, "flow": {"s_max": 0.2}},
+     "unknown surface key(s): r_0"),
+    ("flow", {"flow": {"sMax": 0.2}}, "unknown flow key(s): sMax"),
+    ("solve", {"solver": {"dtmax": 0.02},
+               "flow": {"ds": 0.05, "s_max": 0.15, "store_every": 1}},
+     "unknown solver key(s): dtmax"),
+    ("flow", {"scenario": dict(SHORT_SCENARIO, smax=0.1),
+              "flow": {"s_max": 0.2}}, "unknown scenario key(s): smax"),
+    ("profile", {"normalised": True}, "unknown config key(s): normalised"),
+    ("flow", {"solvr": {"u0": 3.0}, "flow": {"s_max": 0.2}},
+     "unknown config key(s): solvr"),
+    # counts are whole numbers, not truncated
+    ("profile", {"profile": {"points": 2.7}}, "points must be a whole number"),
+    ("flow", {"flow": {"resolution": [8.9, 16.5], "s_max": 0.2}},
+     "resolution must be a whole number"),
+    ("flow", {"surface": {"perturbation": [[2.6, 0.4, 0.1]]},
+              "flow": {"s_max": 0.2}}, "perturbation must be a whole number"),
+    # a number is a JSON number: float("0.1") and float(True) would run
+    ("flow", {"flow": {"ds": "0.1", "s_max": 0.2}}, "ds must be a number"),
+    ("flow", {"flow": {"ds": 0.1, "s_max": True}}, "s_max must be a number"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
@@ -420,7 +488,13 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
         "batch-mode-m-above-ell", "batch-nonpositive-bump",
         "string-normalized", "string-solver-with-residual",
         "string-scenario-with-residual", "empty-scenarios",
-        "object-scenarios", "non-object-scenario", "string-scenario"])
+        "object-scenarios", "non-object-scenario", "string-scenario",
+        "misspelled-reference-key", "misspelled-profile-key",
+        "misspelled-surface-key", "misspelled-flow-key",
+        "misspelled-solver-key", "misspelled-scenario-key",
+        "unknown-block-normalised", "unknown-block-solvr",
+        "fractional-points", "fractional-resolution",
+        "fractional-perturbation-mode", "string-ds", "boolean-s-max"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)
@@ -432,7 +506,8 @@ def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: schema error" in err and message in err
-    assert not list(tmp_path.glob("scenario*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "flat.csv"]
 
 
 @pytest.mark.parametrize("command, config", [

@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from penlab.cli import console_main
@@ -85,6 +85,57 @@ def test_cli_random_config(command, cfg):
                                  "--out", tmp, "--resolution", "8x16"])
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
+
+
+# a config every subcommand runs, and each block's documented keys; the
+# top level (None) takes the blocks, "scenarios" and two flags
+GOOD_CONFIG = {
+    "reference": {"kind": "schwarzschild", "m": 1.0},
+    "profile": {"points": 20},
+    "surface": {"r0": 4.0},
+    "flow": {"resolution": [8, 16], "ds": 0.05, "s_max": 0.15,
+             "store_every": 1},
+    "solver": {"u0": 1.2},
+    "scenario": {"kind": "schwarzschild_interior", "inner_m": 1.2,
+                 "ds": 0.05, "s_max": 0.15},
+}
+KEYS = {
+    "reference": {"kind", "m", "e", "table"},
+    "profile": {"r_min", "r_max", "points"},
+    "surface": {"r0", "perturbation"},
+    "flow": {"resolution", "ds", "s_max", "store_every"},
+    "solver": {"u0", "dt_max", "with_residual"},
+    "scenario": {"kind", "r0", "inner_m", "horizon_area", "boundary_u0",
+                 "perturbation", "ds", "s_max", "store_every", "dt_max",
+                 "with_residual"},
+}
+KEYS[None] = {*KEYS, "scenarios", "normalized", "inject"}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(block=st.sampled_from(list(KEYS)),
+       key=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
+       value=st.one_of(JUNK, st.floats(0.0, 1.0), st.just({})))
+def test_unknown_key_exits_2(block, key, value):
+    # a misspelled key or block would fall back silently to a default
+    assume(key not in KEYS[block])
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    (cfg if block is None else cfg[block])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("profile", "constants", "flow", "solve", "verify",
+                        "scenario"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = console_main([command, "--config", str(path),
+                                     "--out", tmp])
+            assert code == 2, command
+            assert "schema error: unknown" in err.getvalue()
+            assert key in err.getvalue() and "Traceback" not in err.getvalue()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["cfg.json"]
 
 
 # a fixed good block, then a perturbed copy whose first leaf may fail its
