@@ -24,7 +24,6 @@ __all__ = [
     "StepRejected",
     "UField",
     "gmres",
-    "reaction_coefficient",
     "initial_u",
     "solve_u",
     "scalar_residual",
@@ -261,18 +260,15 @@ class UField:
 
     s: np.ndarray
     u: list
-    decay: np.ndarray
+    max_u_minus_1: np.ndarray   # max |u - 1| on each slice
     bounds: tuple
     decay_bounded: bool
     halvings: int
     max_gmres_iters: int
     residual: np.ndarray | None = None
 
-    def max_u_minus_1(self) -> np.ndarray:
-        return np.array([float(np.max(np.abs(ui - 1.0))) for ui in self.u])
-
     def series_csv(self) -> str:
-        dev = self.max_u_minus_1()
+        dev = self.max_u_minus_1
         res = (np.full(len(self.u), np.nan) if self.residual is None
                else np.max(np.abs(self.residual), axis=(1, 2)))
         lines = ["s,max_u_minus_1,min_u,max_residual"]
@@ -356,7 +352,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     bounded = bool(decay[-1] <= 1.25 * float(np.max(decay[:-1], initial=0.0)) + 1e-12)
 
     out = UField(
-        s=s, u=us, decay=decay, bounds=(lo, hi),
+        s=s, u=us, max_u_minus_1=dev, bounds=(lo, hi),
         decay_bounded=bounded, halvings=halvings, max_gmres_iters=gmax)
     if with_residual:
         out.residual = scalar_residual(fol, out)

@@ -25,8 +25,7 @@ from .flow import (FlowConfig, FlowError, Foliation, compute_constants,
                    run_flow)
 from .refgeom import isothermal_profile, make_reference
 from .sphere import SphereGrid
-from .surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
-                       round_surface)
+from .surfgeom import CurvedGeometry, curved_geometry, perturbed_surface
 
 __all__ = [
     "EnergyTrace",
@@ -35,7 +34,7 @@ __all__ = [
     "quasilocal_energy",
     "monotonicity_check",
     "adm_extrapolate",
-    "run_profile",
+    "run_foliation",
     "penrose_report",
 ]
 
@@ -233,7 +232,7 @@ class Scenario:
         # checked here, not first inside penrose_report, so that one bad
         # value cannot end a batch; FlowConfig owns the flow's rules
         FlowConfig(ds=self.ds, s_max=self.s_max, store_every=self.store_every)
-        # the same rule run_profile applies, so it fails before a batch runs
+        # the same rule run_foliation applies, so it fails before a batch runs
         _profile_range(ref, self.r0, self.s_max)
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
@@ -309,10 +308,14 @@ def _profile_range(ref, r0: float, s_max: float):
     return r_lo, r_far
 
 
-def run_profile(ref, r0: float, s_max: float, points: int = 900):
-    """Isothermal profile for a flow from area radius r0 to s = s_max."""
-    r_lo, r_far = _profile_range(ref, r0, s_max)
-    return isothermal_profile(ref, np.geomspace(r_lo, r_far, points))
+def run_foliation(ref, r0: float, modes: dict | None, grid: SphereGrid,
+                  config: FlowConfig, points: int = 900) -> Foliation:
+    """Unit normal flow from the leaf ρ(r0)(1 + Σ ε Y_lm), round without
+    modes, over an isothermal profile sized for config.s_max (fol.profile)."""
+    r_lo, r_far = _profile_range(ref, r0, config.s_max)
+    profile = isothermal_profile(ref, np.geomspace(r_lo, r_far, points))
+    surf = perturbed_surface(grid, float(profile.rho_of_r(r0)), modes or {})
+    return run_flow(surf, profile, config)
 
 
 def _closed_form_e0(sc: Scenario) -> float | None:
@@ -387,25 +390,20 @@ def penrose_report(sc: Scenario) -> PenroseReport:
     horizon, raises FlowError; a failed lapse step raises StepRejected.
     """
     ref = sc.reference()
-    profile = run_profile(ref, sc.r0, sc.s_max, sc.profile_points)
-    grid = SphereGrid(sc.n_theta, sc.n_phi)
-    rho0 = float(profile.rho_of_r(sc.r0))
-    if sc.perturbation is None:
-        surf = round_surface(grid, rho0)
-    else:
-        surf = perturbed_surface(grid, rho0, sc.perturbation)
-
-    fol = run_flow(surf, profile, FlowConfig(ds=sc.ds, s_max=sc.s_max,
-                                             store_every=sc.store_every))
+    fol = run_foliation(ref, sc.r0, sc.perturbation,
+                        SphereGrid(sc.n_theta, sc.n_phi),
+                        FlowConfig(ds=sc.ds, s_max=sc.s_max,
+                                   store_every=sc.store_every),
+                        sc.profile_points)
     hypotheses = _hypothesis_block(fol.summaries, fol.abort_reason,
-                                   ref.kind, profile)
+                                   ref.kind, fol.profile)
 
     trace = ufield = e_inf = scalar_max = e0 = None
     fit = {"fit_residual": None}
     # interior boundary data H0/H need a first leaf that passes its
     # monitors (H0 > 0 among them); a custom lapse is given outright
     if sc.kind == "custom" or fol.summaries[0]["passed"]:
-        g0 = curved_geometry(fol.surfaces[0], profile)
+        g0 = curved_geometry(fol.surfaces[0], fol.profile)
         try:
             u0 = _boundary_u0(sc, g0)
         except ValueError as exc:

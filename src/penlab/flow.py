@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .refgeom import ConformalProfile, _cone, _ricci, _trace, angle_threshold
+from .refgeom import ConformalProfile, _cone, _ricci, _trace
 from .sphere import SphereGrid
 from .surfgeom import (
     CurvedGeometry,
@@ -345,7 +345,8 @@ def compute_constants(profile: ConformalProfile) -> dict:
     r_lo_ext = (ref.r_horizon * (1.0 + 1e-9) if ref.r_horizon > 0
                 else max(ref.r_min, 1e-6))
     r_ext = np.geomspace(r_lo_ext, profile.r_hi * 0.99, _CONSTANTS_GRID)
-    g_ext = float(np.max(angle_threshold(ref, r_ext)))
+    g_ext = float(np.max(_cone(*_ricci(r_ext, ref.phi(r_ext),
+                                       ref.dphi(r_ext)))))
 
     def c2_of(gmax):
         if C3 == 0.0 and C4 == 0.0 and C5 == 0.0:

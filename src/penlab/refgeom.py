@@ -28,7 +28,6 @@ __all__ = [
     "RadialFactors",
     "make_reference",
     "isothermal_profile",
-    "ricci_eigenvalues",
     "reference_fields",
     "reference_from_csv",
 ]
@@ -159,12 +158,6 @@ def _along(c2, rad, tan):
     return c2 * rad + (1.0 - c2) * tan
 
 
-def ricci_eigenvalues(ref: ReferenceManifold, r):
-    """Orthonormal-frame Ricci eigenvalues (radial, tangential)."""
-    r = ref.require_exterior(r)
-    return _ricci(r, ref.phi(r), ref.dphi(r))
-
-
 def _cone(lam_rad, lam_tan):
     """Lower bound on cosθ below which normal convexity can fail.
 
@@ -177,11 +170,6 @@ def _cone(lam_rad, lam_tan):
     flat = np.abs(denom) < 1e-300
     ratio = np.where(flat, 0.0, lam_tan / np.where(flat, 1.0, denom))
     return np.sqrt(np.clip(ratio, 0.0, 1.0))
-
-
-def angle_threshold(ref: ReferenceManifold, r):
-    """The cone bound on cosθ at radii r (see _cone)."""
-    return _cone(*ricci_eigenvalues(ref, r))
 
 
 def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):

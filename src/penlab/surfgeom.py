@@ -45,9 +45,6 @@ class StarSurface:
         if not np.all(self.G > 0.0):
             raise ValueError("star surface needs G > 0 everywhere")
 
-    def partials(self, third: bool = False) -> dict:
-        return self.grid.partials(self.G, third=third)
-
 
 def round_surface(grid: SphereGrid, rho0: float) -> StarSurface:
     """Coordinate sphere ρ = ρ0."""
@@ -62,12 +59,16 @@ def perturbed_surface(grid: SphereGrid, rho0: float, modes: dict) -> StarSurface
     modes maps (ell, m) to an amplitude ε; the basis function is the
     associated Legendre P_ell^m(cosθ) times cos(mφ) for m ≥ 0 and
     sin(|m|φ) for m < 0, so (2, 0) with ε gives ρ0(1 + ε P₂(cosθ)).
+    A mode beyond the grid's band (ell > lmax or |m| > mmax) is an error.
     """
     bump = np.zeros((grid.n_theta, grid.n_phi))
     x = grid.cos_theta[:, None]
     for (ell, m), amp in modes.items():
         if abs(m) > ell:
             raise ValueError(f"mode ({ell}, {m}) has |m| > ell")
+        if ell > grid.lmax or abs(m) > grid.mmax:
+            raise ValueError(f"mode ({ell}, {m}) is outside the grid's band "
+                             f"(lmax {grid.lmax}, mmax {grid.mmax})")
         leg = lpmv(abs(m), ell, x)
         if m >= 0:
             bump += amp * leg * np.cos(m * grid.phi)[None, :]
@@ -112,7 +113,7 @@ class FlatGeometry:
 def flat_geometry(surface: StarSurface) -> FlatGeometry:
     g = surface.grid
     G = surface.G
-    p = surface.partials()
+    p = g.partials(G)
     Gt, Gp = p["t"], p["p"]
     Gtt, Gtp, Gpp = p["tt"], p["tp"], p["pp"]
     s = g.sin_theta[:, None]
@@ -178,7 +179,7 @@ def metric_partials(surface: StarSurface, profile: ConformalProfile | None = Non
     """
     g = surface.grid
     G0 = surface.G
-    p = surface.partials(third=True)
+    p = g.partials(G0, third=True)
     Gt, Gp = p["t"], p["p"]
     Gtt, Gtp, Gpp = p["tt"], p["tp"], p["pp"]
     Gttp, Gtpp = p["ttp"], p["tpp"]
@@ -281,10 +282,6 @@ class CurvedGeometry:
         """Gauss-equation defect 2K − (R̄ − 2 Ric(ν,ν) + H0² − |A0|²)."""
         return 2.0 * self.gauss_k - (self.scalar_curv - 2.0 * self.ric_nu
                                      + self.H0**2 - self.a0_sq)
-
-    @property
-    def cos_theta(self) -> np.ndarray:
-        return self.flat.cos_theta
 
     def area(self) -> float:
         return self.grid.integrate(self.area_density)

@@ -8,10 +8,11 @@
   operator, to compare with the Brioschi formula;
 - nonincreasing: whether an energy series never steps up by more than
   the audit's monotonicity tolerance;
-- ricci_normal, t_function, scalar_curvature: Ric(nu, nu), T(r, nu) and
-  the scalar curvature per quantity, each evaluating the reference
-  functions itself, to compare with the fields curved_geometry and
-  compute_constants build from one evaluation of each.
+- ricci_eigenvalues, ricci_normal, t_function, scalar_curvature: the
+  Ricci eigenvalue pair, Ric(nu, nu), T(r, nu) and the scalar curvature
+  per quantity, each evaluating the reference functions itself, to
+  compare with the fields curved_geometry and compute_constants build
+  from one evaluation of each.
 """
 
 from itertools import islice
@@ -21,7 +22,7 @@ import numpy as np
 from penlab.energy import _MONOTONE_TOL, EnergyTrace
 from penlab.flow import (Foliation, advected_derivative, drift_fields,
                          lagrange3, neighbour_windows)
-from penlab.refgeom import ConformalProfile, ricci_eigenvalues
+from penlab.refgeom import ConformalProfile, _ricci
 from penlab.surfgeom import FlatGeometry
 
 
@@ -45,7 +46,7 @@ def _second_form_residual(prof: ConformalProfile, geoms, slopes) -> float:
     geom = geoms[1]
     g = geom.grid
     surf = geom.flat.surface
-    p = surf.partials(third=True)
+    p = g.partials(surf.G, third=True)
     G, Gt, Gtt, Gttt = surf.G, p["t"], p["tt"], p["ttt"]
     s = g.sin_theta[:, None]
     c = g.cos_theta[:, None]
@@ -185,6 +186,12 @@ def nonincreasing(trace: EnergyTrace) -> bool:
 
 # ----------------------------------------------------------------------
 # reference curvature per quantity
+
+def ricci_eigenvalues(ref, r):
+    """Orthonormal-frame Ricci eigenvalues (radial, tangential) at r."""
+    r = ref.require_exterior(r)
+    return _ricci(r, ref.phi(r), ref.dphi(r))
+
 
 def ricci_normal(ref, r, cos_theta):
     """Ric(ν,ν) for a unit normal at angle θ to the radial direction."""

@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 
 import penlab.bartnik as bartnik
-from penlab.bartnik import (
-    StepRejected,
-    initial_u,
-    reaction_coefficient,
-    solve_u,
-)
+from penlab.bartnik import StepRejected, initial_u, solve_u
 from penlab.flow import FlowConfig, Foliation, run_flow, step_flow
 from penlab.oracle import round_flow_u, schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
 from penlab.surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
-                             round_surface)
+                             reaction_coefficient, round_surface)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +252,7 @@ def test_solve_max_principle_every_slice(round_fol):
         assert np.min(ui) >= 1.0 - eps
         assert np.max(ui) <= 1.2 + eps
     # monotone relaxation toward 1 for constant supersolution data
-    devs = uf.max_u_minus_1()
+    devs = uf.max_u_minus_1
     assert np.all(np.diff(devs) < 0.0)
 
 
@@ -265,7 +260,7 @@ def test_solve_whole_run_fixed_point(round_fol):
     uf = solve_u(round_fol, 1.0)
     assert all(np.array_equal(ui, np.ones_like(ui)) for ui in uf.u)
     assert np.all(uf.residual == 0.0)
-    assert np.all(uf.decay == 0.0)
+    assert np.all(uf.max_u_minus_1 == 0.0)
 
 
 def test_solve_angular_perturbation_decays(grid, schw_profile):
@@ -279,7 +274,7 @@ def test_solve_angular_perturbation_decays(grid, schw_profile):
     eps = 1e-10
     for ui in uf.u:
         assert np.min(ui) >= lo - eps and np.max(ui) <= hi + eps
-    devs = uf.max_u_minus_1()
+    devs = uf.max_u_minus_1
     # the flow expands the surfaces, so angular smoothing weakens with s;
     # the deviation still shrinks every step and lands well below start
     assert np.all(np.diff(devs) < 0.0)

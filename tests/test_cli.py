@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
+import argparse
 import itertools
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import penlab.cli
+import penlab.energy
 import penlab.flow
 from penlab.bartnik import StepRejected
 from penlab.cli import console_main
@@ -97,6 +99,8 @@ def test_profile_extremal_reference_exits_2(tmp_path, capsys):
     {"solver": {"u0": 0.0}},
     {"solver": {"u0": -1.0}},
     {"solver": {"u0": float("nan")}},
+    # (8, 0) is zero on all 8 Gauss nodes: the run would be the round one
+    {"surface": {"perturbation": [[8, 0, 0.05]]}},
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
     config["flow"] = {"ds": 0.05, "s_max": 0.15, "store_every": 1}
@@ -479,6 +483,17 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
     # a number is a JSON number: float("0.1") and float(True) would run
     ("flow", {"flow": {"ds": "0.1", "s_max": 0.2}}, "ds must be a number"),
     ("flow", {"flow": {"ds": 0.1, "s_max": True}}, "s_max must be a number"),
+    # a dict would keep only the last amplitude of a repeated mode
+    ("flow", {"surface": {"perturbation": [[2, 0, 0.1], [2, 0, 0.2]]},
+              "flow": {"s_max": 0.2}}, "perturbation repeats a mode"),
+    ("scenario", {"scenarios": [SHORT_SCENARIO, dict(
+        SHORT_SCENARIO, perturbation=[[2, 0, 0.1], [3, 1, 0.01],
+                                      [2, 0, 0.2]])]},
+     "perturbation repeats a mode"),
+    # P_8 vanishes on the 8 Gauss nodes: the run would be the round one
+    ("scenario", {"scenarios": [SHORT_SCENARIO, dict(
+        SHORT_SCENARIO, perturbation=[[8, 0, 0.05]])]},
+     "mode (8, 0) is outside the grid's band (lmax 7, mmax 7)"),
 ], ids=["negative-inner-mass", "scenario-table", "charged-interior",
         "charged-schwarzschild", "unknown-reference-kind",
         "profile-charged-schwarzschild", "unknown-key-smax", "unknown-key-m",
@@ -494,7 +509,9 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
         "misspelled-solver-key", "misspelled-scenario-key",
         "unknown-block-normalised", "unknown-block-solvr",
         "fractional-points", "fractional-resolution",
-        "fractional-perturbation-mode", "string-ds", "boolean-s-max"])
+        "fractional-perturbation-mode", "string-ds", "boolean-s-max",
+        "repeated-surface-mode", "batch-repeated-mode",
+        "batch-unresolved-mode"])
 def test_mismatched_config_exits_2(tmp_path, monkeypatch, capsys, command,
                                    config, message):
     monkeypatch.chdir(tmp_path)
@@ -524,6 +541,25 @@ def test_fractional_store_every_exits_2(tmp_path, capsys, command, config):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_flow_and_scenario_start_alike(tmp_path):
+    # penlab flow and penrose_report build the same first leaf and flow:
+    # equal G on every stored leaf, bit for bit
+    modes = [[2, 1, 0.03], [3, 0, 0.01]]
+    cfg = write_config(tmp_path, {
+        "reference": {"kind": "reissner_nordstrom", "m": 1.0, "e": 0.3},
+        "surface": {"r0": 5.0, "perturbation": modes},
+        "flow": {"resolution": [8, 16], "s_max": 1.0}})
+    fol = penlab.cli._flow_from_config(penlab.cli._read_config(
+        argparse.Namespace(config=cfg, resolution=None)))
+    rep = penrose_report(Scenario(
+        kind="rn_interior", m=1.0, e=0.3, inner_m=1.1, r0=5.0,
+        perturbation={(l, m): eps for l, m, eps in modes},
+        n_theta=8, n_phi=16, s_max=1.0))
+    assert fol.s == rep.foliation.s and len(fol) == 11
+    assert [s.G.tobytes() for s in fol.surfaces] == [
+        s.G.tobytes() for s in rep.foliation.surfaces]
+
+
 def _raise(exc):
     def stage(*args, **kwargs):
         raise exc
@@ -531,7 +567,7 @@ def _raise(exc):
 
 
 def test_flow_abort_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(penlab.cli, "run_flow",
+    monkeypatch.setattr(penlab.energy, "run_flow",
                         _raise(FlowError("step 7 (s = 0.14): G <= 0")))
     assert console_main(["flow", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

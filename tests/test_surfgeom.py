@@ -56,6 +56,21 @@ def test_surface_validation(grid):
         perturbed_surface(grid, 1.0, {(2, 0): 3.0})  # dips below zero
 
 
+@pytest.mark.parametrize("n_theta, n_phi, mode", [
+    (8, 16, (8, 0)),    # P_8 vanishes on the 8 nodes: the run is round
+    (8, 8, (4, 4)),     # m = 4 is past mmax 3: slice 0's partials miss it
+    (16, 32, (16, 2)),  # past lmax 15
+])
+def test_unresolved_mode_rejected(n_theta, n_phi, mode):
+    grid = SphereGrid(n_theta, n_phi)
+    with pytest.raises(ValueError) as err:
+        perturbed_surface(grid, 1.0, {mode: 0.05})
+    assert str(err.value) == (f"mode {mode} is outside the grid's band "
+                              f"(lmax {grid.lmax}, mmax {grid.mmax})")
+    # the band's own corner is accepted (P_l^m reaches about 6e15 at 16x32)
+    perturbed_surface(grid, 1.0, {(grid.lmax, grid.mmax): 1e-20})
+
+
 def test_round_flat_values(grid):
     rho0 = 2.9142136
     geom = flat_geometry(round_surface(grid, rho0))
@@ -106,7 +121,7 @@ def test_round_rn_values(grid, rn_profile):
 def test_rn_t_field_off_radial(grid, rn_profile):
     surf = perturbed_surface(grid, 2.7, {(2, 0): 0.05})
     geom = curved_geometry(surf, rn_profile)
-    c2 = geom.cos_theta**2
+    c2 = geom.flat.cos_theta**2
     expected = 2.0 * 0.25 * (1.0 - c2) / geom.r**4
     assert np.max(np.abs(geom.t_field - expected)) < 1e-12
     assert np.max(geom.t_field) > 1e-6
@@ -219,7 +234,7 @@ def test_curved_geometry_evaluates_each_reference_function_once(kind):
     assert all(n <= 1 for n in calls.values()), calls
 
     # the one-evaluation fields equal the per-quantity formulas bitwise
-    r, c = geom.r, geom.cos_theta
+    r, c = geom.r, geom.flat.cos_theta
     expected = {
         "V": ref.V(r),
         "dV_dnu": np.sqrt(ref.phi(r)) * ref.dV(r) * c,
