@@ -180,6 +180,10 @@ class Scenario:
     charge, for the latter); "custom" supplies the boundary lapse ratio
     and a declared horizon area directly.  The declared area is used as
     given; nothing searches the inner data for minimal surfaces.
+
+    By default the flow takes one RK4 step of ds = 0.1 per stored leaf:
+    the stored spacing, which sets the lapse march's error floor, stays
+    0.1, and the flow's own error is at least 100x below the march's.
     """
 
     kind: str
@@ -192,9 +196,9 @@ class Scenario:
     perturbation: dict | None = None
     n_theta: int = 16
     n_phi: int = 32
-    ds: float = 0.02
+    ds: float = 0.1
     s_max: float = 40.0
-    store_every: int = 5
+    store_every: int = 1
     dt_max: float = 0.01
     with_residual: bool = False
     profile_points: int = 900

@@ -43,9 +43,9 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowConfig:
-    ds: float = 0.01
-    s_max: float = 10.0
-    store_every: int = 1
+    ds: float
+    s_max: float
+    store_every: int
 
     def __post_init__(self):
         # written as negations so that NaN fails too; an infinite s_max

@@ -376,7 +376,7 @@ def test_solve_rejects_nan_coefficient(schw_profile, monkeypatch):
 def test_solve_requires_three_slices(grid, schw_profile):
     # the quadratic coefficient interpolation needs three distinct nodes
     fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
-                   schw_profile, FlowConfig(ds=0.05, s_max=0.05))
+                   schw_profile, FlowConfig(ds=0.05, s_max=0.05, store_every=1))
     assert len(fol) == 2
     with pytest.raises(ValueError, match="at least 3 slices"):
         solve_u(fol, 1.2)

@@ -1,9 +1,12 @@
 """Unit-speed flow stepping, foliation bookkeeping, and decay constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from diagnostics import evolution_diagnostics
+from penlab.energy import Scenario, penrose_report
 from penlab.flow import (
     FlowConfig,
     FlowError,
@@ -97,8 +100,8 @@ def test_cfl_measures_the_marched_drift(grid, schw_profile):
 def test_config_store_every_whole_number(store_every):
     # k % 2.5 == 0 would store every 5th step, and NaN or inf none
     with pytest.raises(ValueError, match="store_every"):
-        FlowConfig(store_every=store_every)
-    assert FlowConfig(store_every=2.0).store_every == 2
+        FlowConfig(ds=0.01, s_max=10.0, store_every=store_every)
+    assert FlowConfig(ds=0.01, s_max=10.0, store_every=2.0).store_every == 2
 
 
 # ----------------------------------------------------------------- full runs
@@ -137,7 +140,8 @@ def test_unit_lapse_residual_small_window(grid, schw_profile):
 def test_run_aborts_on_bad_initial_surface(grid, schw_profile):
     rho0 = schwarzschild_rho(1.0, 4.0)
     surf = perturbed_surface(grid, rho0, {(2, 0): 0.45})
-    fol = run_flow(surf, schw_profile, FlowConfig(ds=0.05, s_max=1.0))
+    fol = run_flow(surf, schw_profile,
+                   FlowConfig(ds=0.05, s_max=1.0, store_every=1))
     assert fol.aborted
     assert "fails" in fol.abort_reason
     assert len(fol) == 1
@@ -164,6 +168,26 @@ def test_perturbed_run_keeps_conditions(grid, schw_profile):
     assert lines[0] == "s,min_cos_theta,min_kappa_rho2,min_rho,condition_flags"
     assert len(lines) == len(fol) + 1
     assert all(row.endswith(",1") for row in lines[1:])
+
+
+def test_default_flow_step_error_below_march_error():
+    # at Scenario's default ds, a 20x finer flow at the same spacing and
+    # dt_max moves u at least 100x less than a 4x finer lapse march does
+    sc = Scenario(kind="schwarzschild_interior", m=1.0, inner_m=1.2, r0=6.0,
+                  perturbation={(2, 1): 0.01, (3, 3): 0.005},
+                  n_theta=8, n_phi=16, s_max=2.0)
+    base = penrose_report(sc)
+    fine_flow = penrose_report(dataclasses.replace(
+        sc, ds=sc.ds / 20, store_every=20 * sc.store_every))
+    fine_march = penrose_report(dataclasses.replace(sc, dt_max=sc.dt_max / 4))
+
+    def max_du(other):
+        assert np.allclose(other.foliation.s, base.foliation.s, atol=1e-12)
+        return max(float(np.max(np.abs(a - b)))
+                   for a, b in zip(other.ufield.u, base.ufield.u))
+
+    flow_err, march_err = max_du(fine_flow), max_du(fine_march)
+    assert 0.0 < 100.0 * flow_err <= march_err
 
 
 # ------------------------------------------------------------- diagnostics
@@ -217,7 +241,7 @@ def test_diagnostics_uneven_last_interval(grid, schw_profile):
 
 def test_diagnostics_need_three_slices(grid, flat_profile):
     fol = run_flow(round_surface(grid, 1.0), flat_profile,
-                   FlowConfig(ds=0.1, s_max=0.1))
+                   FlowConfig(ds=0.1, s_max=0.1, store_every=1))
     with pytest.raises(ValueError, match="3 stored slices"):
         evolution_diagnostics(fol)
 

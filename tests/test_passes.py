@@ -1,5 +1,6 @@
 """One geometry build per slice per pass, one flow speed per surface, one
-reference evaluation per stored slice, and hypothesis minima from the flow."""
+reference evaluation per stored slice, one flow step per stored leaf at the
+Scenario defaults, and hypothesis minima from the flow."""
 
 import dataclasses
 
@@ -49,6 +50,23 @@ def test_penrose_report_builds_each_slice_three_times(counted):
     assert counted["metric_partials"] == 0
     assert np.all(np.isfinite(rep.foliation.geometry(0).gauss_k))
     assert counted["metric_partials"] == 1
+
+
+def test_default_scenario_steps_once_per_stored_leaf(monkeypatch):
+    # the flagship at Scenario's default ds and store_every: one RK4 step
+    # per stored interval
+    calls = {"step_flow": 0}
+    original = penlab.flow.step_flow
+
+    def counting(*args, **kwargs):
+        calls["step_flow"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(penlab.flow, "step_flow", counting)
+    rep = penrose_report(Scenario(kind="schwarzschild_interior", m=1.0,
+                                  inner_m=1.2, r0=4.0, n_theta=8, n_phi=16))
+    assert rep.verdict == "inequality holds" and not rep.foliation.aborted
+    assert calls["step_flow"] == len(rep.foliation) - 1 == 400
 
 
 def test_flow_and_solve_build_each_slice_twice(counted):
