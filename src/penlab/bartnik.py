@@ -40,6 +40,8 @@ _GMRES_RESTART = 30
 _GMRES_MAXITER = 60
 _MAX_HALVINGS = 8
 _FIXED_POINT_PASSES = 2
+# machine epsilon, the unit of gmres's rounding allowance
+_EPS = float(np.finfo(float).eps)
 
 
 class StepRejected(RuntimeError):
@@ -117,42 +119,60 @@ def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
     return out + advected_derivative(grid, u, b.tau_t, b.tau_p, grad)
 
 
+def _combine(base, coef, vectors):
+    """base + Σ coef[j] vectors[j]; two or more vectors as one matrix
+    product, which at these grid sizes beats a multiply-add per vector."""
+    if len(vectors) == 1:
+        return base + coef[0] * vectors[0]
+    stack = np.array(vectors).reshape(len(vectors), -1)
+    return base + (np.array(coef) @ stack).reshape(base.shape)
+
+
 def gmres(A, b, x0, M, callback=None, ax0=None):
     """Solve A x = b by restarted GMRES, right-preconditioned by M.
 
-    A and M are callables on flat arrays.  Arnoldi runs modified
-    Gram-Schmidt on the preconditioned directions Z[j] = M(V[j]) and
-    Givens rotations on Python floats, so each iteration costs one A and
-    one M, and the update x += Z y needs no further M.  With right
-    preconditioning the rotated Hessenberg residual estimates the true
-    residual ‖b − A x‖ (Saad, Iterative Methods for Sparse Linear
-    Systems, §9.3).  That estimate ends a cycle, but a call succeeds
-    only once the true residual, recomputed with one more A per cycle,
-    satisfies ‖b − A x‖ ≤ max(_GMRES_ATOL, _GMRES_RTOL ‖b‖); otherwise
-    the next cycle restarts from it.  ``callback`` receives the residual
-    estimate once per iteration.  Returns (x, info): info is 0 on
-    success, and the number of iterations made (at least 1) when the
-    total cap _GMRES_MAXITER is reached or an Arnoldi column vanishes.
-    x0 is not modified, and is returned as is when it already solves the
-    system.
+    A maps a flat array x to a tuple of arrays that are linear in x, whose
+    first entry is the flat A x; M is a callable on flat arrays.  Arnoldi
+    runs modified Gram-Schmidt on the preconditioned directions
+    Z[j] = M(V[j]) and Givens rotations on Python floats, so each
+    iteration costs one A and one M.  gmres keeps what A returned for
+    each Z[j], and forms x = x0 + Z y and its tuple A x0 + Σ y_j A Z[j]
+    by linearity, with no further A or M (flexible GMRES keeps its
+    directions the same way: Saad, Iterative Methods for Sparse Linear
+    Systems, §9.4).  With right preconditioning the rotated Hessenberg
+    residual estimates the true residual ‖b − A x‖ (§9.3).  That
+    estimate ends a cycle, but a call succeeds only once the residual
+    formed by linearity, plus the rounding allowance
+    (k + 2) ε (‖A x0‖ + Σ |y_j| ‖A Z[j]‖) of a cycle of k directions
+    (Higham, Accuracy and Stability of Numerical Algorithms, §3.1), is
+    at most max(_GMRES_ATOL, _GMRES_RTOL ‖b‖); otherwise the next cycle
+    restarts from it.  ``callback`` receives the residual estimate once
+    per iteration.
 
-    A caller that already holds A(x0) passes it as ax0, and then gmres
-    makes no A call at x0.  On success the last A call, if any, was at
-    the x returned, so a caller can keep what that call computed for the
-    solution.
+    A caller that already holds the tuple at x0 passes it as ax0, and
+    then gmres makes no A call at x0.  Returns (x, the tuple at x, info):
+    info is 0 on success, and the number of iterations made (at least 1)
+    when the total cap _GMRES_MAXITER is reached or an Arnoldi column
+    vanishes.  x0 is not modified, and is returned as is, with its
+    tuple, when it already solves the system.
     """
     target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
     x = x0
-    r = b - (A(x) if ax0 is None else ax0)
+    ax = A(x) if ax0 is None else ax0
+    r = b - ax[0]
     beta = math.sqrt(float(r @ r))
+    allowance = 0.0   # rounding in a residual formed by linearity
     iters = 0
-    while not beta <= target:   # a NaN residual never converges
+    while not beta + allowance <= target:   # a NaN residual never converges
         if iters >= _GMRES_MAXITER:
-            return x, max(iters, 1)
-        V, Z, R, g, rotations = [r / beta], [], [], [beta], []
+            return x, ax, max(iters, 1)
+        # kept[j] is (Z[j], A(Z[j]), ‖A Z[j]‖)
+        V, kept, R, g, rotations = [r / beta], [], [], [beta], []
         for _ in range(min(_GMRES_RESTART, _GMRES_MAXITER - iters)):
             z = M(V[-1])
-            w = A(z)
+            az = A(z)
+            w = az[0]
+            kept.append((z, az, math.sqrt(float(w @ w))))
             h = []
             for v in V:
                 hv = float(w @ v)
@@ -164,13 +184,12 @@ def gmres(A, b, x0, M, callback=None, ax0=None):
             d = math.hypot(h[-1], h_next)
             if not d > 0.0:
                 # A M annihilates the direction (or it is not finite)
-                return x, max(iters, 1)
+                return x, ax, max(iters, 1)
             c, s = h[-1] / d, h_next / d
             rotations.append((c, s))
             h[-1] = d
             g.append(-s * g[-1])
             g[-2] *= c
-            Z.append(z)
             R.append(h)
             iters += 1
             if callback is not None:
@@ -184,11 +203,15 @@ def gmres(A, b, x0, M, callback=None, ax0=None):
         for i in reversed(range(len(R))):
             acc = g[i] - sum(R[j][i] * y[j] for j in range(i + 1, len(R)))
             y[i] = acc / R[i][i]
-        for yi, zi in zip(y, Z):
-            x = x + yi * zi
-        r = b - A(x)
+        z_cols, az_cols, norms = zip(*kept)
+        size = math.sqrt(float(ax[0] @ ax[0])) + sum(
+            abs(yi) * norm for yi, norm in zip(y, norms))
+        x = _combine(x, y, z_cols)
+        ax = tuple(_combine(p, y, col) for p, col in zip(ax, zip(*az_cols)))
+        r = b - ax[0]
         beta = math.sqrt(float(r @ r))
-    return x, 0
+        allowance = (len(y) + 2) * _EPS * size
+    return x, ax, 0
 
 
 def _imex_step(grid, u0, ops0, b0, b1, ds):
@@ -196,8 +219,11 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
 
     ops0 is _operators(grid, b0, u0).  Returns the end state v, the pair
     (L_b1(v), gradient of v) for the next substep, and the most GMRES
-    iterations a pass made.  The pair comes from GMRES's last operator
-    call, which was at v, so no Laplacian or gradient is taken twice.
+    iterations a pass made.  Each pass's operator returns
+    (x − scale L_b1(x), L_b1(x), gradient of x), all linear in x, so
+    GMRES hands back the pair at its solution, formed by linearity, and
+    the next pass and the next substep read it from there: no Laplacian
+    or gradient is taken twice.
     """
     shape = u0.shape
     base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
@@ -208,14 +234,12 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
-        last = [lap, grad]   # L_b1 and gradient at matvec's latest argument
 
         def matvec(x):
             x = x.reshape(shape)
             g = grid.gradient(x)
             lap_x = _laplacian(grid, b1, x, g)
-            last[:] = lap_x, g
-            return (x - scale * lap_x).ravel()
+            return (x - scale * lap_x).ravel(), lap_x, g
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
         rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
@@ -231,14 +255,14 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
         def cb(_):
             count[0] += 1
 
-        sol, info = gmres(matvec, rhs.ravel(), v.ravel(), precond, callback=cb,
-                          ax0=(v - scale * lap).ravel())
+        sol, (_, lap, grad), info = gmres(
+            matvec, rhs.ravel(), v.ravel(), precond, callback=cb,
+            ax0=((v - scale * lap).ravel(), lap, grad))
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
             raise StepRejected(f"linear solve stalled (gmres info {info})")
         iters = max(iters, count[0])
-        lap, grad = last
         v_new = sol.reshape(shape)
         if np.max(np.abs(v_new - v)) < 1e-14:
             v = v_new

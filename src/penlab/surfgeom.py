@@ -54,12 +54,16 @@ def round_surface(grid: SphereGrid, rho0: float) -> StarSurface:
 
 
 def perturbed_surface(grid: SphereGrid, rho0: float, modes: dict) -> StarSurface:
-    """Round surface with relative harmonic bumps.
+    """Round surface ρ0(1 + bump), the bump a sum of harmonic modes.
 
-    modes maps (ell, m) to an amplitude ε; the basis function is the
-    associated Legendre P_ell^m(cosθ) times cos(mφ) for m ≥ 0 and
+    modes maps (ell, m) to an amplitude ε that multiplies the
+    unnormalised associated Legendre P_ell^m(cosθ) of scipy's lpmv,
+    Condon–Shortley phase (−1)^m included, times cos(mφ) for m ≥ 0 and
     sin(|m|φ) for m < 0, so (2, 0) with ε gives ρ0(1 + ε P₂(cosθ)).
-    A mode beyond the grid's band (ell > lmax or |m| > mmax) is an error.
+    ε is not the bump's size: P_ell^ell peaks at (2 ell − 1)!!, so
+    {(7, 7): 0.01} on an 8x16 grid is a bump of about 1351, which
+    fails StarSurface's G > 0.  A mode beyond the grid's band
+    (ell > lmax or |m| > mmax) is an error.
     """
     bump = np.zeros((grid.n_theta, grid.n_phi))
     x = grid.cos_theta[:, None]

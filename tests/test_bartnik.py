@@ -138,7 +138,7 @@ def test_gmres_matches_dense_solve(precond):
     a, b = _dominant_system()
     diag = np.diag(a)
     m = (lambda x: x) if precond == "identity" else (lambda x: x / diag)
-    x, info = bartnik.gmres(lambda x: a @ x, b, np.zeros_like(b), m)
+    x, _, info = bartnik.gmres(lambda x: (a @ x,), b, np.zeros_like(b), m)
     assert info == 0
     exact = np.linalg.solve(a, b)
     assert np.max(np.abs(x - exact)) <= bartnik._GMRES_RTOL * 100 * np.max(np.abs(exact))
@@ -152,7 +152,8 @@ def test_gmres_converges_across_restarts(monkeypatch):
     for restart in (30, 2):
         monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
         cb, calls = _counted(lambda _: None)
-        x, info = bartnik.gmres(lambda x: a @ x, b, x0, lambda x: x, callback=cb)
+        x, _, info = bartnik.gmres(lambda x: (a @ x,), b, x0, lambda x: x,
+                                   callback=cb)
         assert info == 0
         assert np.linalg.norm(b - a @ x) <= bartnik._GMRES_RTOL * np.linalg.norm(b)
         counts[restart] = calls[0]
@@ -164,8 +165,8 @@ def test_gmres_reports_the_iteration_cap(monkeypatch):
     a, b = _six_eigenvalue_system()
     monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 3)
     cb, calls = _counted(lambda _: None)
-    x, info = bartnik.gmres(lambda x: a @ x, b, np.zeros_like(b), lambda x: x,
-                            callback=cb)
+    x, _, info = bartnik.gmres(lambda x: (a @ x,), b, np.zeros_like(b),
+                               lambda x: x, callback=cb)
     assert info == 3 == calls[0]
     assert np.linalg.norm(b - a @ x) > bartnik._GMRES_RTOL * np.linalg.norm(b)
 
@@ -185,7 +186,8 @@ def test_imex_step_rejects_at_the_iteration_cap(grid, schw_profile, monkeypatch)
 @pytest.mark.parametrize("restart", [30, 2])
 def test_gmres_takes_a_x0_and_ends_at_its_solution(monkeypatch, restart):
     # the lapse march relies on both: a given A(x0) is not recomputed, and
-    # the last A call of a successful solve is at the x it returns
+    # the tuple returned is A's at the x returned, formed by linearity
+    # with no A call there, so A runs once per iteration and no more
     monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
     a, b = _six_eigenvalue_system()
     x0 = np.linspace(-1.0, 1.0, len(b))
@@ -193,42 +195,84 @@ def test_gmres_takes_a_x0_and_ends_at_its_solution(monkeypatch, restart):
 
     def apply_a(x):
         seen.append(x.copy())
-        return a @ x
+        return a @ x, 2.0 * x
 
-    plain, info = bartnik.gmres(apply_a, b, x0, lambda x: x)
+    cb, iterations = _counted(lambda _: None)
+    plain, _, info = bartnik.gmres(apply_a, b, x0, lambda x: x, callback=cb)
     assert info == 0
     assert np.array_equal(seen[0], x0)
-    n_plain = len(seen)
 
     seen.clear()
-    x, info = bartnik.gmres(apply_a, b, x0, lambda x: x, ax0=a @ x0)
+    iterations[0] = 0
+    x, ax, info = bartnik.gmres(apply_a, b, x0, lambda x: x, callback=cb,
+                                ax0=(a @ x0, 2.0 * x0))
     assert info == 0
     assert not any(np.array_equal(arg, x0) for arg in seen)
-    assert len(seen) == n_plain - 1
-    assert np.array_equal(seen[-1], x)
+    assert len(seen) == iterations[0]
     assert np.array_equal(x, plain)
+    for got, direct in zip(ax, (a @ x, 2.0 * x), strict=True):
+        assert np.max(np.abs(got - direct)) <= 1e-13 * (1.0 + np.max(np.abs(direct)))
 
 
 def test_gmres_callback_once_per_iteration():
     a, b = _dominant_system()
     diag = np.diag(a)
-    apply_a, a_calls = _counted(lambda x: a @ x)
+    apply_a, a_calls = _counted(lambda x: (a @ x,))
     precond, m_calls = _counted(lambda x: x / diag)
     cb, cb_calls = _counted(lambda _: None)
-    x, info = bartnik.gmres(apply_a, b, np.zeros_like(b), precond, callback=cb)
+    x, _, info = bartnik.gmres(apply_a, b, np.zeros_like(b), precond, callback=cb)
     assert info == 0
     # one preconditioner application per iteration, and one operator
-    # application per iteration plus the initial and final residuals
+    # application per iteration plus the initial residual; the residual
+    # at the solution is formed by linearity
     assert cb_calls[0] == m_calls[0] >= 2
-    assert a_calls[0] == cb_calls[0] + 2
+    assert a_calls[0] == cb_calls[0] + 1
 
     # a starting guess that already solves the system makes no iteration
     a_calls[0] = m_calls[0] = cb_calls[0] = 0
     x0 = np.linalg.solve(a, b)
-    x, info = bartnik.gmres(apply_a, a @ x0, x0, precond, callback=cb)
+    x, _, info = bartnik.gmres(apply_a, a @ x0, x0, precond, callback=cb)
     assert info == 0 and x is x0
     assert cb_calls[0] == m_calls[0] == 0
     assert a_calls[0] == 1
+
+
+def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
+                                                    monkeypatch):
+    # success is judged on the residual formed by linearity plus its
+    # rounding allowance; the residual of a direct A call at the solution
+    # must meet the same target, and the tuple must be A's there
+    gmres = bartnik.gmres
+    checked = [0]
+
+    def checking(A, b, *args, **kwargs):
+        x, ax, info = gmres(A, b, *args, **kwargs)
+        if info == 0:
+            direct = A(x)
+            target = max(bartnik._GMRES_ATOL,
+                         bartnik._GMRES_RTOL * np.linalg.norm(b))
+            assert np.linalg.norm(b - direct[0]) <= target
+            for got, want in zip(ax, direct, strict=True):
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            checked[0] += 1
+        return x, ax, info
+
+    monkeypatch.setattr(bartnik, "gmres", checking)
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 6.0),
+                             {(2, 1): 0.01, (3, 3): 0.005})
+    fol = run_flow(surf, schw_profile, FlowConfig(ds=0.1, s_max=0.5,
+                                                  store_every=1))
+    solve_u(fol, 1.2 + 0.05 * grid.cos_theta[:, None], with_residual=False)
+    assert checked[0] >= 50
+
+    # two-step cycles carry x and its tuple across several restarts
+    monkeypatch.setattr(bartnik, "_GMRES_RESTART", 2)
+    a, b = _six_eigenvalue_system()
+    checked[0] = 0
+    x, _, info = bartnik.gmres(lambda x: (a @ x, 3.0 * x[::2]), b,
+                               np.zeros_like(b), lambda x: x)
+    assert info == 0 and checked[0] == 1
 
 
 # ------------------------------------------------------------------ solves
