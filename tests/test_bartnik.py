@@ -263,8 +263,17 @@ def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
                              {(2, 1): 0.01, (3, 3): 0.005})
     fol = run_flow(surf, schw_profile, FlowConfig(ds=0.1, s_max=0.5,
                                                   store_every=1))
-    solve_u(fol, 1.2 + 0.05 * grid.cos_theta[:, None], with_residual=False)
+    u0 = 1.2 + 0.05 * grid.cos_theta[:, None]
+    solve_u(fol, u0, with_residual=False)
     assert checked[0] >= 50
+
+    # a two-iteration cap rejects windows, so halved ones run up to 320
+    # substeps on the pair carried by linearity, none of it recomputed
+    checked[0] = 0
+    with monkeypatch.context() as m:
+        m.setattr(bartnik, "_GMRES_MAXITER", 2)
+        assert solve_u(fol, u0, with_residual=False).halvings > 0
+    assert checked[0] >= 1000
 
     # two-step cycles carry x and its tuple across several restarts
     monkeypatch.setattr(bartnik, "_GMRES_RESTART", 2)
