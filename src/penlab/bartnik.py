@@ -18,7 +18,7 @@ import numpy as np
 
 from .flow import (Foliation, advected_derivative, drift_fields, lagrange3,
                    neighbour_windows)
-from .surfgeom import CurvedGeometry, reaction_coefficient
+from .surfgeom import CurvedGeometry, rate_bracket, reaction_coefficient
 
 __all__ = [
     "StepRejected",
@@ -27,6 +27,8 @@ __all__ = [
     "initial_u",
     "solve_u",
     "scalar_residual",
+    "slice_energy",
+    "slice_energy_rate",
 ]
 
 
@@ -70,10 +72,13 @@ def initial_u(h_physical, h_background) -> np.ndarray:
 
 class _Bundle(NamedTuple):
     """The eight grid fields stacked as one (8, n_theta, n_phi) array, so a
-    blend is one weighted sum; the fields read by name."""
+    blend is one weighted sum; the fields read by name.  A slice's own
+    bundle also carries, unblended, the three fields its energy and rate
+    read, (V H0, rate bracket, area density); a blend has none."""
 
     fields: np.ndarray
     area_radius: float
+    audit: tuple | None = None
 
     H0 = property(lambda b: b.fields[0])
     c = property(lambda b: b.fields[1])
@@ -94,13 +99,35 @@ def _make_bundle(geom: CurvedGeometry) -> _Bundle:
     fields = np.array([geom.H0, reaction_coefficient(geom), tau_t, tau_p,
                        k * flat.sig_pp, -k * flat.sig_tp, k * flat.sig_tt,
                        1.0 / (geom.area_density * sin)])
-    return _Bundle(fields, geom.area_radius())
+    return _Bundle(fields, geom.area_radius(),
+                   (geom.V * geom.H0, rate_bracket(geom), geom.area_density))
 
 
 def _blend(bundles, weights) -> _Bundle:
     # sum() keeps each element's order (0 + w0 f0) + w1 f1 + w2 f2
     return _Bundle(sum(w * b.fields for w, b in zip(weights, bundles)),
                    sum(w * b.area_radius for w, b in zip(weights, bundles)))
+
+
+def slice_energy(grid, vh0, area_density, u) -> float:
+    """E = (1/8π) ∫ V H0 (1 − 1/u) dA on one slice, from V H0 and the
+    area density per unit solid angle."""
+    return float(grid.integrate(vh0 * (1.0 - 1.0 / u) * area_density)
+                 / (8.0 * np.pi))
+
+
+def slice_energy_rate(grid, bracket, area_density, u) -> float:
+    """Closed-form dE/ds = −(1/8π) ∫ (u − 1)²/u · bracket dA on one slice,
+    the bracket being rate_bracket's."""
+    w = (u - 1.0) ** 2 / u
+    return float(-grid.integrate(w * bracket * area_density) / (8.0 * np.pi))
+
+
+def _audit(grid, b: _Bundle, u) -> tuple:
+    """(E, closed-form dE/ds) of a slice's own bundle at its lapse u."""
+    vh0, bracket, density = b.audit
+    return (slice_energy(grid, vh0, density, u),
+            slice_energy_rate(grid, bracket, density, u))
 
 
 def _laplacian(grid, b: _Bundle, v: np.ndarray, grad=None) -> np.ndarray:
@@ -294,11 +321,14 @@ def _check_bounds(u, lo, hi):
 
 @dataclass
 class UField:
-    """Lapse solution sampled on the stored slices of a foliation."""
+    """Lapse solution sampled on the stored slices of a foliation, with
+    the energy E and its closed-form rate dE/ds on each slice."""
 
     s: np.ndarray
     u: list
     max_u_minus_1: np.ndarray   # max |u - 1| on each slice
+    energy: np.ndarray
+    rate_formula: np.ndarray
     bounds: tuple
     decay_bounded: bool
     halvings: int
@@ -326,6 +356,10 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     |u − 1| decays (local error scales with the deviation), up to 4x
     dt_max.  Steps that break the maximum-principle bounds are retried
     with halved substeps.
+
+    Each slice's energy and closed-form rate are taken from the build its
+    bundle came from, at the lapse the march reached there, so no pass
+    after the march builds a slice for them.
     """
     if not dt_max > 0.0:
         raise ValueError("dt_max must be positive")
@@ -349,11 +383,14 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
             yield b
 
     us = [u.copy()]
+    energy, rate = np.empty(n), np.empty(n)
     halvings = 0
     gmax = 0
     dev0 = float(np.max(np.abs(u - 1.0)))
     for k, nodes, nb in zip(range(n - 1), neighbour_windows(fol.s),
                             neighbour_windows(checked_bundles())):
+        # slice k sits first in the first window and in the middle after
+        energy[k], rate[k] = _audit(grid, nb[min(k, 1)], u)
         window = fol.s[k + 1] - fol.s[k]
         dev = float(np.max(np.abs(u - 1.0)))
         if dev0 == 0.0 or dev == 0.0:
@@ -383,6 +420,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
                 halvings += 1
         u = v
         us.append(u.copy())
+    energy[-1], rate[-1] = _audit(grid, nb[2], u)
 
     s = np.asarray(fol.s, dtype=float)
     dev = np.array([float(np.max(np.abs(ui - 1.0))) for ui in us])
@@ -390,7 +428,8 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     bounded = bool(decay[-1] <= 1.25 * float(np.max(decay[:-1], initial=0.0)) + 1e-12)
 
     out = UField(
-        s=s, u=us, max_u_minus_1=dev, bounds=(lo, hi),
+        s=s, u=us, max_u_minus_1=dev, energy=energy, rate_formula=rate,
+        bounds=(lo, hi),
         decay_bounded=bounded, halvings=halvings, max_gmres_iters=gmax)
     if with_residual:
         out.residual = scalar_residual(fol, out)

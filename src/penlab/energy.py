@@ -6,8 +6,10 @@ curvature H0 and its deformation H0/u by the static potential:
     E = (1/8pi) * integral of V * H0 * (1 - 1/u) over the slice.
 
 Along a unit-speed foliation carrying a solution u of the radial lapse
-equation, dE/ds has a sign-definite closed form.  monotonicity_check
-audits the computed series against that form; adm_extrapolate sends
+equation, dE/ds has a sign-definite closed form.  solve_u records E and
+that form on every slice as it marches, from the geometry it builds
+anyway; monotonicity_check differentiates the recorded series and
+audits it against the form, building nothing; adm_extrapolate sends
 s to infinity with a 1/s fit, which identifies the limit with the total
 mass of the deformed extension minus the reference mass; penrose_report
 runs the whole pipeline on a matching scenario and compares E(0) with
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bartnik import UField, initial_u, solve_u
+from .bartnik import UField, initial_u, slice_energy, solve_u
 from .flow import (FlowConfig, FlowError, Foliation, compute_constants,
                    run_flow)
 from .refgeom import isothermal_profile, make_reference
@@ -65,9 +67,7 @@ def quasilocal_energy(geom: CurvedGeometry, u) -> float:
     u = np.broadcast_to(np.asarray(u, dtype=float), geom.H0.shape)
     if not np.all(u > 0.0):
         raise ValueError("u must be positive")
-    integrand = geom.V * geom.H0 * (1.0 - 1.0 / u)
-    return float(geom.grid.integrate(integrand * geom.area_density)
-                 / (8.0 * np.pi))
+    return slice_energy(geom.grid, geom.V * geom.H0, geom.area_density, u)
 
 
 @dataclass
@@ -96,20 +96,14 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _rate_formula(geom: CurvedGeometry, u: np.ndarray) -> float:
-    w = (u - 1.0) ** 2 / u
-    bracket = (geom.H0 * geom.dV_dnu
-               + geom.V * (geom.det_a0 - 0.5 * geom.t_field))
-    return float(-geom.grid.integrate(w * bracket * geom.area_density)
-                 / (8.0 * np.pi))
-
-
 def monotonicity_check(fol: Foliation, ufield: UField) -> EnergyTrace:
     """Audit dE/ds along the run against its closed-form expression.
 
-    The numeric side differentiates the energy series with centered
-    second-order stencils (one-sided at the ends); the formula side is
-    the nonpositive integral of (u-1)^2/u times the condition bracket.
+    Both series come from ufield, which solve_u filled from its own
+    slice builds, so the audit builds no geometry.  The numeric side
+    differentiates the energy series with centered second-order
+    stencils (one-sided at the ends); the formula side is the
+    nonpositive integral of (u-1)^2/u times the condition bracket.
     """
     n = len(fol)
     if n < 3:
@@ -117,11 +111,8 @@ def monotonicity_check(fol: Foliation, ufield: UField) -> EnergyTrace:
     if len(ufield.u) != n:
         raise ValueError("ufield does not match the foliation")
     s = np.asarray(fol.s, dtype=float)
-    energy = np.empty(n)
-    formula = np.empty(n)
-    for k, (g, u) in enumerate(zip(map(fol.geometry, range(n)), ufield.u)):
-        energy[k] = quasilocal_energy(g, u)
-        formula[k] = _rate_formula(g, u)
+    energy = np.array(ufield.energy, dtype=float)
+    formula = np.array(ufield.rate_formula, dtype=float)
     numeric = np.gradient(energy, s, edge_order=2)
     return EnergyTrace(
         s=s, energy=energy, rate_numeric=numeric, rate_formula=formula,

@@ -171,7 +171,9 @@ class Foliation:
     Surfaces are kept for every stored slice; full geometry is rebuilt
     on demand through geometry(), which keeps long runs at a few
     kilobytes per slice.  Passes that need every slice walk them in
-    order, building each once.
+    order, building each once: run_flow builds a slice to store it, and
+    solve_u builds it again for its coefficients and records the slice's
+    energy and rate there, so the energy audit builds nothing.
     """
 
     profile: ConformalProfile

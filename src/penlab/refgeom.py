@@ -35,7 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceManifold:
-    """Immutable bundle of φ, φ′, V, V′ and V″."""
+    """Immutable bundle of φ, φ′, V, V′ and V″.
+
+    potential(r, φ(r), φ′(r)) returns (V, V′, V″) at r, so that a caller
+    that already holds φ and φ′ there does not evaluate them again.
+    """
 
     kind: str
     m: float
@@ -48,6 +52,7 @@ class ReferenceManifold:
     V: Callable[[np.ndarray], np.ndarray]
     dV: Callable[[np.ndarray], np.ndarray]
     d2V: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
     def require_exterior(self, r):
         r = np.asarray(r, dtype=float)
@@ -97,15 +102,19 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
         def V(r):
             return np.sqrt(phi(r))
 
+        def potential(r, p, dp):
+            # V = √φ and its r-derivatives over φ and φ′ given at r
+            v = np.sqrt(p)
+            return v, dp / (2.0 * v), (d2phi(r) - dp**2 / (2.0 * p)) / (2.0 * v)
+
         def dV(r):
-            return dphi(r) / (2.0 * V(r))
+            return potential(r, phi(r), dphi(r))[1]
 
         def d2V(r):
-            p, dp, d2p = phi(r), dphi(r), d2phi(r)
-            return (d2p - dp**2 / (2.0 * p)) / (2.0 * np.sqrt(p))
+            return potential(r, phi(r), dphi(r))[2]
 
         return ReferenceManifold(kind, m_, e_, r_h, r_h, np.inf,
-                                 phi, dphi, V, dV, d2V)
+                                 phi, dphi, V, dV, d2V, potential)
 
     if kind == "tabulated":
         if tabulated_data is None:
@@ -120,11 +129,17 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
             raise ValueError("tabulated phi, V must be positive past the horizon")
         phi_i = PchipInterpolator(r_t, phi_t)
         V_i = PchipInterpolator(r_t, V_t)
+        dV_i, d2V_i = V_i.derivative(1), V_i.derivative(2)
         r_h = float(r_t[0]) if phi_t[0] <= 1e-14 else 0.0
         m_eff = float(r_t[-1] * (1.0 - phi_t[-1]) / 2.0)  # asymptotic mass guess
+
+        def table_potential(r, p, dp):
+            # V is tabulated on its own, not derived from φ
+            return V_i(r), dV_i(r), d2V_i(r)
+
         return ReferenceManifold(
             "tabulated", m_eff, 0.0, r_h, float(r_t[0]), float(r_t[-1]),
-            phi_i, phi_i.derivative(1), V_i, V_i.derivative(1), V_i.derivative(2))
+            phi_i, phi_i.derivative(1), V_i, dV_i, d2V_i, table_potential)
 
     raise ValueError(f"unknown reference kind: {kind!r}")
 
@@ -180,16 +195,17 @@ def reference_fields(ref: ReferenceManifold, radial: RadialFactors, cos_theta):
     radial φV″ + ½φ′V′ and tangential (φ/r)V′ in the orthonormal frame.
     T vanishes identically in vacuum, and for V = √φ also in the radial
     direction; the complement R̄ − T carries the remaining null-energy
-    component.  φ and φ′ come from radial, and V, V′ and V″ are
-    evaluated once each, so a surface costs one call of each.
+    component.  φ and φ′ come from radial, and V, V′ and V″ from one
+    ref.potential call over them, so a surface evaluates φ and φ′ once
+    each.
     """
     r = ref.require_exterior(radial.r)
     p, dp = radial.phi, radial.dphi
-    V, dv = ref.V(r), ref.dV(r)
+    V, dv, d2v = ref.potential(r, p, dp)
     c2 = cos_theta**2
     lam_rad, lam_tan = _ricci(r, p, dp)
     ric = _along(c2, lam_rad, lam_tan)
-    rad = p * ref.d2V(r) + 0.5 * dp * dv
+    rad = p * d2v + 0.5 * dp * dv
     tan = (p / r) * dv
     t = (_trace(rad, tan) - _along(c2, rad, tan)) / V + ric
     return V, np.sqrt(p) * dv * cos_theta, ric, t, (lam_rad, lam_tan)

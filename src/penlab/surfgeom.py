@@ -25,6 +25,7 @@ __all__ = [
     "flat_geometry",
     "curved_geometry",
     "reaction_coefficient",
+    "rate_bracket",
     "brioschi_curvature",
     "metric_partials",
 ]
@@ -327,3 +328,8 @@ def curved_geometry(surface: StarSurface, profile: ConformalProfile) -> CurvedGe
 def reaction_coefficient(geom: CurvedGeometry) -> np.ndarray:
     """c = detA0 + T/2 − Ric(ν,ν); positivity drives u monotonically to 1."""
     return geom.det_a0 + 0.5 * geom.t_field - geom.ric_nu
+
+
+def rate_bracket(geom: CurvedGeometry) -> np.ndarray:
+    """H0 dV/dν + V (detA0 − T/2), the bracket of the energy's rate identity."""
+    return geom.H0 * geom.dV_dnu + geom.V * (geom.det_a0 - 0.5 * geom.t_field)

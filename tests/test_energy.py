@@ -105,6 +105,27 @@ def test_monotonicity_needs_matching_series(grid, schw_profile):
         monotonicity_check(fol5, uf)
 
 
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_march_records_energy_of_each_slice_build(with_residual):
+    # solve_u takes E and its closed-form rate from its own slice builds;
+    # they must equal, bit for bit, the formulas on a fresh build
+    sc = Scenario(kind="rn_interior", m=1.0, e=0.5, inner_m=1.2, r0=6.0,
+                  perturbation={(2, 0): 0.05, (3, 2): 0.01},
+                  n_theta=8, n_phi=16, ds=0.05, s_max=1.5, store_every=5,
+                  profile_points=700, with_residual=with_residual)
+    rep = penrose_report(sc)
+    fol, uf, trace = rep.foliation, rep.ufield, rep.trace
+    assert len(fol) == 7 and (uf.residual is not None) == with_residual
+    for k in range(len(fol)):
+        g, u = fol.geometry(k), uf.u[k]
+        bracket = g.H0 * g.dV_dnu + g.V * (g.det_a0 - 0.5 * g.t_field)
+        rate = float(-g.grid.integrate((u - 1.0) ** 2 / u * bracket
+                                       * g.area_density) / (8.0 * np.pi))
+        assert trace.energy[k] == quasilocal_energy(g, u)
+        assert trace.rate_formula[k] == rate
+    assert np.any(trace.energy != 0.0) and np.all(trace.rate_formula < 0.0)
+
+
 def test_trace_csv(grid, schw_profile):
     fol = run_round(grid, schw_profile, 0.02, 0.2)
     uf = solve_u(fol, 1.1, with_residual=False)
@@ -151,6 +172,7 @@ def test_adm_requires_clean_decay_flag():
     s = np.linspace(2.0, 50.0, 60)
     trace = _flat_trace(s, 0.25 + 0.3 / s)
     dirty = UField(s=s, u=[], max_u_minus_1=np.zeros_like(s),
+                   energy=trace.energy, rate_formula=trace.rate_formula,
                    bounds=(1.0, 1.0), decay_bounded=False, halvings=0,
                    max_gmres_iters=0)
     with pytest.raises(ValueError, match="decay"):
