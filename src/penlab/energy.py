@@ -96,21 +96,18 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
-def monotonicity_check(fol: Foliation, ufield: UField) -> EnergyTrace:
+def monotonicity_check(ufield: UField) -> EnergyTrace:
     """Audit dE/ds along the run against its closed-form expression.
 
-    Both series come from ufield, which solve_u filled from its own
-    slice builds, so the audit builds no geometry.  The numeric side
-    differentiates the energy series with centered second-order
-    stencils (one-sided at the ends); the formula side is the
-    nonpositive integral of (u-1)^2/u times the condition bracket.
+    The positions and both series come from ufield alone, which solve_u
+    filled from its own slice builds, so the audit builds no geometry.
+    The numeric side differentiates the energy series with centered
+    second-order stencils (one-sided at the ends); the formula side is
+    the nonpositive integral of (u-1)^2/u times the condition bracket.
     """
-    n = len(fol)
-    if n < 3:
+    if len(ufield.s) < 3:
         raise ValueError("need at least 3 slices for s-derivatives")
-    if len(ufield.u) != n:
-        raise ValueError("ufield does not match the foliation")
-    s = np.asarray(fol.s, dtype=float)
+    s = np.asarray(ufield.s, dtype=float)
     energy = np.array(ufield.energy, dtype=float)
     formula = np.array(ufield.rate_formula, dtype=float)
     numeric = np.gradient(energy, s, edge_order=2)
@@ -403,11 +400,11 @@ def penrose_report(sc: Scenario) -> PenroseReport:
             u0 = _boundary_u0(sc, g0)
         except ValueError as exc:
             raise FlowError(f"first leaf: {exc}") from exc
+        e0 = quasilocal_energy(g0, u0)
         if len(fol) >= 3 and hypotheses["coefficient_positive"]["passed"]:
             ufield = solve_u(fol, u0, dt_max=sc.dt_max,
                              with_residual=sc.with_residual)
-            trace = monotonicity_check(fol, ufield)
-            e0 = float(trace.energy[0])
+            trace = monotonicity_check(ufield)
             try:
                 fit = adm_extrapolate(trace, ufield)
                 e_inf = fit["E_inf"]
@@ -415,8 +412,6 @@ def penrose_report(sc: Scenario) -> PenroseReport:
                 fit = {"fit_residual": None, "error": str(exc)}
             if ufield.residual is not None:
                 scalar_max = float(np.max(np.abs(ufield.residual)))
-        else:
-            e0 = quasilocal_energy(g0, u0)
 
     rhs = sc.rhs()
     margin = None if e0 is None else e0 - rhs

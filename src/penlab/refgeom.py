@@ -35,10 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceManifold:
-    """Immutable bundle of φ, φ′, V, V′ and V″.
+    """Immutable bundle of φ, φ′ and the static potential V.
 
-    potential(r, φ(r), φ′(r)) returns (V, V′, V″) at r, so that a caller
-    that already holds φ and φ′ there does not evaluate them again.
+    potential(r, φ(r), φ′(r)) returns (V, V′, V″) at r, the one route to
+    V, so that a caller holding φ and φ′ there does not evaluate them again.
     """
 
     kind: str
@@ -49,9 +49,6 @@ class ReferenceManifold:
     r_max: float
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Callable[[np.ndarray], np.ndarray]
-    V: Callable[[np.ndarray], np.ndarray]
-    dV: Callable[[np.ndarray], np.ndarray]
-    d2V: Callable[[np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
 
     def require_exterior(self, r):
@@ -95,26 +92,14 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
             r = np.asarray(r, dtype=float)
             return 2.0 * m_ / r**2 - 2.0 * e_**2 / r**3
 
-        def d2phi(r):
-            r = np.asarray(r, dtype=float)
-            return -4.0 * m_ / r**3 + 6.0 * e_**2 / r**4
-
-        def V(r):
-            return np.sqrt(phi(r))
-
         def potential(r, p, dp):
             # V = √φ and its r-derivatives over φ and φ′ given at r
+            d2p = -4.0 * m_ / r**3 + 6.0 * e_**2 / r**4
             v = np.sqrt(p)
-            return v, dp / (2.0 * v), (d2phi(r) - dp**2 / (2.0 * p)) / (2.0 * v)
-
-        def dV(r):
-            return potential(r, phi(r), dphi(r))[1]
-
-        def d2V(r):
-            return potential(r, phi(r), dphi(r))[2]
+            return v, dp / (2.0 * v), (d2p - dp**2 / (2.0 * p)) / (2.0 * v)
 
         return ReferenceManifold(kind, m_, e_, r_h, r_h, np.inf,
-                                 phi, dphi, V, dV, d2V, potential)
+                                 phi, dphi, potential)
 
     if kind == "tabulated":
         if tabulated_data is None:
@@ -139,7 +124,7 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
 
         return ReferenceManifold(
             "tabulated", m_eff, 0.0, r_h, float(r_t[0]), float(r_t[-1]),
-            phi_i, phi_i.derivative(1), V_i, dV_i, d2V_i, table_potential)
+            phi_i, phi_i.derivative(1), table_potential)
 
     raise ValueError(f"unknown reference kind: {kind!r}")
 
@@ -221,17 +206,15 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class RadialFactors(NamedTuple):
-    """r(ρ), the conformal factors F = √(r/ρ), h = 1/F² and φ, φ′ at r.
+    """r(ρ), F = √(r/ρ) and φ, φ′ at r, with ρ-derivatives of F and h = 1/F².
 
-    Primes on F and h are ρ-derivatives: dF = F′, d2F = F″, dh = h′,
-    d2h = h″; dphi = dφ/dr.
+    dF = F′, d2F = F″, dh = h′, d2h = h″ (primes in ρ); dphi = dφ/dr.
     """
 
     r: np.ndarray
     F: np.ndarray
     dF: np.ndarray
     d2F: np.ndarray
-    h: np.ndarray
     dh: np.ndarray
     d2h: np.ndarray
     phi: np.ndarray
@@ -282,7 +265,7 @@ class ConformalProfile:
         return np.exp(self._tau_of_sigma(np.log(rho)))
 
     def radial_factors(self, rho) -> RadialFactors:
-        """r(ρ) with F, F′, F″, h, h′, h″, φ and φ′, from one evaluation of r."""
+        """r(ρ) with F, F′, F″, h′, h″, φ and φ′, from one evaluation of r."""
         rho = np.asarray(rho, dtype=float)
         r = self.r_of_rho(rho)
         p = self.ref.phi(r)
@@ -294,7 +277,6 @@ class ConformalProfile:
         d2F = dNdrho / (2.0 * rho**2 * F) - dF * (2.0 / rho + dF / F)
         return RadialFactors(
             r=r, F=F, dF=dF, d2F=d2F,
-            h=rho / r,
             dh=(1.0 - sqp) / r,
             d2h=(-0.5 * r * dp + p - sqp) / (rho * r),
             phi=p, dphi=dp,

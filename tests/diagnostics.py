@@ -8,6 +8,8 @@
   operator, to compare with the Brioschi formula;
 - nonincreasing: whether an energy series never steps up by more than
   the audit's monotonicity tolerance;
+- potential_at: V, V' and V'' at r through the reference's one
+  potential route;
 - ricci_eigenvalues, ricci_normal, t_function, scalar_curvature: the
   Ricci eigenvalue pair, Ric(nu, nu), T(r, nu) and the scalar curvature
   per quantity, each evaluating the reference functions itself, to
@@ -56,7 +58,7 @@ def _second_form_residual(prof: ConformalProfile, geoms, slopes) -> float:
     a_tt, a_pp = geom.flat.a_tt, geom.flat.a_pp
 
     radial = prof.radial_factors(G)
-    h, h1, h2 = radial.h, radial.dh, radial.d2h
+    h, h1, h2 = G / radial.r, radial.dh, radial.d2h
     h_t = h1 * Gt
     h_tt = h2 * Gt**2 + h1 * Gtt
 
@@ -187,6 +189,12 @@ def nonincreasing(trace: EnergyTrace) -> bool:
 # ----------------------------------------------------------------------
 # reference curvature per quantity
 
+def potential_at(ref, r):
+    """(V, V′, V″) at r, from φ and φ′ evaluated there."""
+    r = ref.require_exterior(r)
+    return ref.potential(r, ref.phi(r), ref.dphi(r))
+
+
 def ricci_eigenvalues(ref, r):
     """Orthonormal-frame Ricci eigenvalues (radial, tangential) at r."""
     r = ref.require_exterior(r)
@@ -208,12 +216,12 @@ def t_function(ref, r, cos_theta):
     """
     r = ref.require_exterior(r)
     p, dp = ref.phi(r), ref.dphi(r)
-    dv, d2v = ref.dV(r), ref.d2V(r)
+    v, dv, d2v = potential_at(ref, r)
     rad = p * d2v + 0.5 * dp * dv
     tan = (p / r) * dv
     c2 = np.asarray(cos_theta, dtype=float) ** 2
     hess_nu = c2 * rad + (1.0 - c2) * tan
-    return (rad + 2.0 * tan - hess_nu) / ref.V(r) + ricci_normal(ref, r, cos_theta)
+    return (rad + 2.0 * tan - hess_nu) / v + ricci_normal(ref, r, cos_theta)
 
 
 def scalar_curvature(ref, r):

@@ -136,7 +136,7 @@ def test_05_energy_rate_identity(schw_profile, record_property):
     fol = run_flow(surf, schw_profile,
                    FlowConfig(ds=1e-3, s_max=0.2, store_every=1))
     uf = solve_u(fol, 1.2, dt_max=1e-3, with_residual=False)
-    trace = monotonicity_check(fol, uf)
+    trace = monotonicity_check(uf)
     record_property(
         "detail", "mismatch %.2e, dE/ds(0) %.7f"
         % (trace.max_mismatch, trace.rate_formula[0]))
@@ -148,7 +148,7 @@ def test_05_energy_rate_identity(schw_profile, record_property):
     # u identically 1 is the reference itself: zero energy, zero rate,
     # bitwise, not just small
     uf1 = solve_u(fol, 1.0, dt_max=1e-3, with_residual=False)
-    trace1 = monotonicity_check(fol, uf1)
+    trace1 = monotonicity_check(uf1)
     assert np.all(trace1.energy == 0.0)
     assert np.all(trace1.rate_formula == 0.0)
     assert trace1.max_mismatch == 0.0

@@ -14,6 +14,7 @@ from penlab.bartnik import StepRejected
 from penlab.cli import console_main
 from penlab.energy import PenroseReport, Scenario, penrose_report
 from penlab.flow import FlowError
+from penlab.refgeom import make_reference
 from penlab.surfgeom import CurvedGeometry
 
 
@@ -36,9 +37,22 @@ def test_profile_schwarzschild_row(tmp_path):
     rows = (tmp_path / "profile.csv").read_text().strip().split("\n")
     assert rows[0] == "r,rho,F,V"
     row4 = next(r for r in rows if r.startswith("4,"))
-    _, rho, F, _ = (float(v) for v in row4.split(","))
+    _, rho, F, V = (float(v) for v in row4.split(","))
     assert abs(rho - 2.9142136) < 1e-6
     assert abs(F - 1.1715729) < 1e-6
+    assert V == np.sqrt(0.5)
+
+
+def test_profile_rn_potential_column(tmp_path):
+    # the V column of an analytic reference is √φ, bit for bit
+    cfg = write_config(tmp_path, {
+        "reference": {"kind": "reissner_nordstrom", "m": 1.0, "e": 0.5}})
+    assert console_main(["profile", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)
+    r, V = rows[:, 0], rows[:, 3]
+    ref = make_reference("reissner_nordstrom", m=1.0, e=0.5)
+    assert np.array_equal(V, np.sqrt(ref.phi(r)))
 
 
 def test_profile_flat_table(tmp_path):
@@ -74,10 +88,13 @@ def test_profile_table_from_horizon_default_range(tmp_path):
     for command in ("profile", "constants"):
         assert console_main([command, "--config", cfg,
                              "--out", str(tmp_path)]) == 0, command
-    rows = (tmp_path / "profile.csv").read_text().strip().split("\n")[1:]
-    r_out = [float(row.split(",")[0]) for row in rows]
+    r_out, V = np.loadtxt(tmp_path / "profile.csv", delimiter=",",
+                          skiprows=1, usecols=(0, 3)).T
     assert len(r_out) == 50
     assert r_out[0] == 2.0 * 1.000001 and r_out[-1] == 50.0 * 0.999999
+    # the tabulated V interpolates √(1 − 2/r) away from the horizon row
+    far = r_out >= 3.0
+    assert np.max(np.abs(V[far] - np.sqrt(1.0 - 2.0 / r_out[far]))) < 2e-4
 
 
 def test_profile_extremal_reference_exits_2(tmp_path, capsys):
@@ -476,6 +493,19 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
      "unknown config key(s): solvr"),
     # counts are whole numbers, not truncated
     ("profile", {"profile": {"points": 2.7}}, "points must be a whole number"),
+    # the profile block's own range, named by its keys; NaN fails too
+    ("profile", {"profile": {"points": 1}},
+     "profile points must be at least 2"),
+    ("constants", {"profile": {"points": -3}},
+     "profile points must be at least 2"),
+    ("profile", {"profile": {"r_min": 6.0, "r_max": 5.0}},
+     "profile r_min must lie below r_max"),
+    ("constants", {"profile": {"r_min": 5.0, "r_max": 5.0}},
+     "profile r_min must lie below r_max"),
+    ("constants", {"profile": {"r_min": float("nan")}},
+     "profile r_min must lie below r_max"),
+    ("profile", {"profile": {"r_max": float("nan")}},
+     "profile r_min must lie below r_max"),
     ("flow", {"flow": {"resolution": [8.9, 16.5], "s_max": 0.2}},
      "resolution must be a whole number"),
     ("flow", {"surface": {"perturbation": [[2.6, 0.4, 0.1]]},
@@ -508,7 +538,9 @@ SHORT_SCENARIO = {"kind": "schwarzschild_interior", "inner_m": 1.2,
         "misspelled-surface-key", "misspelled-flow-key",
         "misspelled-solver-key", "misspelled-scenario-key",
         "unknown-block-normalised", "unknown-block-solvr",
-        "fractional-points", "fractional-resolution",
+        "fractional-points", "one-profile-point", "constants-negative-points",
+        "reversed-profile-range", "constants-empty-range",
+        "constants-nan-r-min", "nan-r-max", "fractional-resolution",
         "fractional-perturbation-mode", "string-ds", "boolean-s-max",
         "repeated-surface-mode", "batch-repeated-mode",
         "batch-unresolved-mode"])

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diagnostics import (ricci_eigenvalues, ricci_normal, scalar_curvature,
-                         t_function)
+from diagnostics import (potential_at, ricci_eigenvalues, ricci_normal,
+                         scalar_curvature, t_function)
 from penlab.refgeom import ConformalProfile, isothermal_profile, make_reference
 
 
@@ -30,7 +30,7 @@ def flat():
 def test_schwarzschild_basics(schw):
     assert schw.r_horizon == pytest.approx(2.0)
     assert schw.phi(4.0) == pytest.approx(0.5)
-    assert schw.V(4.0) == pytest.approx(0.7071068, abs=1e-7)
+    assert potential_at(schw, 4.0)[0] == pytest.approx(0.7071068, abs=1e-7)
 
 
 def test_rn_horizon(rn):
@@ -59,16 +59,17 @@ def test_tabulated_validation():
 def test_tabulated_matches_analytic(schw):
     r = np.geomspace(2.5, 120.0, 800)
     tab = make_reference("tabulated",
-                         tabulated_data=(r, schw.phi(r), schw.V(r)))
+                         tabulated_data=(r, schw.phi(r), np.sqrt(schw.phi(r))))
     rq = np.linspace(3.0, 100.0, 50)
     assert np.allclose(tab.phi(rq), schw.phi(rq), atol=1e-9)
-    assert np.allclose(tab.dV(rq), schw.dV(rq), atol=1e-6)
+    assert np.allclose(potential_at(tab, rq)[1], potential_at(schw, rq)[1],
+                       atol=1e-6)
     # data whose V falls somewhere past r = 10 gives a falling dV/dr there
     r = np.linspace(3.0, 30.0, 200)
     V = 1 - np.exp(-r / 3) + 0.1 * np.exp(-((r - 15.0) ** 2))
     bumpy = make_reference("tabulated", tabulated_data=(r, np.full_like(r, 0.9), V))
     rq = np.linspace(5.0, 25.0, 60)
-    dV = bumpy.dV(rq)
+    dV = potential_at(bumpy, rq)[1]
     assert dV.min() < 0 and 10.0 < rq[dV.argmin()] < 25.0
 
 
@@ -88,7 +89,8 @@ def test_ricci_schwarzschild(schw):
     assert scalar_curvature(schw, 4.0) == pytest.approx(0.0, abs=1e-15)
     # V increases and the radial eigenvalue stays negative outside the horizon
     r = np.geomspace(2.2, 50.0, 25)
-    assert np.all(schw.dV(r) > 0) and np.all(ricci_eigenvalues(schw, r)[0] < 0)
+    assert np.all(potential_at(schw, r)[1] > 0)
+    assert np.all(ricci_eigenvalues(schw, r)[0] < 0)
 
 
 def test_ricci_rn(rn):
@@ -98,7 +100,8 @@ def test_ricci_rn(rn):
     # tangential eigenvalue is exactly m/r³ for this family
     assert lam_tan == pytest.approx(1 / 64, abs=1e-14)
     r = np.geomspace(2.0, 50.0, 25)
-    assert np.all(rn.dV(r) > 0) and np.all(ricci_eigenvalues(rn, r)[0] < 0)
+    assert np.all(potential_at(rn, r)[1] > 0)
+    assert np.all(ricci_eigenvalues(rn, r)[0] < 0)
 
 
 def test_ricci_flat(flat):
@@ -203,7 +206,10 @@ def test_profile_derivatives_match_fd(schw_profile):
     def factor(name):
         return lambda x: getattr(schw_profile.radial_factors(x), name)
 
-    for fn, dfn in ((factor("F"), factor("dF")), (factor("h"), factor("dh")),
+    def h_of(x):
+        return x / schw_profile.r_of_rho(x)  # h = 1/F² = ρ/r
+
+    for fn, dfn in ((factor("F"), factor("dF")), (h_of, factor("dh")),
                     (factor("dF"), factor("d2F")), (factor("dh"), factor("d2h"))):
         fd = (fn(rho + h) - fn(rho - h)) / (2 * h)
         assert np.allclose(dfn(rho), fd, rtol=1e-6, atol=1e-9)
@@ -264,10 +270,10 @@ def test_radial_factors_match_per_quantity_methods(kind, schw, rn,
     out = prof.radial_factors(rho)
     assert len(calls) == 1
 
-    # F and h in closed form from r; the ρ-derivatives are checked
-    # against finite differences in test_profile_derivatives_match_fd
+    # F in closed form from r; the ρ-derivatives are checked against
+    # finite differences in test_profile_derivatives_match_fd
     r = prof.r_of_rho(rho)
-    expected = {"r": r, "F": np.sqrt(r / rho), "h": rho / r}
+    expected = {"r": r, "F": np.sqrt(r / rho)}
     for name in out._fields:
         assert getattr(out, name).shape == rho.shape, name
     for name, want in expected.items():
