@@ -158,37 +158,38 @@ def _combine(base, coef, vectors):
     return base + (np.array(coef) @ stack).reshape(base.shape)
 
 
-def gmres(A, b, x0, M, callback=None, ax0=None):
+def gmres(A, b, x0, MA, callback=None, ax0=None):
     """Solve A x = b by restarted GMRES, right-preconditioned by M.
 
     A maps a flat array x to a tuple of arrays that are linear in x, whose
-    first entry is the flat A x; M is a callable on flat arrays.  Arnoldi
-    runs modified Gram-Schmidt on the preconditioned directions
-    Z[j] = M(V[j]) and Givens rotations on Python floats, so each
-    iteration costs one A and one M.  gmres keeps what A returned for
-    each Z[j], and forms x = x0 + Z y and its tuple A x0 + Σ y_j A Z[j]
-    by linearity, with no further A or M (flexible GMRES keeps its
-    directions the same way: Saad, Iterative Methods for Sparse Linear
-    Systems, §9.4).  With right preconditioning the rotated Hessenberg
-    residual estimates the true residual ‖b − A x‖ (§9.3).  That
-    estimate ends a cycle, but a call succeeds only once the residual
-    formed by linearity, plus the rounding allowance
-    (k + 2) ε (‖A x0‖ + Σ |y_j| ‖A Z[j]‖) of a cycle of k directions
-    (Higham, Accuracy and Stability of Numerical Algorithms, §3.1), is
-    at most max(_GMRES_ATOL, _GMRES_RTOL ‖b‖); otherwise the next cycle
-    restarts from it.  ``callback`` receives the residual estimate once
-    per iteration.  The allowance counts the rounding of this call's own
-    combinations only: a tuple passed as ax0 is taken as exact, so any
-    drift it carries from earlier combinations is not counted, and that
-    the direct residual then meets the target too is held by tests, not
-    by construction.
+    first entry is the flat A x.  MA maps a flat v to (z, A's tuple at z)
+    with z = M(v), so a preconditioner that yields more than z (here the
+    gradient of the Helmholtz inverse) hands it to A.  Arnoldi runs
+    modified Gram-Schmidt on the preconditioned directions Z[j] and
+    Givens rotations on Python floats, so each iteration costs one MA.
+    gmres keeps the tuple MA returned for each Z[j], and forms
+    x = x0 + Z y and its tuple A x0 + Σ y_j A Z[j] by linearity, with no
+    further call (flexible GMRES keeps its directions the same way:
+    Saad, Iterative Methods for Sparse Linear Systems, §9.4).  With
+    right preconditioning the rotated Hessenberg residual estimates the
+    true residual ‖b − A x‖ (§9.3).  That estimate ends a cycle, but a
+    call succeeds only once the residual formed by linearity, plus the
+    rounding allowance (k + 2) ε (‖A x0‖ + Σ |y_j| ‖A Z[j]‖) of a cycle
+    of k directions (Higham, Accuracy and Stability of Numerical
+    Algorithms, §3.1), is at most max(_GMRES_ATOL, _GMRES_RTOL ‖b‖);
+    otherwise the next cycle restarts from it.  ``callback`` receives
+    the residual estimate once per iteration.  The allowance counts the
+    rounding of this call's own combinations only: a tuple passed as ax0
+    or returned by MA is taken as exact, so any drift it carries is not
+    counted, and that the direct residual then meets the target too is
+    held by tests, not by construction.
 
-    A caller that already holds the tuple at x0 passes it as ax0, and
-    then gmres makes no A call at x0.  Returns (x, the tuple at x, info):
-    info is 0 on success, and the number of iterations made (at least 1)
-    when the total cap _GMRES_MAXITER is reached or an Arnoldi column
-    vanishes.  x0 is not modified, and is returned as is, with its
-    tuple, when it already solves the system.
+    A is called only at x0, and not when the caller passes the tuple
+    there as ax0.  Returns (x, the tuple at x, info): info is 0 on
+    success, and the number of iterations made (at least 1) when the
+    total cap _GMRES_MAXITER is reached or an Arnoldi column vanishes.
+    x0 is not modified, and is returned as is, with its tuple, when it
+    already solves the system.
     """
     target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
     x = x0
@@ -203,8 +204,7 @@ def gmres(A, b, x0, M, callback=None, ax0=None):
         # kept[j] is (Z[j], A(Z[j]), ‖A Z[j]‖)
         V, kept, R, g, rotations = [r / beta], [], [], [beta], []
         for _ in range(min(_GMRES_RESTART, _GMRES_MAXITER - iters)):
-            z = M(V[-1])
-            az = A(z)
+            z, az = MA(V[-1])
             w = az[0]
             kept.append((z, az, math.sqrt(float(w @ w))))
             h = []
@@ -257,9 +257,12 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     (x − scale L_b1(x), L_b1(x), gradient of x), all linear in x, so
     GMRES hands back the pair at its solution, formed by linearity, and
     the next pass and the next substep read it from there: no Laplacian
-    or gradient is taken twice.  Only solve_u's start of a window takes
-    the gradient directly, so within a window the carried pair drifts by
-    rounding, uncounted by gmres's allowance.  On a perturbed 16x32
+    or gradient is taken twice.  A GMRES direction z comes from the
+    round-sphere Helmholtz inverse with its gradient, so the Laplacian
+    of z costs only its flux's two transforms: four per iteration.  Only
+    solve_u's start of a window takes the gradient directly, so within a
+    window the carried pair drifts by rounding, uncounted by gmres's
+    allowance.  On a perturbed 16x32
     Schwarzschild march the linear A x stayed within 1.4e-4 of the GMRES
     target of a direct one, alike for windows of 10 substeps and of up
     to 320 after halvings; that the direct residual meets the target is
@@ -276,11 +279,13 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
 
-        def matvec(x):
-            x = x.reshape(shape)
-            g = grid.gradient(x)
+        def tuple_at(x, g):
             lap_x = _laplacian(grid, b1, x, g)
             return (x - scale * lap_x).ravel(), lap_x, g
+
+        def matvec(x):
+            x = x.reshape(shape)
+            return tuple_at(x, grid.gradient(x))
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
         rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
@@ -288,8 +293,9 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
 
         alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
 
-        def precond(x):
-            return grid.round_helmholtz_inverse(x.reshape(shape), alpha).ravel()
+        def precond_matvec(x):
+            stack = grid.round_helmholtz_inverse(x.reshape(shape), alpha)
+            return stack[0].ravel(), tuple_at(stack[0], stack[1:])
 
         count = [0]
 
@@ -297,7 +303,7 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
             count[0] += 1
 
         sol, (_, lap, grad), info = gmres(
-            matvec, rhs.ravel(), v.ravel(), precond, callback=cb,
+            matvec, rhs.ravel(), v.ravel(), precond_matvec, callback=cb,
             ax0=((v - scale * lap).ravel(), lap, grad))
         if info != 0:
             # non-convergence means the step size overwhelmed the

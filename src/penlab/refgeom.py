@@ -326,9 +326,12 @@ def isothermal_profile(ref: ReferenceManifold, r_grid) -> ConformalProfile:
     half = 0.5 * np.diff(x)
     r_nodes = r_h + np.exp((x[:-1] + half)[:, None]
                            + half[:, None] * _GAUSS_NODES)
-    phi_nodes = ref.phi(r_nodes)
-    phi_knots = ref.phi(r_knots)
-    if not (np.all(phi_nodes > 0.0) and np.all(phi_knots > 0.0)):  # NaN fails
+    # a φ that overflows or is undefined is rejected just below, so its
+    # floating-point warnings carry no news
+    with np.errstate(all="ignore"):
+        phi_nodes = ref.phi(r_nodes)
+        phi_knots = ref.phi(r_knots)
+    if not all(np.all((p > 0.0) & (p < np.inf)) for p in (phi_nodes, phi_knots)):
         raise ValueError("phi must be positive and finite over r_grid")
     dsigma_dx = (r_nodes - r_h) / (r_nodes * np.sqrt(phi_nodes))
     dsigma = half * (dsigma_dx @ _GAUSS_WEIGHTS)

@@ -34,10 +34,10 @@ no complex view or transposed copy sits between the stages.  synthesize
 reads one fixed table of the ten ENTRIES, (d/dtheta)^a (d/dphi)^b with
 a + b <= 3, each entry a d/dtheta-order Legendre table and a d/dphi-order
 DFT table.  Their order makes every operator's entries an int or a slice:
-0 for project and the Helmholtz inverse, 1:3 for the gradient and the
-divergence flux, 1:6 for partials and 1:10 with the third partials.  The
-table holds 60, 400 and 2880 KB at 8x16, 16x32 and 32x64 and is built
-once with the grid.
+0 for project, 0:3 for the Helmholtz inverse with its gradient, 1:3 for
+the gradient and the divergence flux, 1:6 for partials and 1:10 with the
+third partials.  The table holds 60, 400 and 2880 KB at 8x16, 16x32 and
+32x64 and is built once with the grid.
 """
 
 from __future__ import annotations
@@ -253,11 +253,20 @@ class SphereGrid:
     # helmholtz-style solve on the round sphere, used as a preconditioner
 
     def round_helmholtz_inverse(self, field: np.ndarray, alpha: float) -> np.ndarray:
-        """Solve (1 + alpha * L) u = field on the band, identity off it.
+        """Solve (1 + alpha * L) u = field on the band, identity off it, and
+        return the stack (u, du/dtheta, du/dphi), shape (3, n_theta, n_phi).
 
         L = -Laplacian of the unit sphere.  The resolved part of the field
         is inverted mode by mode; whatever lies outside the band passes
         through unchanged, so the map stays invertible on every grid field.
+        With c the field's coefficients, cg = c * gain are those of
+        u - field and c + cg those of u, so one synthesis of entries 0:3
+        gives u and its gradient.
         """
         gain = 1.0 / (1.0 + alpha * self._ell_ell1) - 1.0
-        return field + self.synthesize(self.analyze(field) * gain)
+        c = self.analyze(field)
+        cg = c * gain
+        own = c + cg
+        stack = self.synthesize(np.concatenate([cg, own, own]), slice(0, 3))
+        stack[0] += field
+        return stack

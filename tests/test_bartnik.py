@@ -123,6 +123,15 @@ def _six_eigenvalue_system(n=30, seed=2):
     return s @ np.diag(lam) @ np.linalg.inv(s), rng.uniform(-1.0, 1.0, n)
 
 
+def _then(A, M=lambda v: v):
+    """The MA gmres takes: v -> (z, A(z)) with z = M(v)."""
+    def ma(v):
+        z = M(v)
+        return z, A(z)
+
+    return ma
+
+
 def _counted(f):
     calls = [0]
 
@@ -138,7 +147,8 @@ def test_gmres_matches_dense_solve(precond):
     a, b = _dominant_system()
     diag = np.diag(a)
     m = (lambda x: x) if precond == "identity" else (lambda x: x / diag)
-    x, _, info = bartnik.gmres(lambda x: (a @ x,), b, np.zeros_like(b), m)
+    x, _, info = bartnik.gmres(lambda x: (a @ x,), b, np.zeros_like(b),
+                               _then(lambda x: (a @ x,), m))
     assert info == 0
     exact = np.linalg.solve(a, b)
     assert np.max(np.abs(x - exact)) <= bartnik._GMRES_RTOL * 100 * np.max(np.abs(exact))
@@ -152,8 +162,8 @@ def test_gmres_converges_across_restarts(monkeypatch):
     for restart in (30, 2):
         monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
         cb, calls = _counted(lambda _: None)
-        x, _, info = bartnik.gmres(lambda x: (a @ x,), b, x0, lambda x: x,
-                                   callback=cb)
+        x, _, info = bartnik.gmres(lambda x: (a @ x,), b, x0,
+                                   _then(lambda x: (a @ x,)), callback=cb)
         assert info == 0
         assert np.linalg.norm(b - a @ x) <= bartnik._GMRES_RTOL * np.linalg.norm(b)
         counts[restart] = calls[0]
@@ -166,7 +176,7 @@ def test_gmres_reports_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 3)
     cb, calls = _counted(lambda _: None)
     x, _, info = bartnik.gmres(lambda x: (a @ x,), b, np.zeros_like(b),
-                               lambda x: x, callback=cb)
+                               _then(lambda x: (a @ x,)), callback=cb)
     assert info == 3 == calls[0]
     assert np.linalg.norm(b - a @ x) > bartnik._GMRES_RTOL * np.linalg.norm(b)
 
@@ -187,7 +197,8 @@ def test_imex_step_rejects_at_the_iteration_cap(grid, schw_profile, monkeypatch)
 def test_gmres_takes_a_x0_and_ends_at_its_solution(monkeypatch, restart):
     # the lapse march relies on both: a given A(x0) is not recomputed, and
     # the tuple returned is A's at the x returned, formed by linearity
-    # with no A call there, so A runs once per iteration and no more
+    # with no A call there, so A runs once per iteration, inside MA, and
+    # no more
     monkeypatch.setattr(bartnik, "_GMRES_RESTART", restart)
     a, b = _six_eigenvalue_system()
     x0 = np.linspace(-1.0, 1.0, len(b))
@@ -198,13 +209,13 @@ def test_gmres_takes_a_x0_and_ends_at_its_solution(monkeypatch, restart):
         return a @ x, 2.0 * x
 
     cb, iterations = _counted(lambda _: None)
-    plain, _, info = bartnik.gmres(apply_a, b, x0, lambda x: x, callback=cb)
+    plain, _, info = bartnik.gmres(apply_a, b, x0, _then(apply_a), callback=cb)
     assert info == 0
     assert np.array_equal(seen[0], x0)
 
     seen.clear()
     iterations[0] = 0
-    x, ax, info = bartnik.gmres(apply_a, b, x0, lambda x: x, callback=cb,
+    x, ax, info = bartnik.gmres(apply_a, b, x0, _then(apply_a), callback=cb,
                                 ax0=(a @ x0, 2.0 * x0))
     assert info == 0
     assert not any(np.array_equal(arg, x0) for arg in seen)
@@ -218,20 +229,19 @@ def test_gmres_callback_once_per_iteration():
     a, b = _dominant_system()
     diag = np.diag(a)
     apply_a, a_calls = _counted(lambda x: (a @ x,))
-    precond, m_calls = _counted(lambda x: x / diag)
+    ma, m_calls = _counted(_then(lambda x: (a @ x,), lambda x: x / diag))
     cb, cb_calls = _counted(lambda _: None)
-    x, _, info = bartnik.gmres(apply_a, b, np.zeros_like(b), precond, callback=cb)
+    x, _, info = bartnik.gmres(apply_a, b, np.zeros_like(b), ma, callback=cb)
     assert info == 0
-    # one preconditioner application per iteration, and one operator
-    # application per iteration plus the initial residual; the residual
-    # at the solution is formed by linearity
+    # one MA application per iteration, and A only for the initial
+    # residual; the residual at the solution is formed by linearity
     assert cb_calls[0] == m_calls[0] >= 2
-    assert a_calls[0] == cb_calls[0] + 1
+    assert a_calls[0] == 1
 
     # a starting guess that already solves the system makes no iteration
     a_calls[0] = m_calls[0] = cb_calls[0] = 0
     x0 = np.linalg.solve(a, b)
-    x, _, info = bartnik.gmres(apply_a, a @ x0, x0, precond, callback=cb)
+    x, _, info = bartnik.gmres(apply_a, a @ x0, x0, ma, callback=cb)
     assert info == 0 and x is x0
     assert cb_calls[0] == m_calls[0] == 0
     assert a_calls[0] == 1
@@ -241,12 +251,22 @@ def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
                                                     monkeypatch):
     # success is judged on the residual formed by linearity plus its
     # rounding allowance; the residual of a direct A call at the solution
-    # must meet the same target, and the tuple must be A's there
+    # must meet the same target, and the tuple must be A's there; so must
+    # the tuple MA hands over with each direction, whose gradient in the
+    # lapse march comes from the Helmholtz stack, not from A's own
     gmres = bartnik.gmres
-    checked = [0]
+    checked, directions = [0], [0]
 
-    def checking(A, b, *args, **kwargs):
-        x, ax, info = gmres(A, b, *args, **kwargs)
+    def checking(A, b, x0, MA, **kwargs):
+        def checked_ma(v):
+            z, az = MA(v)
+            for got, want in zip(az, A(z), strict=True):
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            directions[0] += 1
+            return z, az
+
+        x, ax, info = gmres(A, b, x0, checked_ma, **kwargs)
         if info == 0:
             direct = A(x)
             target = max(bartnik._GMRES_ATOL,
@@ -265,7 +285,7 @@ def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
                                                   store_every=1))
     u0 = 1.2 + 0.05 * grid.cos_theta[:, None]
     solve_u(fol, u0, with_residual=False)
-    assert checked[0] >= 50
+    assert checked[0] >= 50 and directions[0] >= checked[0]
 
     # a two-iteration cap rejects windows, so halved ones run up to 320
     # substeps on the pair carried by linearity, none of it recomputed
@@ -279,8 +299,11 @@ def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
     monkeypatch.setattr(bartnik, "_GMRES_RESTART", 2)
     a, b = _six_eigenvalue_system()
     checked[0] = 0
-    x, _, info = bartnik.gmres(lambda x: (a @ x, 3.0 * x[::2]), b,
-                               np.zeros_like(b), lambda x: x)
+
+    def apply_a(x):
+        return a @ x, 3.0 * x[::2]
+
+    x, _, info = bartnik.gmres(apply_a, b, np.zeros_like(b), _then(apply_a))
     assert info == 0 and checked[0] == 1
 
 

@@ -134,7 +134,7 @@ def test_tail_fraction_flags_unresolved():
 def test_round_helmholtz_inverse(grid):
     # (1 + a l(l+1)) u_lm = f_lm, checked on a single harmonic
     f = harmonic(grid, 4, 2)
-    u = grid.round_helmholtz_inverse(f, 0.1)
+    u = grid.round_helmholtz_inverse(f, 0.1)[0]
     assert np.allclose(u, f / (1 + 0.1 * 20.0), atol=1e-12)
 
 
@@ -143,8 +143,24 @@ def test_round_helmholtz_inverse_is_identity_off_band(grid):
     f = np.random.default_rng(5).standard_normal((grid.n_theta, grid.n_phi))
     ells = np.arange(grid.lmax + 1)
     inverted = grid.synthesize(grid.analyze(f) / (1 + 0.1 * ells * (ells + 1)))
-    u = grid.round_helmholtz_inverse(f, 0.1)
+    u = grid.round_helmholtz_inverse(f, 0.1)[0]
     assert np.allclose(u, inverted + (f - grid.project(f)), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (16, 32), (32, 64)])
+def test_round_helmholtz_inverse_stack_carries_its_gradient(shape):
+    # row 0 is the inverse as one synthesis of the gain coefficients
+    # gives it, bitwise; rows 1-2 are its gradient, synthesized from the
+    # coefficients the inverse has on the band, with no second analysis.
+    # The field is noise, so it has energy in every degree and off the band
+    g = SphereGrid(*shape)
+    f = np.random.default_rng(23).standard_normal(shape)
+    gain = 1.0 / (1.0 + 0.1 * g._ell_ell1) - 1.0
+    stack = g.round_helmholtz_inverse(f, 0.1)
+    assert stack.shape == (3,) + shape
+    assert np.array_equal(stack[0], f + g.synthesize(g.analyze(f) * gain))
+    grad = g.gradient(stack[0])
+    assert np.max(np.abs(stack[1:] - grad)) <= 1e-12 * (1.0 + np.max(np.abs(grad)))
 
 
 def test_stacked_analysis_matches_per_field(grid):
