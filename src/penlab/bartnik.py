@@ -158,38 +158,47 @@ def _combine(base, coef, vectors):
     return base + (np.array(coef) @ stack).reshape(base.shape)
 
 
-def gmres(A, b, x0, MA, callback=None, ax0=None):
+def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
     """Solve A x = b by restarted GMRES, right-preconditioned by M.
 
     A maps a flat array x to a tuple of arrays that are linear in x, whose
     first entry is the flat A x.  MA maps a flat v to (z, A's tuple at z)
     with z = M(v), so a preconditioner that yields more than z (here the
     gradient of the Helmholtz inverse) hands it to A.  Arnoldi runs
-    modified Gram-Schmidt on the preconditioned directions Z[j] and
-    Givens rotations on Python floats, so each iteration costs one MA.
-    gmres keeps the tuple MA returned for each Z[j], and forms
-    x = x0 + Z y and its tuple A x0 + Σ y_j A Z[j] by linearity, with no
-    further call (flexible GMRES keeps its directions the same way:
-    Saad, Iterative Methods for Sparse Linear Systems, §9.4).  With
-    right preconditioning the rotated Hessenberg residual estimates the
-    true residual ‖b − A x‖ (§9.3).  That estimate ends a cycle, but a
-    call succeeds only once the residual formed by linearity, plus the
-    rounding allowance (k + 2) ε (‖A x0‖ + Σ |y_j| ‖A Z[j]‖) of a cycle
-    of k directions (Higham, Accuracy and Stability of Numerical
-    Algorithms, §3.1), is at most max(_GMRES_ATOL, _GMRES_RTOL ‖b‖);
-    otherwise the next cycle restarts from it.  ``callback`` receives
-    the residual estimate once per iteration.  The allowance counts the
-    rounding of this call's own combinations only: a tuple passed as ax0
-    or returned by MA is taken as exact, so any drift it carries is not
+    modified Gram-Schmidt on the directions Z[j] and Givens rotations on
+    Python floats, so each iteration costs one MA.  gmres keeps the tuple
+    MA returned for each Z[j], and forms x = x0 + Z y and its tuple
+    A x0 + Σ y_j A Z[j] by linearity, with no further call (flexible
+    GMRES keeps its directions the same way: Saad, Iterative Methods for
+    Sparse Linear Systems, §9.4).  With right preconditioning the rotated
+    Hessenberg residual estimates the true residual ‖b − A x‖ (§9.3).
+    That estimate ends a cycle, but a call succeeds only once the
+    residual formed by linearity, plus the rounding allowance
+    (k + 2) ε (‖A x0‖ + Σ |y_j| ‖A Z[j]‖) of a cycle of k directions
+    (Higham, Accuracy and Stability of Numerical Algorithms, §3.1), is at
+    most max(_GMRES_ATOL, _GMRES_RTOL ‖b‖); otherwise the next cycle
+    restarts from it.  ``callback`` receives the residual estimate once
+    per Arnoldi column.  The allowance counts the rounding of this
+    call's own combinations only: a tuple passed as ax0, in kept or
+    returned by MA is taken as exact, so any drift it carries is not
     counted, and that the direct residual then meets the target too is
     held by tests, not by construction.
+
+    kept holds (z, A's tuple at z) pairs the caller already has, such as
+    the previous solve's correction in a sequence of related systems
+    (Krylov recycling: Parks et al., SIAM J. Sci. Comput. 28 (2006)
+    1651-1674).  Their A z open the first cycle as its first Arnoldi
+    columns, at no MA call, and the cycle goes on with z = M(v) of its
+    newest Arnoldi vector.  A kept column counts as an iteration, for the
+    callback and the cap alike; one that vanishes after orthogonalization
+    is dropped, with no callback, and is not a breakdown.
 
     A is called only at x0, and not when the caller passes the tuple
     there as ax0.  Returns (x, the tuple at x, info): info is 0 on
     success, and the number of iterations made (at least 1) when the
-    total cap _GMRES_MAXITER is reached or an Arnoldi column vanishes.
-    x0 is not modified, and is returned as is, with its tuple, when it
-    already solves the system.
+    total cap _GMRES_MAXITER is reached or an Arnoldi column from MA
+    vanishes.  x0 is not modified, and is returned as is, with its
+    tuple, when it already solves the system.
     """
     target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
     x = x0
@@ -198,15 +207,18 @@ def gmres(A, b, x0, MA, callback=None, ax0=None):
     beta = math.sqrt(float(r @ r))
     allowance = 0.0   # rounding in a residual formed by linearity
     iters = 0
+    given = list(kept)
     while not beta + allowance <= target:   # a NaN residual never converges
         if iters >= _GMRES_MAXITER:
             return x, ax, max(iters, 1)
-        # kept[j] is (Z[j], A(Z[j]), ‖A Z[j]‖)
-        V, kept, R, g, rotations = [r / beta], [], [], [beta], []
-        for _ in range(min(_GMRES_RESTART, _GMRES_MAXITER - iters)):
-            z, az = MA(V[-1])
+        # cols[j] is (Z[j], A(Z[j]), ‖A Z[j]‖)
+        V, cols, R, g, rotations = [r / beta], [], [], [beta], []
+        room = min(_GMRES_RESTART, _GMRES_MAXITER - iters)
+        while len(R) < room:
+            from_kept = bool(given)
+            z, az = given.pop(0) if from_kept else MA(V[-1])
             w = az[0]
-            kept.append((z, az, math.sqrt(float(w @ w))))
+            norm = math.sqrt(float(w @ w))
             h = []
             for v in V:
                 hv = float(w @ v)
@@ -217,8 +229,11 @@ def gmres(A, b, x0, MA, callback=None, ax0=None):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             d = math.hypot(h[-1], h_next)
             if not d > 0.0:
+                if from_kept:
+                    continue   # a kept column that adds nothing is dropped
                 # A M annihilates the direction (or it is not finite)
                 return x, ax, max(iters, 1)
+            cols.append((z, az, norm))
             c, s = h[-1] / d, h_next / d
             rotations.append((c, s))
             h[-1] = d
@@ -237,7 +252,7 @@ def gmres(A, b, x0, MA, callback=None, ax0=None):
         for i in reversed(range(len(R))):
             acc = g[i] - sum(R[j][i] * y[j] for j in range(i + 1, len(R)))
             y[i] = acc / R[i][i]
-        z_cols, az_cols, norms = zip(*kept)
+        z_cols, az_cols, norms = zip(*cols)
         size = math.sqrt(float(ax[0] @ ax[0])) + sum(
             abs(yi) * norm for yi, norm in zip(y, norms))
         x = _combine(x, y, z_cols)
@@ -258,16 +273,29 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     GMRES hands back the pair at its solution, formed by linearity, and
     the next pass and the next substep read it from there: no Laplacian
     or gradient is taken twice.  A GMRES direction z comes from the
-    round-sphere Helmholtz inverse with its gradient, so the Laplacian
-    of z costs only its flux's two transforms: four per iteration.  Only
-    solve_u's start of a window takes the gradient directly, so within a
-    window the carried pair drifts by rounding, uncounted by gmres's
-    allowance.  On a perturbed 16x32
-    Schwarzschild march the linear A x stayed within 1.4e-4 of the GMRES
-    target of a direct one, alike for windows of 10 substeps and of up
-    to 320 after halvings; that the direct residual meets the target is
-    an empirical fact, checked by
-    test_gmres_residual_by_linearity_holds_directly.
+    round-sphere Helmholtz inverse with its gradient, at a gain taken
+    once per pass, so the Laplacian of z costs only its flux's two
+    transforms: four per iteration.
+
+    Every pass solves against the same L_b1; only scale and the right-
+    hand side change.  So a pass's correction d = v_new − v comes with
+    L d and ∇d as differences of the pairs at both ends, and the next
+    pass gets d as a kept GMRES direction with the tuple
+    (d − scale L d, L d, ∇d), at no transform.  It gets d only when the
+    pass that made d took exactly one iteration, as on round leaves,
+    where the next correction is parallel to d and one kept column
+    replaces a Helmholtz inverse and a Laplacian; where GMRES takes
+    several iterations, d barely shortens the next solve, and its extra
+    column made a perturbed march slower.
+
+    Only solve_u's start of a window takes the gradient directly, so
+    within a window the carried pair drifts by rounding, uncounted by
+    gmres's allowance.  On a perturbed 16x32 Schwarzschild march the
+    linear A x stayed within 1.4e-4 of the GMRES target of a direct one,
+    alike for windows of 10 substeps and of up to 320 after halvings;
+    that the direct residual meets the target is an empirical fact,
+    checked by test_gmres_residual_by_linearity_holds_directly, kept
+    columns included.
     """
     shape = u0.shape
     base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
@@ -275,6 +303,7 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     grad = ops0[1]
     lap = _laplacian(grid, b1, v, grad)
     iters = 0
+    last = None   # a one-iteration pass's (d, L d and ∇d at its start)
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
@@ -292,29 +321,38 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
                                                    grad)
 
         alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
+        gain = grid.round_helmholtz_gain(alpha)
 
         def precond_matvec(x):
-            stack = grid.round_helmholtz_inverse(x.reshape(shape), alpha)
+            stack = grid.round_helmholtz_inverse(x.reshape(shape), gain)
             return stack[0].ravel(), tuple_at(stack[0], stack[1:])
+
+        kept = ()
+        if last is not None:
+            d, lap0, grad0 = last
+            lap_d = lap - lap0
+            kept = ((d.ravel(), ((d - scale * lap_d).ravel(), lap_d,
+                                 grad - grad0)),)
 
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        sol, (_, lap, grad), info = gmres(
+        sol, (_, lap_new, grad_new), info = gmres(
             matvec, rhs.ravel(), v.ravel(), precond_matvec, callback=cb,
-            ax0=((v - scale * lap).ravel(), lap, grad))
+            ax0=((v - scale * lap).ravel(), lap, grad), kept=kept)
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
             raise StepRejected(f"linear solve stalled (gmres info {info})")
         iters = max(iters, count[0])
         v_new = sol.reshape(shape)
-        if np.max(np.abs(v_new - v)) < 1e-14:
-            v = v_new
+        d = v_new - v
+        last = (d, lap, grad) if count[0] == 1 else None
+        v, lap, grad = v_new, lap_new, grad_new
+        if np.max(np.abs(d)) < 1e-14:
             break
-        v = v_new
     return v, (lap, grad), iters
 
 

@@ -252,18 +252,23 @@ class SphereGrid:
     # ------------------------------------------------------------------
     # helmholtz-style solve on the round sphere, used as a preconditioner
 
-    def round_helmholtz_inverse(self, field: np.ndarray, alpha: float) -> np.ndarray:
+    def round_helmholtz_gain(self, alpha: float) -> np.ndarray:
+        """Per-degree gain 1/(1 + alpha l(l+1)) - 1 of round_helmholtz_inverse,
+        taken once for every field inverted at the same alpha."""
+        return 1.0 / (1.0 + alpha * self._ell_ell1) - 1.0
+
+    def round_helmholtz_inverse(self, field: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """Solve (1 + alpha * L) u = field on the band, identity off it, and
         return the stack (u, du/dtheta, du/dphi), shape (3, n_theta, n_phi).
 
-        L = -Laplacian of the unit sphere.  The resolved part of the field
-        is inverted mode by mode; whatever lies outside the band passes
+        L = -Laplacian of the unit sphere, and gain is
+        round_helmholtz_gain(alpha).  The resolved part of the field is
+        inverted mode by mode; whatever lies outside the band passes
         through unchanged, so the map stays invertible on every grid field.
         With c the field's coefficients, cg = c * gain are those of
         u - field and c + cg those of u, so one synthesis of entries 0:3
         gives u and its gradient.
         """
-        gain = 1.0 / (1.0 + alpha * self._ell_ell1) - 1.0
         c = self.analyze(field)
         cg = c * gain
         own = c + cg

@@ -247,34 +247,75 @@ def test_gmres_callback_once_per_iteration():
     assert a_calls[0] == 1
 
 
+def test_gmres_kept_exact_direction_needs_no_preconditioner():
+    # a kept direction that solves the system is the first Arnoldi column;
+    # its residual meets the target, so MA never runs
+    a, b = _dominant_system()
+    x0 = np.linspace(-1.0, 1.0, len(b))
+    z = np.linalg.solve(a, b) - x0
+    ma, m_calls = _counted(_then(lambda x: (a @ x,)))
+    cb, cb_calls = _counted(lambda _: None)
+    x, ax, info = bartnik.gmres(lambda x: (a @ x,), b, x0, ma, callback=cb,
+                                ax0=(a @ x0,), kept=((z, (a @ z,)),))
+    assert info == 0
+    assert m_calls[0] == 0 and cb_calls[0] == 1
+    assert np.linalg.norm(b - a @ x) <= bartnik._GMRES_RTOL * np.linalg.norm(b)
+    assert np.max(np.abs(ax[0] - a @ x)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("system", [_dominant_system, _six_eigenvalue_system])
+def test_gmres_drops_a_vanishing_kept_direction(system):
+    # a zero kept direction adds no Arnoldi column and no iteration, and
+    # is not a breakdown: the call is bitwise the plain solve
+    a, b = system()
+    zero = np.zeros_like(b)
+    runs = []
+    for kept in ((), ((zero, (zero,)),)):
+        cb, cb_calls = _counted(lambda _: None)
+        x, ax, info = bartnik.gmres(lambda x: (a @ x,), b, zero,
+                                    _then(lambda x: (a @ x,)), callback=cb,
+                                    kept=kept)
+        assert info == 0
+        runs.append((x, ax[0], cb_calls[0]))
+    (plain, a_plain, n_plain), (x, ax, n) = runs
+    assert np.array_equal(x, plain) and np.array_equal(ax, a_plain)
+    assert n == n_plain >= 2
+
+
 def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
                                                     monkeypatch):
     # success is judged on the residual formed by linearity plus its
     # rounding allowance; the residual of a direct A call at the solution
     # must meet the same target, and the tuple must be A's there; so must
     # the tuple MA hands over with each direction, whose gradient in the
-    # lapse march comes from the Helmholtz stack, not from A's own
+    # lapse march comes from the Helmholtz stack, not from A's own, and
+    # the tuple of each kept direction, which the march forms from the
+    # previous pass's pairs by linearity
     gmres = bartnik.gmres
-    checked, directions = [0], [0]
+    checked, directions, kept_checked = [0], [0], [0]
 
-    def checking(A, b, x0, MA, **kwargs):
+    def check_tuple(got_tuple, want_tuple):
+        for got, want in zip(got_tuple, want_tuple, strict=True):
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def checking(A, b, x0, MA, kept=(), **kwargs):
         def checked_ma(v):
             z, az = MA(v)
-            for got, want in zip(az, A(z), strict=True):
-                scale = 1.0 + np.max(np.abs(want))
-                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            check_tuple(az, A(z))
             directions[0] += 1
             return z, az
 
-        x, ax, info = gmres(A, b, x0, checked_ma, **kwargs)
+        for z, az in kept:
+            check_tuple(az, A(z))
+            kept_checked[0] += 1
+        x, ax, info = gmres(A, b, x0, checked_ma, kept=kept, **kwargs)
         if info == 0:
             direct = A(x)
             target = max(bartnik._GMRES_ATOL,
                          bartnik._GMRES_RTOL * np.linalg.norm(b))
             assert np.linalg.norm(b - direct[0]) <= target
-            for got, want in zip(ax, direct, strict=True):
-                scale = 1.0 + np.max(np.abs(want))
-                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            check_tuple(ax, direct)
             checked[0] += 1
         return x, ax, info
 
@@ -294,6 +335,18 @@ def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
         m.setattr(bartnik, "_GMRES_MAXITER", 2)
         assert solve_u(fol, u0, with_residual=False).halvings > 0
     assert checked[0] >= 1000
+
+    # on round leaves the first pass takes one iteration, so the second
+    # starts from its correction as a kept direction; a lapse with a small
+    # angular part keeps the gate open and gives that correction a
+    # Laplacian well above the bound
+    round_fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
+                         schw_profile, FlowConfig(ds=0.1, s_max=0.5,
+                                                  store_every=1))
+    for u0 in (1.2, 1.2 + 1e-4 * grid.cos_theta[:, None]):
+        checked[0] = kept_checked[0] = 0
+        solve_u(round_fol, u0, with_residual=False)
+        assert kept_checked[0] >= 40 and checked[0] >= 2 * kept_checked[0]
 
     # two-step cycles carry x and its tuple across several restarts
     monkeypatch.setattr(bartnik, "_GMRES_RESTART", 2)

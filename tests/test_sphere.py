@@ -134,7 +134,7 @@ def test_tail_fraction_flags_unresolved():
 def test_round_helmholtz_inverse(grid):
     # (1 + a l(l+1)) u_lm = f_lm, checked on a single harmonic
     f = harmonic(grid, 4, 2)
-    u = grid.round_helmholtz_inverse(f, 0.1)[0]
+    u = grid.round_helmholtz_inverse(f, grid.round_helmholtz_gain(0.1))[0]
     assert np.allclose(u, f / (1 + 0.1 * 20.0), atol=1e-12)
 
 
@@ -143,7 +143,7 @@ def test_round_helmholtz_inverse_is_identity_off_band(grid):
     f = np.random.default_rng(5).standard_normal((grid.n_theta, grid.n_phi))
     ells = np.arange(grid.lmax + 1)
     inverted = grid.synthesize(grid.analyze(f) / (1 + 0.1 * ells * (ells + 1)))
-    u = grid.round_helmholtz_inverse(f, 0.1)[0]
+    u = grid.round_helmholtz_inverse(f, grid.round_helmholtz_gain(0.1))[0]
     assert np.allclose(u, inverted + (f - grid.project(f)), rtol=0.0, atol=1e-13)
 
 
@@ -156,7 +156,8 @@ def test_round_helmholtz_inverse_stack_carries_its_gradient(shape):
     g = SphereGrid(*shape)
     f = np.random.default_rng(23).standard_normal(shape)
     gain = 1.0 / (1.0 + 0.1 * g._ell_ell1) - 1.0
-    stack = g.round_helmholtz_inverse(f, 0.1)
+    assert np.array_equal(g.round_helmholtz_gain(0.1), gain)
+    stack = g.round_helmholtz_inverse(f, gain)
     assert stack.shape == (3,) + shape
     assert np.array_equal(stack[0], f + g.synthesize(g.analyze(f) * gain))
     grad = g.gradient(stack[0])
@@ -296,7 +297,8 @@ def test_grid_state_is_fixed_at_construction():
         "project": g.project,
         "partials": g.partials,
         "partials third": lambda f: g.partials(f, third=True),
-        "helmholtz": lambda f: g.round_helmholtz_inverse(f, 0.1),
+        "helmholtz": lambda f: g.round_helmholtz_inverse(
+            f, g.round_helmholtz_gain(0.1)),
         "tail fraction": g.spectral_tail_fraction,
         "stacked analyze": lambda f: g.analyze(np.stack([f, 2.0 * f])),
     }

@@ -60,7 +60,8 @@ OPERATORS = {
         lambda x: advected_derivative(x.grid, x.field, x.geom.H0, x.geom.H0),
         1, 1),
     "round_helmholtz_inverse": (
-        lambda x: x.grid.round_helmholtz_inverse(x.field, 0.1), 1, 1),
+        lambda x: x.grid.round_helmholtz_inverse(
+            x.field, x.grid.round_helmholtz_gain(0.1)), 1, 1),
     "gradient": (lambda x: x.grid.gradient(x.field), 1, 1),
     "div_grad": (lambda x: x.grid.div_grad(x.field, *x.coefficients), 2, 2),
     "div_grad with grad": (
@@ -120,14 +121,49 @@ def test_imex_step_operator_counts(setup, monkeypatch):
     assert calls["laplacian"] <= 1 + calls["iterations"]
 
 
+def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(setup,
+                                                                monkeypatch):
+    # on a round leaf the first fixed-point pass takes one GMRES
+    # iteration, so the second starts from its correction, a kept
+    # direction whose Laplacian and gradient come by linearity, and
+    # converges on it: one Helmholtz inverse per substep, not one per pass
+    grid = setup.grid
+    bundle = _make_bundle(curved_geometry(
+        round_surface(grid, schwarzschild_rho(1.0, 4.0)), setup.profile))
+    u0 = np.full((grid.n_theta, grid.n_phi), 1.2)
+    ops = bartnik._operators(grid, bundle, u0)
+    passes = []
+    helmholtz, gmres = SphereGrid.round_helmholtz_inverse, bartnik.gmres
+
+    def counted_helmholtz(*args):
+        passes[-1]["helmholtz"] += 1
+        return helmholtz(*args)
+
+    def counted_gmres(*args, callback=None, **kwargs):
+        passes.append({"helmholtz": 0, "iterations": 0})
+
+        def counting(residual):
+            passes[-1]["iterations"] += 1
+            callback(residual)
+
+        return gmres(*args, callback=counting, **kwargs)
+
+    monkeypatch.setattr(SphereGrid, "round_helmholtz_inverse", counted_helmholtz)
+    monkeypatch.setattr(bartnik, "gmres", counted_gmres)
+    bartnik._imex_step(grid, u0, ops, bundle, bundle, 0.05)
+    assert passes == [{"helmholtz": 1, "iterations": 1},
+                      {"helmholtz": 0, "iterations": 1}]
+
+
 def test_solve_u_transform_budget(setup, counted, monkeypatch):
     # a window's first substep takes its Laplacian and gradient from
     # scratch (4 transforms); after that a substep carries its end state's
     # pair forward, so it costs the first pass's initial flux (2) and 4
     # per GMRES iteration (the preconditioner's stack, which carries its
-    # direction's gradient, and the Laplacian's flux); GMRES forms the
-    # residual, Laplacian and gradient at its solution by linearity, so a
-    # call adds no transform of its own.  Each stored slice's geometry
+    # direction's gradient, and the Laplacian's flux; a kept direction
+    # costs none, so this is a bound); GMRES forms the residual,
+    # Laplacian and gradient at its solution by linearity, so a call adds
+    # no transform of its own.  Each stored slice's geometry
     # build adds its own 2.
     tally = {"substeps": 0, "iterations": 0}
     step, gmres = bartnik._imex_step, bartnik.gmres
