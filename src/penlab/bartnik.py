@@ -147,13 +147,11 @@ def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
 
 
 def _combine(base, coef, vectors):
-    """base + Σ coef[j] vectors[j]: two or more vectors as one matrix
-    product, which at these grid sizes beats a multiply-add per vector;
-    a single vector as one multiply-add, bitwise the same, since the
-    matrix product's setup made flagship's result_s 6.7% slower
-    (BENCH_24.json, combine_single_direction)."""
-    if len(vectors) == 1:
-        return base + coef[0] * vectors[0]
+    """base + Σ coef[j] vectors[j] for two or more vectors, as one matrix
+    product, which at these grid sizes beats a multiply-add per vector.
+    gmres adds a single vector as one multiply-add instead, bitwise the
+    same, since the matrix product's setup made flagship's result_s 6.7%
+    slower (BENCH_24.json, combine_single_direction)."""
     stack = np.array(vectors).reshape(len(vectors), -1)
     return base + (np.array(coef) @ stack).reshape(base.shape)
 
@@ -168,7 +166,9 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
     modified Gram-Schmidt on the directions Z[j] and Givens rotations on
     Python floats, so each iteration costs one MA.  gmres keeps the tuple
     MA returned for each Z[j], and forms x = x0 + Z y and its tuple
-    A x0 + Σ y_j A Z[j] by linearity, with no further call (flexible
+    A x0 + Σ y_j A Z[j] by linearity, with no further call: one
+    multiply-add per array for a cycle of one direction, one matrix
+    product per array (_combine) for more (flexible
     GMRES keeps its directions the same way: Saad, Iterative Methods for
     Sparse Linear Systems, §9.4).  With right preconditioning the rotated
     Hessenberg residual estimates the true residual ‖b − A x‖ (§9.3).
@@ -200,31 +200,31 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
     vanishes.  x0 is not modified, and is returned as is, with its
     tuple, when it already solves the system.
     """
-    target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(float(b @ b)))
+    target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(b @ b))
     x = x0
     ax = A(x) if ax0 is None else ax0
     r = b - ax[0]
-    beta = math.sqrt(float(r @ r))
+    beta = math.sqrt(r @ r)
     allowance = 0.0   # rounding in a residual formed by linearity
     iters = 0
     given = list(kept)
     while not beta + allowance <= target:   # a NaN residual never converges
         if iters >= _GMRES_MAXITER:
             return x, ax, max(iters, 1)
-        # cols[j] is (Z[j], A(Z[j]), ‖A Z[j]‖)
-        V, cols, R, g, rotations = [r / beta], [], [], [beta], []
+        V, R, g, rotations = [r / beta], [], [beta], []
+        Z, AZ, norms = [], [], []   # directions, A's tuples there, ‖A Z[j]‖
         room = min(_GMRES_RESTART, _GMRES_MAXITER - iters)
         while len(R) < room:
             from_kept = bool(given)
             z, az = given.pop(0) if from_kept else MA(V[-1])
             w = az[0]
-            norm = math.sqrt(float(w @ w))
+            norm = math.sqrt(w @ w)
             h = []
             for v in V:
                 hv = float(w @ v)
                 w = w - hv * v
                 h.append(hv)
-            h_next = math.sqrt(float(w @ w))
+            h_next = math.sqrt(w @ w)
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
             d = math.hypot(h[-1], h_next)
@@ -233,7 +233,9 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
                     continue   # a kept column that adds nothing is dropped
                 # A M annihilates the direction (or it is not finite)
                 return x, ax, max(iters, 1)
-            cols.append((z, az, norm))
+            Z.append(z)
+            AZ.append(az)
+            norms.append(norm)
             c, s = h[-1] / d, h_next / d
             rotations.append((c, s))
             h[-1] = d
@@ -252,13 +254,16 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
         for i in reversed(range(len(R))):
             acc = g[i] - sum(R[j][i] * y[j] for j in range(i + 1, len(R)))
             y[i] = acc / R[i][i]
-        z_cols, az_cols, norms = zip(*cols)
-        size = math.sqrt(float(ax[0] @ ax[0])) + sum(
+        size = math.sqrt(ax[0] @ ax[0]) + sum(
             abs(yi) * norm for yi, norm in zip(y, norms))
-        x = _combine(x, y, z_cols)
-        ax = tuple(_combine(p, y, col) for p, col in zip(ax, zip(*az_cols)))
+        if len(y) == 1:
+            x = x + y[0] * Z[0]
+            ax = tuple(p + y[0] * q for p, q in zip(ax, AZ[0]))
+        else:
+            x = _combine(x, y, Z)
+            ax = tuple(_combine(p, y, col) for p, col in zip(ax, zip(*AZ)))
         r = b - ax[0]
-        beta = math.sqrt(float(r @ r))
+        beta = math.sqrt(r @ r)
         allowance = (len(y) + 2) * _EPS * size
     return x, ax, 0
 
@@ -273,9 +278,10 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     GMRES hands back the pair at its solution, formed by linearity, and
     the next pass and the next substep read it from there: no Laplacian
     or gradient is taken twice.  A GMRES direction z comes from the
-    round-sphere Helmholtz inverse with its gradient, at a gain taken
-    once per pass, so the Laplacian of z costs only its flux's two
-    transforms: four per iteration.
+    round-sphere Helmholtz inverse with its gradient, at a gain a pass
+    sets up on its first preconditioner call (a pass that converges on a
+    kept direction sets none up), so the Laplacian of z costs only its
+    flux's two transforms: four per iteration.
 
     Every pass solves against the same L_b1; only scale and the right-
     hand side change.  So a pass's correction d = v_new − v comes with
@@ -320,10 +326,14 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
         rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
                                                    grad)
 
-        alpha = 0.5 * ds * float(np.mean(coef)) / b1.area_radius**2
-        gain = grid.round_helmholtz_gain(alpha)
+        gain = None
 
         def precond_matvec(x):
+            nonlocal gain
+            if gain is None:   # a pass that converges on kept d needs none
+                mean = float(coef.sum()) / coef.size
+                gain = grid.round_helmholtz_gain(
+                    0.5 * ds * mean / b1.area_radius**2)
             stack = grid.round_helmholtz_inverse(x.reshape(shape), gain)
             return stack[0].ravel(), tuple_at(stack[0], stack[1:])
 
@@ -351,16 +361,16 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
         d = v_new - v
         last = (d, lap, grad) if count[0] == 1 else None
         v, lap, grad = v_new, lap_new, grad_new
-        if np.max(np.abs(d)) < 1e-14:
+        if np.abs(d).max() < 1e-14:
             break
     return v, (lap, grad), iters
 
 
 def _check_bounds(u, lo, hi):
     eps = 1e-10 * (1.0 + abs(hi))
-    if np.min(u) < lo - eps or np.max(u) > hi + eps:
+    if u.min() < lo - eps or u.max() > hi + eps:
         raise StepRejected(
-            f"u in [{np.min(u):.15g}, {np.max(u):.15g}] left [{lo:.15g}, {hi:.15g}]")
+            f"u in [{u.min():.15g}, {u.max():.15g}] left [{lo:.15g}, {hi:.15g}]")
 
 
 @dataclass
@@ -421,7 +431,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     def checked_bundles():
         for i in range(n):
             b = _make_bundle(fol.geometry(i))
-            if not float(np.min(b.c)) > 0.0:   # NaN fails too
+            if not float(b.c.min()) > 0.0:   # NaN fails too
                 raise ValueError(
                     f"coefficient detA0 + T/2 - Ric(nu,nu) not positive on slice {i}")
             yield b
@@ -436,7 +446,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
         # slice k sits first in the first window and in the middle after
         energy[k], rate[k] = _audit(grid, nb[min(k, 1)], u)
         window = fol.s[k + 1] - fol.s[k]
-        dev = float(np.max(np.abs(u - 1.0)))
+        dev = float(np.abs(u - 1.0).max())
         if dev0 == 0.0 or dev == 0.0:
             dt_allow = window
         else:

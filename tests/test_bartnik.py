@@ -282,6 +282,58 @@ def test_gmres_drops_a_vanishing_kept_direction(system):
     assert n == n_plain >= 2
 
 
+def test_gmres_forms_one_direction_inline_and_more_by_combine(monkeypatch):
+    # a cycle of one direction updates x and each tuple entry by one
+    # multiply-add, base + y z; two or more go through _combine
+    a, b = _dominant_system()
+    combine, combined = bartnik._combine, []
+
+    def recording(base, coef, vectors):
+        combined.append((base, list(coef), list(vectors)))
+        return combine(base, coef, vectors)
+
+    monkeypatch.setattr(bartnik, "_combine", recording)
+
+    def apply_a(x):
+        # the tuple's middle entry x[:1] reads y off a direction z with
+        # z[0] = 1 at an x0 with x0[0] = 0
+        return a @ x, x[:1], 2.0 * x
+
+    x0 = np.linspace(-1.0, 1.0, len(b))
+    x0[0] = 0.0
+    z = np.linalg.solve(a, b) - x0
+    z = z / z[0]
+    ax0, az = apply_a(x0), apply_a(z)
+    x, ax, info = bartnik.gmres(apply_a, b, x0, _then(apply_a), ax0=ax0,
+                                kept=((z, az),))
+    assert info == 0 and not combined
+    y = ax[1][0]
+    assert np.array_equal(x, x0 + y * z)
+    for got, base, col in zip(ax, ax0, az, strict=True):
+        assert np.array_equal(got, base + y * col)
+
+    directions, tuples = [], []
+
+    def ma(v):
+        directions.append(v / np.diag(a))
+        tuples.append(apply_a(directions[-1]))
+        return directions[-1], tuples[-1]
+
+    x, ax, info = bartnik.gmres(apply_a, b, x0, ma, ax0=ax0)
+    assert info == 0 and len(directions) >= 2
+    # one cycle: x and each tuple entry by one _combine of its directions
+    # and of their tuples' entries
+    (base, y, vectors), *entries = combined
+    assert base is x0 and len(y) == len(directions)
+    assert all(v is d for v, d in zip(vectors, directions, strict=True))
+    assert np.array_equal(x, combine(x0, y, directions))
+    for k, (got, entry) in enumerate(zip(ax, entries, strict=True)):
+        base, coef, cols = entry
+        assert base is ax0[k] and coef == y
+        assert all(c is t[k] for c, t in zip(cols, tuples, strict=True))
+        assert np.array_equal(got, combine(base, y, cols))
+
+
 def test_gmres_residual_by_linearity_holds_directly(grid, schw_profile,
                                                     monkeypatch):
     # success is judged on the residual formed by linearity plus its

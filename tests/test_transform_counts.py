@@ -121,17 +121,23 @@ def test_imex_step_operator_counts(setup, monkeypatch):
     assert calls["laplacian"] <= 1 + calls["iterations"]
 
 
-def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(setup,
+@pytest.fixture(scope="module")
+def round_leaf(setup):
+    """(grid, bundle, u0, ops) of one round 16x32 leaf at a constant lapse."""
+    grid = setup.grid
+    bundle = _make_bundle(curved_geometry(
+        round_surface(grid, schwarzschild_rho(1.0, 4.0)), setup.profile))
+    u0 = np.full((grid.n_theta, grid.n_phi), 1.2)
+    return grid, bundle, u0, bartnik._operators(grid, bundle, u0)
+
+
+def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(round_leaf,
                                                                 monkeypatch):
     # on a round leaf the first fixed-point pass takes one GMRES
     # iteration, so the second starts from its correction, a kept
     # direction whose Laplacian and gradient come by linearity, and
     # converges on it: one Helmholtz inverse per substep, not one per pass
-    grid = setup.grid
-    bundle = _make_bundle(curved_geometry(
-        round_surface(grid, schwarzschild_rho(1.0, 4.0)), setup.profile))
-    u0 = np.full((grid.n_theta, grid.n_phi), 1.2)
-    ops = bartnik._operators(grid, bundle, u0)
+    grid, bundle, u0, ops = round_leaf
     passes = []
     helmholtz, gmres = SphereGrid.round_helmholtz_inverse, bartnik.gmres
 
@@ -153,6 +159,30 @@ def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(setup,
     bartnik._imex_step(grid, u0, ops, bundle, bundle, 0.05)
     assert passes == [{"helmholtz": 1, "iterations": 1},
                       {"helmholtz": 0, "iterations": 1}]
+
+
+def test_imex_step_round_second_pass_sets_up_no_helmholtz_gain(round_leaf,
+                                                               monkeypatch):
+    # a pass takes its Helmholtz gain on its first preconditioner call, so
+    # the round leaf's kept-only second pass sets up none: one gain per
+    # substep, taken inside the first pass's GMRES call
+    grid, bundle, u0, ops = round_leaf
+    passes, gains = [0], []
+    gain, gmres = SphereGrid.round_helmholtz_gain, bartnik.gmres
+
+    def counted_gain(*args):
+        gains.append(passes[0])
+        return gain(*args)
+
+    def counted_gmres(*args, **kwargs):
+        passes[0] += 1
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(SphereGrid, "round_helmholtz_gain", counted_gain)
+    monkeypatch.setattr(bartnik, "gmres", counted_gmres)
+    bartnik._imex_step(grid, u0, ops, bundle, bundle, 0.05)
+    assert passes == [2]
+    assert gains == [1]   # one call, made during pass 1
 
 
 def test_solve_u_transform_budget(setup, counted, monkeypatch):
