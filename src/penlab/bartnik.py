@@ -147,13 +147,13 @@ def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
 
 
 def _combine(base, coef, vectors):
-    """base + Σ coef[j] vectors[j] for two or more vectors, as one matrix
-    product, which at these grid sizes beats a multiply-add per vector.
-    gmres adds a single vector as one multiply-add instead, bitwise the
-    same, since the matrix product's setup made flagship's result_s 6.7%
-    slower (BENCH_24.json, combine_single_direction)."""
+    """base + Σ coef[j] vectors[j] for two or more vectors, coef an array,
+    as one matrix product, which at these grid sizes beats a multiply-add
+    per vector.  gmres adds a single vector as one multiply-add instead,
+    bitwise the same, since the matrix product's setup made flagship's
+    result_s 6.7% slower (BENCH_24.json, combine_single_direction)."""
     stack = np.array(vectors).reshape(len(vectors), -1)
-    return base + (np.array(coef) @ stack).reshape(base.shape)
+    return base + (coef @ stack).reshape(base.shape)
 
 
 def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
@@ -260,39 +260,48 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
             x = x + y[0] * Z[0]
             ax = tuple(p + y[0] * q for p, q in zip(ax, AZ[0]))
         else:
-            x = _combine(x, y, Z)
-            ax = tuple(_combine(p, y, col) for p, col in zip(ax, zip(*AZ)))
+            coef = np.array(y)
+            x = _combine(x, coef, Z)
+            ax = tuple(_combine(p, coef, col) for p, col in zip(ax, zip(*AZ)))
         r = b - ax[0]
         beta = math.sqrt(r @ r)
         allowance = (len(y) + 2) * _EPS * size
     return x, ax, 0
 
 
-def _imex_step(grid, u0, ops0, b0, b1, ds):
+def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient.
 
     ops0 is _operators(grid, b0, u0).  Returns the end state v, the pair
-    (L_b1(v), gradient of v) for the next substep, and the most GMRES
-    iterations a pass made.  Each pass's operator returns
-    (x − scale L_b1(x), L_b1(x), gradient of x), all linear in x, so
-    GMRES hands back the pair at its solution, formed by linearity, and
-    the next pass and the next substep read it from there: no Laplacian
-    or gradient is taken twice.  A GMRES direction z comes from the
-    round-sphere Helmholtz inverse with its gradient, at a gain a pass
-    sets up on its first preconditioner call (a pass that converges on a
-    kept direction sets none up), so the Laplacian of z costs only its
-    flux's two transforms: four per iteration.
+    (L_b1(v), gradient of v) for the next substep, the most GMRES
+    iterations a pass made and the iterations of the first pass.  Each
+    pass's operator returns (x − scale L_b1(x), L_b1(x), gradient of x),
+    all linear in x, so GMRES hands back the pair at its solution, formed
+    by linearity, and the next pass and the next substep read it from
+    there: no Laplacian or gradient is taken twice.  A GMRES direction z
+    comes from the round-sphere Helmholtz inverse with its gradient, at a
+    gain a pass sets up on its first preconditioner call (a pass that
+    converges on a kept direction sets none up), so the Laplacian of z
+    costs only its flux's two transforms: four per iteration.
 
     Every pass solves against the same L_b1; only scale and the right-
-    hand side change.  So a pass's correction d = v_new − v comes with
-    L d and ∇d as differences of the pairs at both ends, and the next
-    pass gets d as a kept GMRES direction with the tuple
-    (d − scale L d, L d, ∇d), at no transform.  It gets d only when the
-    pass that made d took exactly one iteration, as on round leaves,
+    hand side change.  So a pass's correction d = v_new − x from its
+    start x comes with L d and ∇d as differences of the pairs at both
+    ends, and the next pass gets d as a kept GMRES direction with the
+    tuple (d − scale L d, L d, ∇d), at no transform.  It gets d only when
+    the pass that made d took exactly one iteration, as on round leaves,
     where the next correction is parallel to d and one kept column
     replaces a Helmholtz inverse and a Laplacian; where GMRES takes
     several iterations, d barely shortens the next solve, and its extra
     column made a perturbed march slower.
+
+    guess, when given, is solve_u's extrapolation of the march to the
+    substep's end, and pass 1 starts GMRES there instead of at u0: its
+    gradient is taken directly and its Laplacian from that gradient, two
+    transforms more than a cold start.  Pass 1 still freezes u0 in its
+    coefficient and right-hand side, and the fixed-point exit still
+    compares its result v1 with u0.  Pass 2 then always gets the warm
+    start's miss d = v1 − guess as its kept direction.
 
     Only solve_u's start of a window takes the gradient directly, so
     within a window the carried pair drifts by rounding, uncounted by
@@ -301,22 +310,24 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
     alike for windows of 10 substeps and of up to 320 after halvings;
     that the direct residual meets the target is an empirical fact,
     checked by test_gmres_residual_by_linearity_holds_directly, kept
-    columns included.
+    columns included.  A guess's pair is taken directly, never
+    extrapolated: an extrapolated gradient drifted to 3e-5 within a
+    window and the march left its maximum-principle bounds.
     """
     shape = u0.shape
     base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
-    v = u0
-    grad = ops0[1]
-    lap = _laplacian(grid, b1, v, grad)
-    iters = 0
-    last = None   # a one-iteration pass's (d, L d and ∇d at its start)
+    v, grad = u0, ops0[1]   # the state a pass freezes, and its gradient
+    x, grad_x = (v, grad) if guess is None else (guess, grid.gradient(guess))
+    lap_x = _laplacian(grid, b1, x, grad_x)   # at GMRES's start x
+    made = []   # GMRES iterations per pass
+    last = None   # the start x of a pass whose correction the next one keeps
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
 
         def tuple_at(x, g):
-            lap_x = _laplacian(grid, b1, x, g)
-            return (x - scale * lap_x).ravel(), lap_x, g
+            lap = _laplacian(grid, b1, x, g)
+            return (x - scale * lap).ravel(), lap, g
 
         def matvec(x):
             x = x.reshape(shape)
@@ -339,10 +350,10 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
 
         kept = ()
         if last is not None:
-            d, lap0, grad0 = last
-            lap_d = lap - lap0
+            x0, lap0, grad0 = last
+            d, lap_d = x - x0, lap_x - lap0
             kept = ((d.ravel(), ((d - scale * lap_d).ravel(), lap_d,
-                                 grad - grad0)),)
+                                 grad_x - grad0)),)
 
         count = [0]
 
@@ -350,20 +361,22 @@ def _imex_step(grid, u0, ops0, b0, b1, ds):
             count[0] += 1
 
         sol, (_, lap_new, grad_new), info = gmres(
-            matvec, rhs.ravel(), v.ravel(), precond_matvec, callback=cb,
-            ax0=((v - scale * lap).ravel(), lap, grad), kept=kept)
+            matvec, rhs.ravel(), x.ravel(), precond_matvec, callback=cb,
+            ax0=((x - scale * lap_x).ravel(), lap_x, grad_x), kept=kept)
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
             raise StepRejected(f"linear solve stalled (gmres info {info})")
-        iters = max(iters, count[0])
+        made.append(count[0])
         v_new = sol.reshape(shape)
+        # a warm pass's start is the guess, not the state it froze
+        last = (x, lap_x, grad_x) if count[0] == 1 or x is not v else None
         d = v_new - v
-        last = (d, lap, grad) if count[0] == 1 else None
-        v, lap, grad = v_new, lap_new, grad_new
+        v, grad = x, grad_x = v_new, grad_new
+        lap_x = lap_new
         if np.abs(d).max() < 1e-14:
             break
-    return v, (lap, grad), iters
+    return v, (lap_x, grad), max(made), made[0]
 
 
 def _check_bounds(u, lo, hi):
@@ -409,7 +422,15 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     dt_max is decoupled from the slice spacing.  The substep grows as
     |u − 1| decays (local error scales with the deviation), up to 4x
     dt_max.  Steps that break the maximum-principle bounds are retried
-    with halved substeps.
+    with halved substeps, from the march's state at the window start.
+
+    Where the last substep's first fixed-point pass took more than one
+    GMRES iteration, as on perturbed leaves, the next substep's solves
+    start from the quadratic extrapolation (lagrange3) of the last three
+    substep ends to its own end, which holds the state O(dt³) from its
+    answer instead of u0's O(dt) (Fischer, Comput. Methods Appl. Mech.
+    Engrg. 163 (1998) 193-204).  On round and near-round leaves pass 1
+    takes one iteration, so no guess is formed there.
 
     Each slice's energy and closed-form rate are taken from the build its
     bundle came from, at the lapse the march reached there, so no pass
@@ -440,6 +461,9 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     energy, rate = np.empty(n), np.empty(n)
     halvings = 0
     gmax = 0
+    # the last three substep ends (s, v), and whether the last substep's
+    # first pass took more than one GMRES iteration
+    history, warm = (), False
     dev0 = float(np.max(np.abs(u - 1.0)))
     for k, nodes, nb in zip(range(n - 1), neighbour_windows(fol.s),
                             neighbour_windows(checked_bundles())):
@@ -454,16 +478,28 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
         n_sub = max(1, int(np.ceil(window / dt_allow - 1e-12)))
         b_start = _blend(nb, lagrange3(nodes, fol.s[k])[0])
         ops_start = _operators(grid, b_start, u)
+        # the window's start state is the last substep's end, placed at
+        # the stored s; a halving retry restarts from this history
+        start = history[:-1] + ((fol.s[k], u),), warm
         for attempt in range(_MAX_HALVINGS + 1):
             try:
                 v, b0, ops = u, b_start, ops_start
+                history, warm = start
                 dt = window / n_sub
                 for i in range(1, n_sub + 1):
                     # each substep starts from the previous one's end blend
                     # and its Laplacian and gradient there
-                    b1 = _blend(nb, lagrange3(nodes, fol.s[k] + i * dt)[0])
-                    v, ops, it = _imex_step(grid, v, ops, b0, b1, dt)
-                    b0 = b1
+                    s1 = fol.s[k] + i * dt
+                    b1 = _blend(nb, lagrange3(nodes, s1)[0])
+                    guess = None
+                    if warm and len(history) == 3:
+                        ts, vs = zip(*history)
+                        guess = sum(w * vi for w, vi
+                                    in zip(lagrange3(ts, s1)[0], vs))
+                    v, ops, it, first = _imex_step(grid, v, ops, b0, b1, dt,
+                                                   guess)
+                    b0, warm = b1, first > 1
+                    history = history[-2:] + ((s1, v),)
                     gmax = max(gmax, it)
                     _check_bounds(v, lo, hi)
                 break

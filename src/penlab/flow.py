@@ -152,8 +152,10 @@ def lagrange3(nodes, t):
     """Quadratic Lagrange weights on three nodes at t, and their t-slopes.
 
     Σ values_i f_i interpolates f and Σ slopes_i f_i differentiates the
-    interpolant; the nodes need not be evenly spaced.  This is the one
-    s-stencil of every pass over a neighbour window.
+    interpolant; the nodes need not be evenly spaced, and t may lie
+    outside them, where Σ values_i f_i extrapolates (solve_u's warm start
+    of a substep).  This is the one s-stencil of every pass over a
+    neighbour window and of the lapse march's history.
     """
     s0, s1, s2 = nodes
     values, slopes = [], []

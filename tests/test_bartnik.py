@@ -186,11 +186,30 @@ def test_imex_step_rejects_at_the_iteration_cap(grid, schw_profile, monkeypatch)
     b = bartnik._make_bundle(curved_geometry(surf, schw_profile))
     u0 = 1.1 + 0.05 * grid.cos_theta[:, None] * np.ones((grid.n_theta, grid.n_phi))
     ops = bartnik._operators(grid, b, u0)
-    _, _, iters = bartnik._imex_step(grid, u0, ops, b, b, 0.05)
+    _, _, iters, _ = bartnik._imex_step(grid, u0, ops, b, b, 0.05)
     assert iters >= 2
     monkeypatch.setattr(bartnik, "_GMRES_MAXITER", 1)
     with pytest.raises(StepRejected, match="gmres info 1"):
         bartnik._imex_step(grid, u0, ops, b, b, 0.05)
+
+
+def test_imex_step_guess_moves_only_the_start(grid, schw_profile):
+    # pass 1 freezes u0 whatever the guess, so a guess changes only where
+    # GMRES starts: the step ends where the cold one does, to within the
+    # GMRES tolerance, and a guess near that end saves pass-1 iterations
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 6.0), {(2, 0): 0.05})
+    b = bartnik._make_bundle(curved_geometry(surf, schw_profile))
+    u0 = 1.1 + 0.05 * grid.cos_theta[:, None] * np.ones((grid.n_theta, grid.n_phi))
+    ops = bartnik._operators(grid, b, u0)
+    v, (lap, grad), iters, first = bartnik._imex_step(grid, u0, ops, b, b, 0.05)
+    assert iters >= first >= 2
+    for guess in (u0 + 0.01 * grid.cos_theta[:, None] ** 2, v + 1e-6 * u0):
+        w, (lap_w, grad_w), _, first_w = bartnik._imex_step(
+            grid, u0, ops, b, b, 0.05, guess)
+        assert np.max(np.abs(w - v)) < 1e-11
+        assert np.max(np.abs(lap_w - lap)) < 1e-9
+        assert np.max(np.abs(grad_w - grad)) < 1e-10
+    assert first_w < first
 
 
 @pytest.mark.parametrize("restart", [30, 2])
@@ -501,6 +520,68 @@ def test_solve_blends_once_per_substep_node(monkeypatch, round_fol):
     assert uf.halvings == 0
     assert counts["step"] > len(round_fol)
     assert counts["blend"] == counts["step"] + len(round_fol) - 1
+
+
+def _cold(step):
+    """_imex_step with any guess dropped: every substep starts at u0."""
+    return lambda *args: step(*args[:6])
+
+
+def test_solve_warm_start_saves_helmholtz_inverses(grid, schw_profile,
+                                                   monkeypatch):
+    # on a perturbed march pass 1 takes several GMRES iterations, so each
+    # substep starts from the march extrapolated to its end; that saves at
+    # least 15% of the Helmholtz inverses of the same march started cold,
+    # with the same iteration cap, no halving and the same lapse to
+    # within the GMRES tolerance
+    surf = perturbed_surface(grid, schwarzschild_rho(1.0, 6.0),
+                             {(2, 0): 0.05, (3, 2): 0.01})
+    fol = run_flow(surf, schw_profile, FlowConfig(ds=0.1, s_max=1.0,
+                                                  store_every=1))
+    helmholtz, step = SphereGrid.round_helmholtz_inverse, bartnik._imex_step
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return helmholtz(*args)
+
+    monkeypatch.setattr(SphereGrid, "round_helmholtz_inverse", counted)
+    warm = solve_u(fol, 1.2, with_residual=False)
+    warm_calls, calls[0] = calls[0], 0
+    monkeypatch.setattr(bartnik, "_imex_step", _cold(step))
+    cold = solve_u(fol, 1.2, with_residual=False)
+    assert warm_calls <= 0.85 * calls[0]
+    assert warm.halvings == cold.halvings == 0
+    assert warm.max_gmres_iters == cold.max_gmres_iters
+    for a, b in zip(warm.u, cold.u, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize("ripple", [0.0, 1e-4])
+def test_solve_forms_no_guess_on_round_leaves(grid, schw_profile, monkeypatch,
+                                              ripple):
+    # on round leaves pass 1 takes one GMRES iteration, with a constant
+    # lapse and with a near-round one alike, so no substep gets a guess
+    # and the march is bitwise the one with every guess dropped
+    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
+                   schw_profile, FlowConfig(ds=0.1, s_max=1.0, store_every=1))
+    u0 = 1.2 + ripple * grid.cos_theta[:, None]
+    step, steps, guesses = bartnik._imex_step, [0], []
+
+    def recording(*args):
+        steps[0] += 1
+        guesses.extend(g for g in args[6:] if g is not None)
+        return step(*args)
+
+    monkeypatch.setattr(bartnik, "_imex_step", recording)
+    uf = solve_u(fol, u0, with_residual=False)
+    assert steps[0] > len(fol) and not guesses
+    monkeypatch.setattr(bartnik, "_imex_step", _cold(step))
+    cold = solve_u(fol, u0, with_residual=False)
+    for a, b in zip(uf.u, cold.u, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert uf.energy.tobytes() == cold.energy.tobytes()
+    assert uf.max_gmres_iters == cold.max_gmres_iters
 
 
 def test_solve_retries_wild_step(schw_profile, monkeypatch):

@@ -193,13 +193,15 @@ def test_solve_u_transform_budget(setup, counted, monkeypatch):
     # direction's gradient, and the Laplacian's flux; a kept direction
     # costs none, so this is a bound); GMRES forms the residual,
     # Laplacian and gradient at its solution by linearity, so a call adds
-    # no transform of its own.  Each stored slice's geometry
-    # build adds its own 2.
-    tally = {"substeps": 0, "iterations": 0}
+    # no transform of its own.  A warm substep, one that starts GMRES at
+    # solve_u's guess, takes the guess's gradient directly (2 more).
+    # Each stored slice's geometry build adds its own 2.
+    tally = {}
     step, gmres = bartnik._imex_step, bartnik.gmres
 
     def counted_step(*args):
         tally["substeps"] += 1
+        tally["warm"] += any(g is not None for g in args[6:])
         return step(*args)
 
     def counted_gmres(*args, callback=None, **kwargs):
@@ -209,15 +211,23 @@ def test_solve_u_transform_budget(setup, counted, monkeypatch):
 
         return gmres(*args, callback=counting, **kwargs)
 
-    grid = SphereGrid(8, 16)
-    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
-                   setup.profile, FlowConfig(ds=0.05, s_max=1.0, store_every=2))
-    counted["analyze"] = counted["synthesize"] = 0
     monkeypatch.setattr(bartnik, "_imex_step", counted_step)
     monkeypatch.setattr(bartnik, "gmres", counted_gmres)
-    solve_u(fol, 1.2, dt_max=0.02, with_residual=False)
-    windows = len(fol) - 1
-    assert tally["substeps"] >= 4 * windows
-    budget = (4 * windows + 2 * tally["substeps"] + 4 * tally["iterations"]
-              + 2 * len(fol))
-    assert counted["analyze"] + counted["synthesize"] <= budget
+    grid = SphereGrid(8, 16)
+    rho = schwarzschild_rho(1.0, 4.0)
+    for modes in (None, {(2, 0): 0.05, (3, 2): 0.01}):
+        surf = (round_surface(grid, rho) if modes is None
+                else perturbed_surface(grid, rho, modes))
+        fol = run_flow(surf, setup.profile,
+                       FlowConfig(ds=0.05, s_max=1.0, store_every=2))
+        tally.update(substeps=0, iterations=0, warm=0)
+        counted["analyze"] = counted["synthesize"] = 0
+        solve_u(fol, 1.2, dt_max=0.02, with_residual=False)
+        windows = len(fol) - 1
+        assert tally["substeps"] >= 4 * windows
+        # round leaves never warm a substep; perturbed ones warm most
+        assert (tally["warm"] > tally["substeps"] // 2 if modes
+                else tally["warm"] == 0)
+        budget = (4 * windows + 2 * tally["substeps"] + 2 * tally["warm"]
+                  + 4 * tally["iterations"] + 2 * len(fol))
+        assert counted["analyze"] + counted["synthesize"] <= budget
