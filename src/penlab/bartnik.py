@@ -71,10 +71,10 @@ def initial_u(h_physical, h_background) -> np.ndarray:
 # coefficient bundles: everything one step needs, interpolable in s
 
 class _Bundle(NamedTuple):
-    """The eight grid fields stacked as one (8, n_theta, n_phi) array, so a
-    blend is one weighted sum; the fields read by name.  A slice's own
-    bundle also carries, unblended, the three fields its energy and rate
-    read, (V H0, rate bracket, area density); a blend has none."""
+    """The nine grid fields stacked as one (9, n_theta, n_phi) array, so a
+    blend is one weighted sum; the fields read by name, lap the Laplacian's
+    five rows.  A slice's own bundle also carries, unblended, the three
+    fields its energy and rate read, (V H0, rate bracket, area density)."""
 
     fields: np.ndarray
     area_radius: float
@@ -84,21 +84,36 @@ class _Bundle(NamedTuple):
     c = property(lambda b: b.fields[1])
     tau_t = property(lambda b: b.fields[2])
     tau_p = property(lambda b: b.fields[3])
-    p_tt = property(lambda b: b.fields[4])
-    p_tp = property(lambda b: b.fields[5])
-    p_pp = property(lambda b: b.fields[6])
-    inv_root = property(lambda b: b.fields[7])
+    lap = property(lambda b: b.fields[4:])
 
 
 def _make_bundle(geom: CurvedGeometry) -> _Bundle:
-    # √det σ σ^ab is conformally invariant in two dimensions, so Δ_σ's divergence
-    # coefficients are the flat chart's adj σ̃ / √det σ̃; only 1/√det σ has F⁴
+    """A slice's bundle.  lap's rows, against the partials (f_θ, f_φ,
+    f_θθ, f_θφ, f_φφ), are (B^θ, B^φ, H/√D, −2F/√D, E/√D)/√det σ: √det σ
+    σ^ab is conformally invariant in two dimensions, so it is P = (H, −F,
+    E)/√D of the flat chart's E, F, H = σ̃_θθ, σ̃_θφ, σ̃_φφ and D = EH − F²,
+    and B^b = ∂_a P^ab is, with d_a = ∂_a D/(2D),
+    B^θ = (H_θ − F_φ − H d_θ + F d_φ)/√D, B^φ = (E_φ − F_θ − E d_φ + F d_θ)/√D.
+    E, F and H are differentiated by the product rule from G's partials,
+    never spectrally, so a build takes no transform beyond flat_geometry's.
+    """
     flat, sin = geom.flat, geom.grid.sin_theta[:, None]
-    k = 1.0 / (flat.area_density * sin)
+    cos = geom.grid.cos_theta[:, None]
+    G, (Gt, Gp, Gtt, Gtp, Gpp) = flat.surface.G, flat.partials
+    E, F, H = flat.sig_tt, flat.sig_tp, flat.sig_pp
+    E_t, E_p = 2.0 * (G * Gt + Gt * Gtt), 2.0 * (G * Gp + Gt * Gtp)
+    F_t, F_p = Gtt * Gp + Gt * Gtp, Gtp * Gp + Gt * Gpp
+    H_t = 2.0 * (Gp * Gtp + G * Gt * sin * sin + G * G * sin * cos)
+    H_p = 2.0 * (Gp * Gpp + G * Gp * sin * sin)
+    root = flat.area_density * sin   # √D = G W sinθ
+    d_t = (E_t * H + E * H_t - 2.0 * F * F_t) / (2.0 * root**2)
+    d_p = (E_p * H + E * H_p - 2.0 * F * F_p) / (2.0 * root**2)
+    k = 1.0 / (root * geom.area_density * sin)
     tau_t, tau_p = drift_fields(geom)
     fields = np.array([geom.H0, reaction_coefficient(geom), tau_t, tau_p,
-                       k * flat.sig_pp, -k * flat.sig_tp, k * flat.sig_tt,
-                       1.0 / (geom.area_density * sin)])
+                       k * (H_t - F_p - H * d_t + F * d_p),
+                       k * (E_p - F_t - E * d_p + F * d_t),
+                       k * H, -2.0 * k * F, k * E])
     return _Bundle(fields, geom.area_radius(),
                    (geom.V * geom.H0, rate_bracket(geom), geom.area_density))
 
@@ -130,20 +145,24 @@ def _audit(grid, b: _Bundle, u) -> tuple:
             slice_energy_rate(grid, bracket, density, u))
 
 
-def _laplacian(grid, b: _Bundle, v: np.ndarray, grad=None) -> np.ndarray:
-    return b.inv_root * grid.div_grad(v, b.p_tt, b.p_tp, b.p_pp, grad)
+def _laplacian(grid, b: _Bundle, v: np.ndarray, parts=None) -> np.ndarray:
+    """Δ_σ v, b.lap's stencil on v's partials; parts, the caller's
+    grid.partials(v), saves their two transforms."""
+    if parts is None:
+        parts = grid.partials(v)
+    return np.einsum("kij,kij->ij", b.lap, parts)
 
 
 def _operators(grid, b: _Bundle, v: np.ndarray):
-    """(L_b(v), gradient of v): the pair one substep hands the next."""
-    grad = grid.gradient(v)
-    return _laplacian(grid, b, v, grad), grad
+    """(L_b(v), partials of v): the pair one substep hands the next."""
+    parts = grid.partials(v)
+    return _laplacian(grid, b, v, parts), parts
 
 
 def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
-    lap, grad = ops
+    lap, parts = ops
     out = (u**2 * lap + (u - u**3) * b.c) / b.H0
-    return out + advected_derivative(grid, u, b.tau_t, b.tau_p, grad)
+    return out + advected_derivative(grid, u, b.tau_t, b.tau_p, parts[:2])
 
 
 def _combine(base, coef, vectors):
@@ -162,7 +181,7 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
     A maps a flat array x to a tuple of arrays that are linear in x, whose
     first entry is the flat A x.  MA maps a flat v to (z, A's tuple at z)
     with z = M(v), so a preconditioner that yields more than z (here the
-    gradient of the Helmholtz inverse) hands it to A.  Arnoldi runs
+    partials of the Helmholtz inverse) hands them to A.  Arnoldi runs
     modified Gram-Schmidt on the directions Z[j] and Givens rotations on
     Python floats, so each iteration costs one MA.  gmres keeps the tuple
     MA returned for each Z[j], and forms x = x0 + Z y and its tuple
@@ -273,69 +292,68 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient.
 
     ops0 is _operators(grid, b0, u0).  Returns the end state v, the pair
-    (L_b1(v), gradient of v) for the next substep, the most GMRES
+    (L_b1(v), partials of v) for the next substep, the most GMRES
     iterations a pass made and the iterations of the first pass.  Each
-    pass's operator returns (x − scale L_b1(x), L_b1(x), gradient of x),
+    pass's operator returns (x − scale L_b1(x), L_b1(x), partials of x),
     all linear in x, so GMRES hands back the pair at its solution, formed
     by linearity, and the next pass and the next substep read it from
-    there: no Laplacian or gradient is taken twice.  A GMRES direction z
-    comes from the round-sphere Helmholtz inverse with its gradient, at a
-    gain a pass sets up on its first preconditioner call (a pass that
-    converges on a kept direction sets none up), so the Laplacian of z
-    costs only its flux's two transforms: four per iteration.
+    there: no Laplacian or partial is taken twice.  A GMRES direction z
+    comes from the round-sphere Helmholtz inverse with its five partials,
+    at a gain a pass sets up on its first preconditioner call (a pass that
+    converges on a kept direction sets none up), so the Laplacian of z is
+    b1's stencil on them, at no transform: an iteration costs the
+    inverse's two.
 
     Every pass solves against the same L_b1; only scale and the right-
     hand side change.  So a pass's correction d = v_new − x from its
-    start x comes with L d and ∇d as differences of the pairs at both
-    ends, and the next pass gets d as a kept GMRES direction with the
-    tuple (d − scale L d, L d, ∇d), at no transform.  It gets d only when
-    the pass that made d took exactly one iteration, as on round leaves,
-    where the next correction is parallel to d and one kept column
-    replaces a Helmholtz inverse and a Laplacian; where GMRES takes
-    several iterations, d barely shortens the next solve, and its extra
-    column made a perturbed march slower.
+    start x comes with L d and d's partials as differences of the pairs
+    at both ends, and the next pass gets d as a kept GMRES direction with
+    the tuple (d − scale L d, L d, partials of d), at no transform.  It
+    gets d only when the pass that made d took exactly one iteration, as
+    on round leaves, where the next correction is parallel to d and one
+    kept column replaces a Helmholtz inverse; where GMRES takes several
+    iterations, d barely shortens the next solve, and its extra column
+    made a perturbed march slower.
 
     guess, when given, is solve_u's extrapolation of the march to the
     substep's end, and pass 1 starts GMRES there instead of at u0: its
-    gradient is taken directly and its Laplacian from that gradient, two
+    partials are taken directly and its Laplacian from them, two
     transforms more than a cold start.  Pass 1 still freezes u0 in its
     coefficient and right-hand side, and the fixed-point exit still
     compares its result v1 with u0.  Pass 2 then always gets the warm
     start's miss d = v1 − guess as its kept direction.
 
-    Only solve_u's start of a window takes the gradient directly, so
+    Only solve_u's start of a window takes the partials directly, so
     within a window the carried pair drifts by rounding, uncounted by
-    gmres's allowance.  On a perturbed 16x32 Schwarzschild march the
-    linear A x stayed within 1.4e-4 of the GMRES target of a direct one,
-    alike for windows of 10 substeps and of up to 320 after halvings;
-    that the direct residual meets the target is an empirical fact,
-    checked by test_gmres_residual_by_linearity_holds_directly, kept
-    columns included.  A guess's pair is taken directly, never
-    extrapolated: an extrapolated gradient drifted to 3e-5 within a
-    window and the march left its maximum-principle bounds.
+    gmres's allowance; that the direct residual still meets the target
+    is an empirical fact, checked by
+    test_gmres_residual_by_linearity_holds_directly, kept columns
+    included.  A guess's pair is taken directly, never extrapolated: an
+    extrapolated gradient drifted to 3e-5 within a window and the march
+    left its maximum-principle bounds.
     """
     shape = u0.shape
     base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
-    v, grad = u0, ops0[1]   # the state a pass freezes, and its gradient
-    x, grad_x = (v, grad) if guess is None else (guess, grid.gradient(guess))
-    lap_x = _laplacian(grid, b1, x, grad_x)   # at GMRES's start x
+    v, parts = u0, ops0[1]   # the state a pass freezes, and its partials
+    x, parts_x = (v, parts) if guess is None else (guess, grid.partials(guess))
+    lap_x = _laplacian(grid, b1, x, parts_x)   # at GMRES's start x
     made = []   # GMRES iterations per pass
     last = None   # the start x of a pass whose correction the next one keeps
     for _ in range(_FIXED_POINT_PASSES):
         coef = v**2 / b1.H0
         scale = 0.5 * ds * coef
 
-        def tuple_at(x, g):
-            lap = _laplacian(grid, b1, x, g)
-            return (x - scale * lap).ravel(), lap, g
+        def tuple_at(x, p):
+            lap = _laplacian(grid, b1, x, p)
+            return (x - scale * lap).ravel(), lap, p
 
         def matvec(x):
             x = x.reshape(shape)
-            return tuple_at(x, grid.gradient(x))
+            return tuple_at(x, grid.partials(x))
 
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
         rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
-                                                   grad)
+                                                   parts[:2])
 
         gain = None
 
@@ -350,19 +368,19 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
 
         kept = ()
         if last is not None:
-            x0, lap0, grad0 = last
+            x0, lap0, parts0 = last
             d, lap_d = x - x0, lap_x - lap0
             kept = ((d.ravel(), ((d - scale * lap_d).ravel(), lap_d,
-                                 grad_x - grad0)),)
+                                 parts_x - parts0)),)
 
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        sol, (_, lap_new, grad_new), info = gmres(
+        sol, (_, lap_new, parts_new), info = gmres(
             matvec, rhs.ravel(), x.ravel(), precond_matvec, callback=cb,
-            ax0=((x - scale * lap_x).ravel(), lap_x, grad_x), kept=kept)
+            ax0=((x - scale * lap_x).ravel(), lap_x, parts_x), kept=kept)
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
@@ -370,13 +388,13 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
         made.append(count[0])
         v_new = sol.reshape(shape)
         # a warm pass's start is the guess, not the state it froze
-        last = (x, lap_x, grad_x) if count[0] == 1 or x is not v else None
+        last = (x, lap_x, parts_x) if count[0] == 1 or x is not v else None
         d = v_new - v
-        v, grad = x, grad_x = v_new, grad_new
+        v, parts = x, parts_x = v_new, parts_new
         lap_x = lap_new
         if np.abs(d).max() < 1e-14:
             break
-    return v, (lap_x, grad), max(made), made[0]
+    return v, (lap_x, parts), max(made), made[0]
 
 
 def _check_bounds(u, lo, hi):
@@ -488,7 +506,7 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
                 dt = window / n_sub
                 for i in range(1, n_sub + 1):
                     # each substep starts from the previous one's end blend
-                    # and its Laplacian and gradient there
+                    # and its Laplacian and partials there
                     s1 = fol.s[k] + i * dt
                     b1 = _blend(nb, lagrange3(nodes, s1)[0])
                     guess = None

@@ -118,7 +118,7 @@ def drift_fields(geom: CurvedGeometry):
     is flow_speed's W/r.
     """
     flat = geom.flat
-    return _drift(flat.W / geom.r, flat.Gt, flat.Gp, flat.W,
+    return _drift(flat.W / geom.r, *flat.partials[:2], flat.W,
                   geom.grid.sin_theta[:, None])
 
 

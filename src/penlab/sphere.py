@@ -34,10 +34,10 @@ no complex view or transposed copy sits between the stages.  synthesize
 reads one fixed table of the ten ENTRIES, (d/dtheta)^a (d/dphi)^b with
 a + b <= 3, each entry a d/dtheta-order Legendre table and a d/dphi-order
 DFT table.  Their order makes every operator's entries an int or a slice:
-0 for project, 0:3 for the Helmholtz inverse with its gradient, 1:3 for
-the gradient and the divergence flux, 1:6 for partials and 1:10 with the
-third partials.  The table holds 60, 400 and 2880 KB at 8x16, 16x32 and
-32x64 and is built once with the grid.
+0 for project, 1:3 for the gradient, 1:6 for partials, 1:10 with the
+third partials and 0:6 for the Helmholtz inverse with its partials.  The
+table holds 60, 400 and 2880 KB at 8x16, 16x32 and 32x64 and is built
+once with the grid.
 """
 
 from __future__ import annotations
@@ -202,32 +202,15 @@ class SphereGrid:
             -1, 2 * nm, self.n_theta).swapaxes(1, 2) @ self._idft[entries]
         return grid[0] if len(C) == 1 and isinstance(entries, int) else grid
 
-    def partials(self, field: np.ndarray, third: bool = False) -> dict:
-        """All partial derivatives of a smooth scalar field up to order 2 (or 3).
-
-        Returns a dict keyed by 't', 'p', 'tt', 'tp', 'pp' and, with
-        third=True, also 'ttt', 'ttp', 'tpp', 'ppp'.
-        """
-        k = 10 if third else 6
-        return dict(zip(ENTRIES[1:k], self.synthesize(self.analyze(field),
-                                                      slice(1, k))))
+    def partials(self, field: np.ndarray, third: bool = False) -> np.ndarray:
+        """Partials of a smooth scalar field, ENTRIES[1:6] stacked as (5,
+        n_theta, n_phi): (f_t, f_p, f_tt, f_tp, f_pp); with third=True
+        ENTRIES[1:10], which go on with the four third partials."""
+        return self.synthesize(self.analyze(field), slice(1, 10 if third else 6))
 
     def gradient(self, field: np.ndarray) -> np.ndarray:
         """Stacked first partials (d/dtheta, d/dphi) of a smooth scalar field."""
         return self.synthesize(self.analyze(field), slice(1, 3))
-
-    def div_grad(self, field: np.ndarray, a_tt, a_tp, a_pp, grad=None) -> np.ndarray:
-        """Divergence form d_theta(a_tt f_t + a_tp f_p) + d_phi(a_tp f_t + a_pp f_p).
-
-        One analysis and one stacked synthesis for the gradient, then one
-        stacked analysis of both fluxes and one synthesis of their
-        derivatives.  A caller that already holds gradient(field) passes
-        it as grad, which skips the first pair.
-        """
-        ft, fp = self.gradient(field) if grad is None else grad
-        flux = np.array([a_tt * ft + a_tp * fp, a_tp * ft + a_pp * fp])
-        div = self.synthesize(self.analyze(flux), slice(1, 3))
-        return div[0] + div[1]
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """Band-limit a field to the resolved modes (dealiasing projection)."""
@@ -259,19 +242,20 @@ class SphereGrid:
 
     def round_helmholtz_inverse(self, field: np.ndarray, gain: np.ndarray) -> np.ndarray:
         """Solve (1 + alpha * L) u = field on the band, identity off it, and
-        return the stack (u, du/dtheta, du/dphi), shape (3, n_theta, n_phi).
+        return u with its partials, the (6, n_theta, n_phi) stack (u, u_t,
+        u_p, u_tt, u_tp, u_pp) of ENTRIES[0:6].
 
         L = -Laplacian of the unit sphere, and gain is
         round_helmholtz_gain(alpha).  The resolved part of the field is
         inverted mode by mode; whatever lies outside the band passes
         through unchanged, so the map stays invertible on every grid field.
         With c the field's coefficients, cg = c * gain are those of
-        u - field and c + cg those of u, so one synthesis of entries 0:3
-        gives u and its gradient.
+        u - field and c + cg those of u, so one synthesis of entries 0:6
+        gives u and every partial a Laplacian of u reads.
         """
         c = self.analyze(field)
         cg = c * gain
         own = c + cg
-        stack = self.synthesize(np.concatenate([cg, own, own]), slice(0, 3))
+        stack = self.synthesize(np.concatenate([cg] + [own] * 5), slice(0, 6))
         stack[0] += field
         return stack

@@ -91,11 +91,12 @@ class FlatGeometry:
 
     Components are coordinate (θ, φ) tensor entries on the grid; the
     area density is taken per unit solid angle, i.e. √det σ̃ / sinθ.
+    partials is G's stack (G_θ, G_φ, G_θθ, G_θφ, G_φφ) from
+    SphereGrid.partials, which the lapse bundle and the drift read too.
     """
 
     surface: StarSurface
-    Gt: np.ndarray
-    Gp: np.ndarray
+    partials: np.ndarray
     W: np.ndarray
     sig_tt: np.ndarray
     sig_tp: np.ndarray
@@ -118,9 +119,7 @@ class FlatGeometry:
 def flat_geometry(surface: StarSurface) -> FlatGeometry:
     g = surface.grid
     G = surface.G
-    p = g.partials(G)
-    Gt, Gp = p["t"], p["p"]
-    Gtt, Gtp, Gpp = p["tt"], p["tp"], p["pp"]
+    Gt, Gp, Gtt, Gtp, Gpp = p = g.partials(G)
     s = g.sin_theta[:, None]
     c = g.cos_theta[:, None]
 
@@ -145,7 +144,7 @@ def flat_geometry(surface: StarSurface) -> FlatGeometry:
     kappa_max = 0.5 * H + disc
 
     return FlatGeometry(
-        surface=surface, Gt=Gt, Gp=Gp, W=W,
+        surface=surface, partials=p, W=W,
         sig_tt=sig_tt, sig_tp=sig_tp, sig_pp=sig_pp,
         a_tt=a_tt, a_tp=a_tp, a_pp=a_pp,
         H=H, kappa_min=kappa_min, kappa_max=kappa_max,
@@ -184,10 +183,7 @@ def metric_partials(surface: StarSurface, profile: ConformalProfile | None = Non
     """
     g = surface.grid
     G0 = surface.G
-    p = g.partials(G0, third=True)
-    Gt, Gp = p["t"], p["p"]
-    Gtt, Gtp, Gpp = p["tt"], p["tp"], p["pp"]
-    Gttp, Gtpp = p["ttp"], p["tpp"]
+    Gt, Gp, Gtt, Gtp, Gpp, _, Gttp, Gtpp, _ = g.partials(G0, third=True)
     s = g.sin_theta[:, None]
     c = g.cos_theta[:, None]
 

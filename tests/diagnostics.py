@@ -4,6 +4,9 @@
   trajectory evolution laws along a stored foliation;
 - exact_schwarzschild_u: the exact lapse of the round Schwarzschild
   family, the analytic benchmark for the 1D reduction;
+- DisplacedSphere: a sphere off the origin in flat space (φ = V = 1),
+  its exact unit normal flow and the exact lapse and energy of a
+  constant start lapse, a witness that is not axisymmetric;
 - gauss_curvature: the flat-chart intrinsic curvature from the shape
   operator, to compare with the Brioschi formula;
 - nonincreasing: whether an energy series never steps up by more than
@@ -17,6 +20,7 @@
   from one evaluation of each.
 """
 
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -24,7 +28,8 @@ import numpy as np
 from penlab.energy import _MONOTONE_TOL, EnergyTrace
 from penlab.flow import (Foliation, advected_derivative, drift_fields,
                          lagrange3, neighbour_windows)
-from penlab.refgeom import ConformalProfile, _ricci
+from penlab.refgeom import (ConformalProfile, _ricci, isothermal_profile,
+                            make_reference)
 from penlab.surfgeom import FlatGeometry
 
 
@@ -48,8 +53,8 @@ def _second_form_residual(prof: ConformalProfile, geoms, slopes) -> float:
     geom = geoms[1]
     g = geom.grid
     surf = geom.flat.surface
-    p = g.partials(surf.G, third=True)
-    G, Gt, Gtt, Gttt = surf.G, p["t"], p["tt"], p["ttt"]
+    Gt, _, Gtt, _, _, Gttt = g.partials(surf.G, third=True)[:6]
+    G = surf.G
     s = g.sin_theta[:, None]
     c = g.cos_theta[:, None]
 
@@ -174,6 +179,54 @@ def exact_schwarzschild_u(M, m, r):
     """
     r = np.asarray(r, dtype=float)
     return np.sqrt((1.0 - 2.0 * m / r) / (1.0 - 2.0 * M / r))
+
+
+@dataclass
+class DisplacedSphere:
+    """The sphere of radius a about centre c in flat space, |c| < a.
+
+    The reference is the flat table φ = V = 1, whose isothermal chart is
+    ρ = r with F = 1.  The sphere is the radial graph G(n) = n·c +
+    √((n·c)² − |c|² + a²) and, c off the axis, is not axisymmetric.  Its
+    unit normal flow is the concentric family of radius r = a + s, so
+    G(s) is exact.  There H0 = 2/r, c = detA0 = 1/r² and T = Ric = 0,
+    so a constant start lapse u0 stays constant on each leaf and solves
+    du/ds = (u − u³)/(2r): u⁻² − 1 = (u0⁻² − 1) a/r and E(s) =
+    r (1 − 1/u).
+    """
+
+    a: float
+    centre: tuple
+
+    @staticmethod
+    def profile() -> ConformalProfile:
+        r = np.linspace(0.05, 400.0, 800)
+        ones = np.ones_like(r)
+        ref = make_reference("tabulated", tabulated_data=(r, ones, ones))
+        return isothermal_profile(ref, r)
+
+    def normals(self, grid) -> np.ndarray:
+        """Unit vectors n of the grid nodes, (3, n_theta, n_phi)."""
+        th, ph = grid.theta[:, None], grid.phi[None, :]
+        return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                         np.cos(th) + 0.0 * ph])
+
+    def G(self, grid, s: float = 0.0) -> np.ndarray:
+        """Chart radius of the leaf s, the sphere of radius a + s."""
+        c = np.asarray(self.centre, dtype=float)
+        nc = np.tensordot(c, self.normals(grid), axes=1)
+        return nc + np.sqrt(nc**2 - c @ c + (self.a + s) ** 2)
+
+    def direction(self, grid, s: float = 0.0) -> np.ndarray:
+        """Unit vector from the centre to each node's point on leaf s."""
+        c = np.asarray(self.centre, dtype=float)[:, None, None]
+        return (self.G(grid, s) * self.normals(grid) - c) / (self.a + s)
+
+    def u(self, u0: float, s: float) -> float:
+        return (1.0 + (u0**-2 - 1.0) * self.a / (self.a + s)) ** -0.5
+
+    def energy(self, u0: float, s: float) -> float:
+        return (self.a + s) * (1.0 - 1.0 / self.u(u0, s))
 
 
 def gauss_curvature(flat: FlatGeometry) -> np.ndarray:

@@ -11,8 +11,9 @@ from penlab.flow import FlowConfig, Foliation, run_flow, step_flow
 from penlab.oracle import round_flow_u, schwarzschild_rho
 from penlab.refgeom import isothermal_profile, make_reference
 from penlab.sphere import SphereGrid
-from penlab.surfgeom import (CurvedGeometry, curved_geometry, perturbed_surface,
-                             reaction_coefficient, round_surface)
+from penlab.surfgeom import (CurvedGeometry, curved_geometry, metric_partials,
+                             perturbed_surface, reaction_coefficient,
+                             round_surface)
 
 
 @pytest.fixture(scope="module")
@@ -62,28 +63,36 @@ def test_reaction_coefficient_rn(grid):
 
 def test_bundle_operator_is_the_rescaled_metrics(grid):
     # √det σ σ^ab is conformally invariant in two dimensions, so the
-    # bundle takes it from the flat chart; it must equal the one formed
-    # from σ = F⁴σ̃ itself, and only 1/√det σ carries F⁴
+    # bundle takes its Laplacian from the flat chart; its rows must equal
+    # Δ_σ f = σ^ab f_ab − σ^ab Γ^c_ab f_c formed from σ = F⁴σ̃ itself,
+    # whose partials (metric_partials with the profile) carry F⁴'s
     rn = make_reference("reissner_nordstrom", m=1.0, e=0.5)
     prof = isothermal_profile(rn, np.geomspace(1.9, 500.0, 500))
     surf = perturbed_surface(grid, float(prof.rho_of_r(6.0)),
-                             {(2, 0): 0.05, (3, 2): 0.01})
+                             {(2, 0): 0.05, (3, 2): 0.01, (2, 1): 0.02})
     geom = curved_geometry(surf, prof)
     assert not {"sig_tt", "sig_tp", "sig_pp", "det_sig"} & {
         f.name for f in dataclasses.fields(CurvedGeometry)}
     assert not hasattr(CurvedGeometry, "inverse_metric")
     assert not hasattr(CurvedGeometry, "laplacian")
 
-    flat, F4 = geom.flat, geom.F**4
-    sig_tt, sig_tp, sig_pp = F4 * flat.sig_tt, F4 * flat.sig_tp, F4 * flat.sig_pp
-    det = sig_tt * sig_pp - sig_tp**2
-    root = np.sqrt(det)
+    p = metric_partials(surf, prof)
+    assert np.allclose(p["E"], geom.F**4 * geom.flat.sig_tt, rtol=1e-14)
+    det = p["E"] * p["G"] - p["F"] ** 2
+    inv = np.array([[p["G"], -p["F"]], [-p["F"], p["E"]]]) / det
+    # d_sig[a, b, c] = ∂_a σ_bc
+    d_sig = np.array([[[p["E_u"], p["F_u"]], [p["F_u"], p["G_u"]]],
+                      [[p["E_v"], p["F_v"]], [p["F_v"], p["G_v"]]]])
+    # σ^ab Γ^c_ab = σ^cd (σ^ab ∂_a σ_bd − ½ σ^ab ∂_d σ_ab)
+    v = (np.einsum("ab...,abd...->d...", inv, d_sig)
+         - 0.5 * np.einsum("ab...,dab...->d...", inv, d_sig))
+    gamma = np.einsum("cd...,d...->c...", inv, v)
+    want = np.array([-gamma[0], -gamma[1], inv[0, 0], 2.0 * inv[0, 1],
+                     inv[1, 1]])
     b = bartnik._make_bundle(geom)
-    for got, want in ((b.p_tt, root * sig_pp / det),
-                      (b.p_tp, -root * sig_tp / det),
-                      (b.p_pp, root * sig_tt / det),
-                      (b.inv_root, 1.0 / root)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert b.fields.shape == (9,) + surf.G.shape
+    for k, (got, row) in enumerate(zip(b.lap, want)):
+        assert np.max(np.abs(got - row)) <= 1e-13 * np.max(np.abs(row)), k
 
 
 def test_initial_u_flagship(round_geom):
@@ -482,6 +491,30 @@ def test_solve_angular_perturbation_decays(grid, schw_profile):
     assert uf.halvings == 0
 
 
+def test_solve_rotated_lapse_is_the_rotated_solution(grid, schw_profile):
+    # the lapse equation is geometric, so on round leaves a start lapse
+    # f(n·e) tilted from e = z to e = x must march to the aligned
+    # solution, rotated; the aligned lapse is a Legendre series in cosθ,
+    # evaluated at n·x.  The tilted lapse has m = 1 and m = 2 content, on
+    # which a divergence-form Laplacian was off by 4e-3 at the last slice
+    fol = run_flow(round_surface(grid, schwarzschild_rho(1.0, 4.0)),
+                   schw_profile, FlowConfig(ds=0.1, s_max=3.0, store_every=1))
+    th, ph = grid.theta[:, None], grid.phi[None, :]
+
+    def u0(mu):
+        return 1.2 + 0.1 * mu + 0.05 * (3.0 * mu**2 - 1.0)
+
+    aligned = solve_u(fol, u0(np.cos(th) + 0.0 * ph), with_residual=False)
+    mu = np.sin(th) * np.cos(ph)
+    tilted = solve_u(fol, u0(mu), with_residual=False)
+    ells = np.arange(grid.lmax + 1)
+    coef = grid.analyze(aligned.u[-1])[0, 0, 0] * np.sqrt(ells + 0.5)
+    rotated = np.polynomial.legendre.legval(mu, coef)
+    assert np.max(np.abs(tilted.u[-1] - rotated)) < 1e-8
+    assert tilted.max_gmres_iters == aligned.max_gmres_iters
+    assert tilted.halvings == aligned.halvings == 0
+
+
 def test_blend_sums_each_named_field_bitwise(grid, schw_profile):
     # one weighted sum of the stacked fields is, element by element, the
     # per-field sum(w * f) over the three neighbouring slices
@@ -491,8 +524,9 @@ def test_blend_sums_each_named_field_bitwise(grid, schw_profile):
     bundles = [bartnik._make_bundle(fol.geometry(i)) for i in range(3)]
     weights = np.array([-0.125, 0.75, 0.375])
     out = bartnik._blend(bundles, weights)
-    names = ("H0", "c", "tau_t", "tau_p", "p_tt", "p_tp", "p_pp", "inv_root")
-    assert out.fields.shape == (len(names),) + surf.G.shape
+    names = ("H0", "c", "tau_t", "tau_p", "lap")
+    assert out.fields.shape == (9,) + surf.G.shape
+    assert out.lap.shape == (5,) + surf.G.shape
     for name in names:
         want = sum(w * getattr(b, name) for w, b in zip(weights, bundles))
         assert getattr(out, name).tobytes() == want.tobytes(), name

@@ -24,6 +24,12 @@ def swap_layout(C):
     return C[:, :, 0] + 1j * C[:, :, 1]
 
 
+def named(stack):
+    """A partials stack keyed by its ENTRIES names."""
+    assert len(stack) in (5, 9)
+    return dict(zip(ENTRIES[1:], stack))
+
+
 def degree_mask(g):
     """The (mmax+1, lmax+1) entries with l >= m."""
     return np.arange(g.lmax + 1) >= np.arange(g.mmax + 1)[:, None]
@@ -64,7 +70,7 @@ def test_first_derivatives_analytic(grid):
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     f = np.sin(th) ** 2 * np.cos(2 * ph)  # proportional to Re Y_22
-    d = grid.partials(f, third=True)
+    d = named(grid.partials(f, third=True))
     assert np.allclose(d['t'], 2 * np.sin(th) * np.cos(th) * np.cos(2 * ph), atol=1e-12)
     assert np.allclose(d['p'], -2 * np.sin(th) ** 2 * np.sin(2 * ph), atol=1e-12)
     assert np.allclose(d['tt'], 2 * np.cos(2 * th) * np.cos(2 * ph), atol=1e-11)
@@ -81,7 +87,7 @@ def test_axisymmetric_derivatives(grid):
     x = grid.cos_theta[:, None]
     s = grid.sin_theta[:, None]
     f = (0.5 * (5 * x**3 - 3 * x)) * np.ones((1, grid.n_phi))
-    d = grid.partials(f)
+    d = named(grid.partials(f))
     dfdx = 0.5 * (15 * x**2 - 3)
     assert np.allclose(d['t'], -s * dfdx, atol=1e-12)
     assert np.allclose(d['p'], 0.0, atol=1e-13)
@@ -98,7 +104,7 @@ def test_derivatives_match_finite_differences():
         return np.exp(0.3 * np.cos(t)) * (1 + 0.2 * np.sin(t) ** 3 * np.cos(3 * p))
 
     f = f_of(th, ph)
-    d = g.partials(f, third=True)
+    d = named(g.partials(f, third=True))
     h = 1e-5
     ft = (f_of(th + h, ph) - f_of(th - h, ph)) / (2 * h)
     fp = (f_of(th, ph + h) - f_of(th, ph - h)) / (2 * h)
@@ -150,18 +156,19 @@ def test_round_helmholtz_inverse_is_identity_off_band(grid):
 @pytest.mark.parametrize("shape", [(8, 16), (16, 32), (32, 64)])
 def test_round_helmholtz_inverse_stack_carries_its_gradient(shape):
     # row 0 is the inverse as one synthesis of the gain coefficients
-    # gives it, bitwise; rows 1-2 are its gradient, synthesized from the
-    # coefficients the inverse has on the band, with no second analysis.
-    # The field is noise, so it has energy in every degree and off the band
+    # gives it, bitwise; rows 1-5 are its gradient and second partials,
+    # synthesized from the coefficients the inverse has on the band, with
+    # no second analysis.  The field is noise, so it has energy in every
+    # degree and off the band
     g = SphereGrid(*shape)
     f = np.random.default_rng(23).standard_normal(shape)
     gain = 1.0 / (1.0 + 0.1 * g._ell_ell1) - 1.0
     assert np.array_equal(g.round_helmholtz_gain(0.1), gain)
     stack = g.round_helmholtz_inverse(f, gain)
-    assert stack.shape == (3,) + shape
+    assert stack.shape == (6,) + shape
     assert np.array_equal(stack[0], f + g.synthesize(g.analyze(f) * gain))
-    grad = g.gradient(stack[0])
-    assert np.max(np.abs(stack[1:] - grad)) <= 1e-12 * (1.0 + np.max(np.abs(grad)))
+    parts = g.partials(stack[0])
+    assert np.max(np.abs(stack[1:] - parts)) <= 1e-12 * (1.0 + np.max(np.abs(parts)))
 
 
 def test_stacked_analysis_matches_per_field(grid):
@@ -193,26 +200,6 @@ def test_stacked_synthesis_matches_single_orders(grid):
         assert ref.shape == (grid.n_theta, grid.n_phi)
         assert np.allclose(out, ref, rtol=0.0,
                            atol=1e-13 * np.max(np.abs(ref))), ENTRIES[entry]
-
-
-def test_div_grad_matches_single_order_transforms(grid):
-    rng = np.random.default_rng(13)
-    f = grid.project(rng.standard_normal((grid.n_theta, grid.n_phi)))
-    a_tt, a_tp, a_pp = 1.0 + 0.1 * rng.random((3, grid.n_theta, grid.n_phi))
-    C = grid.analyze(f)
-    ft, fp = grid.synthesize(C, ENTRIES.index("t")), grid.synthesize(
-        C, ENTRIES.index("p"))
-    ref = (grid.synthesize(grid.analyze(a_tt * ft + a_tp * fp),
-                           ENTRIES.index("t"))
-           + grid.synthesize(grid.analyze(a_tp * ft + a_pp * fp),
-                             ENTRIES.index("p")))
-    out = grid.div_grad(f, a_tt, a_tp, a_pp)
-    assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
-    assert np.allclose(grid.gradient(f), [ft, fp], rtol=0.0,
-                       atol=1e-13 * np.max(np.abs(ft)))
-    # a gradient the caller holds gives the same bytes
-    held = grid.div_grad(f, a_tt, a_tp, a_pp, grad=grid.gradient(f))
-    assert np.array_equal(held, out)
 
 
 def einsum_synthesis(g, C, entry):
@@ -250,14 +237,14 @@ def test_transforms_match_einsum_reference(shape):
 @pytest.mark.parametrize("shape", [(16, 32), (12, 16)])
 def test_synthesis_entries_repeat_bytes_and_match_einsum(shape):
     # every signature src/penlab synthesizes: one set against an entry or
-    # a slice of entries, and the divergence flux's two sets against two
+    # a slice of entries, and the Helmholtz inverse's six sets against six
     g = SphereGrid(*shape)
     rng = np.random.default_rng(5)
     C = g.analyze(rng.standard_normal(shape))
-    C2 = g.analyze(rng.standard_normal((2,) + shape))
+    C6 = g.analyze(rng.standard_normal((6,) + shape))
     signatures = {
         "gradient": (C, slice(1, 3)),
-        "divergence flux": (C2, slice(1, 3)),
+        "helmholtz inverse": (C6, slice(0, 6)),
         "order 0": (C, 0),
         "partials": (C, slice(1, 6)),
         "partials third": (C, slice(1, 10)),
@@ -274,10 +261,15 @@ def test_synthesis_entries_repeat_bytes_and_match_einsum(shape):
             assert np.allclose(out, ref, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(ref))), (
                 name, ENTRIES[entry])
-    # what partials and project return goes through the same entries
+    # what partials, gradient and project return goes through the same
+    # entries
     f = rng.standard_normal(shape)
-    assert g.partials(f, third=True)["tpp"].tobytes() == g.synthesize(
-        g.analyze(f), slice(1, 10))[7].tobytes()
+    assert g.partials(f, third=True).tobytes() == g.synthesize(
+        g.analyze(f), slice(1, 10)).tobytes()
+    assert g.partials(f).tobytes() == g.synthesize(
+        g.analyze(f), slice(1, 6)).tobytes()
+    assert g.gradient(f).tobytes() == g.synthesize(
+        g.analyze(f), slice(1, 3)).tobytes()
     assert g.project(f).shape == shape
 
 
@@ -287,13 +279,9 @@ def test_grid_state_is_fixed_at_construction():
     state = dict(vars(g))
     # arrays and numbers only: no container that could grow
     assert all(isinstance(v, (np.ndarray, int, float)) for v in state.values())
-    rng = np.random.default_rng(19)
-    f = rng.standard_normal((g.n_theta, g.n_phi))
-    a = 1.0 + 0.1 * rng.random((3, g.n_theta, g.n_phi))
+    f = np.random.default_rng(19).standard_normal((g.n_theta, g.n_phi))
     operators = {
         "gradient": g.gradient,
-        "div_grad": lambda f: g.div_grad(f, *a),
-        "div_grad held": lambda f: g.div_grad(f, *a, grad=g.gradient(f)),
         "project": g.project,
         "partials": g.partials,
         "partials third": lambda f: g.partials(f, third=True),

@@ -167,13 +167,41 @@ def test_curved_gauss_residual_converges(schw_profile):
     assert defects[16] < 1e-12
 
 
-def test_laplacian_round_eigenfunction(grid, schw_profile):
+def test_laplacian_round_eigenfunction(schw_profile):
+    # every real harmonic of the band, m >= 1 included, on a round leaf of
+    # area radius 4: Δ Y = −l(l+1)/16 Y.  A divergence of the flux f_φ/sinθ,
+    # which goes like sin^(m−1)θ at the poles, missed this by O(1)
     rho0 = float(schw_profile.rho_of_r(4.0))
-    geom = curved_geometry(round_surface(grid, rho0), schw_profile)
-    x = grid.cos_theta[:, None]
-    p2 = np.broadcast_to(0.5 * (3 * x**2 - 1), geom.H0.shape).copy()
-    lap = _laplacian(grid, _make_bundle(geom), p2)
-    assert np.max(np.abs(lap + (6.0 / 16.0) * p2)) < 1e-8
+    for shape in ((8, 16), (16, 32), (32, 64)):
+        g = SphereGrid(*shape)
+        b = _make_bundle(curved_geometry(round_surface(g, rho0), schw_profile))
+        for ell in range(g.lmax + 1):
+            for m in range(min(ell, g.mmax) + 1):
+                for part in (0, 1) if m else (0,):
+                    C = np.zeros((1, g.mmax + 1, 2, g.lmax + 1))
+                    C[0, m, part, ell] = 1.0
+                    Y = g.synthesize(C, 0)
+                    lam = ell * (ell + 1) / 16.0
+                    err = np.max(np.abs(_laplacian(g, b, Y) + lam * Y))
+                    assert err <= 1e-10 * max(lam, 1.0) * np.max(np.abs(Y)), (
+                        shape, ell, m, part, err)
+
+
+def test_laplacian_is_self_adjoint_off_the_round_leaf(schw_profile):
+    # ∫ h Δf dA = ∫ f Δh dA on a leaf with m >= 1 bumps, for smooth f and
+    # h: the one check of the first-order (B) rows away from round data
+    g = SphereGrid(32, 64)
+    surf = perturbed_surface(g, float(schw_profile.rho_of_r(6.0)),
+                             {(2, 1): 0.01, (3, 3): 0.005})
+    geom = curved_geometry(surf, schw_profile)
+    b = _make_bundle(geom)
+    th, ph = g.theta[:, None], g.phi[None, :]
+    x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    f = np.exp(0.5 * x) * (1.0 + 0.2 * y * z)
+    h = np.cos(1.5 * y) + 0.3 * x * x * z
+    hf = g.integrate(h * _laplacian(g, b, f) * geom.area_density)
+    fh = g.integrate(f * _laplacian(g, b, h) * geom.area_density)
+    assert abs(hf - fh) <= 1e-12 * abs(hf)
 
 
 def test_laplacian_integrates_to_zero(grid, schw_profile):

@@ -25,9 +25,7 @@ def setup():
     geom = curved_geometry(surf, profile)
     field = 1.0 + 0.1 * geom.flat.cos_theta
     return SimpleNamespace(profile=profile, grid=grid, surf=surf, geom=geom,
-                           field=field, grad=grid.gradient(field),
-                           coefficients=(geom.flat.sig_tt, geom.flat.sig_tp,
-                                         geom.flat.sig_pp))
+                           field=field, parts=grid.partials(field))
 
 
 @pytest.fixture
@@ -55,7 +53,10 @@ OPERATORS = {
     "flow_speed": (lambda x: flow_speed(x.surf, x.profile), 1, 1),
     "curved_geometry": (lambda x: curved_geometry(x.surf, x.profile), 1, 1),
     "bartnik._laplacian": (
-        lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field), 2, 2),
+        lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field), 1, 1),
+    "bartnik._laplacian with parts": (
+        lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field, x.parts),
+        0, 0),
     "advected_derivative": (
         lambda x: advected_derivative(x.grid, x.field, x.geom.H0, x.geom.H0),
         1, 1),
@@ -63,9 +64,6 @@ OPERATORS = {
         lambda x: x.grid.round_helmholtz_inverse(
             x.field, x.grid.round_helmholtz_gain(0.1)), 1, 1),
     "gradient": (lambda x: x.grid.gradient(x.field), 1, 1),
-    "div_grad": (lambda x: x.grid.div_grad(x.field, *x.coefficients), 2, 2),
-    "div_grad with grad": (
-        lambda x: x.grid.div_grad(x.field, *x.coefficients, grad=x.grad), 1, 1),
     "project": (lambda x: x.grid.project(x.field), 1, 1),
     "partials": (lambda x: x.grid.partials(x.field), 1, 1),
     "partials third": (lambda x: x.grid.partials(x.field, third=True), 1, 1),
@@ -135,7 +133,7 @@ def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(round_leaf,
                                                                 monkeypatch):
     # on a round leaf the first fixed-point pass takes one GMRES
     # iteration, so the second starts from its correction, a kept
-    # direction whose Laplacian and gradient come by linearity, and
+    # direction whose Laplacian and partials come by linearity, and
     # converges on it: one Helmholtz inverse per substep, not one per pass
     grid, bundle, u0, ops = round_leaf
     passes = []
@@ -186,16 +184,17 @@ def test_imex_step_round_second_pass_sets_up_no_helmholtz_gain(round_leaf,
 
 
 def test_solve_u_transform_budget(setup, counted, monkeypatch):
-    # a window's first substep takes its Laplacian and gradient from
-    # scratch (4 transforms); after that a substep carries its end state's
-    # pair forward, so it costs the first pass's initial flux (2) and 4
-    # per GMRES iteration (the preconditioner's stack, which carries its
-    # direction's gradient, and the Laplacian's flux; a kept direction
-    # costs none, so this is a bound); GMRES forms the residual,
-    # Laplacian and gradient at its solution by linearity, so a call adds
-    # no transform of its own.  A warm substep, one that starts GMRES at
-    # solve_u's guess, takes the guess's gradient directly (2 more).
-    # Each stored slice's geometry build adds its own 2.
+    # a window's first substep takes its start state's partials from
+    # scratch (2 transforms); after that a substep carries its end state's
+    # Laplacian and partials forward, so its first pass's initial
+    # Laplacian is the next bundle's stencil on them (0), and each GMRES
+    # iteration costs the preconditioner's stack, which carries its
+    # direction's partials (2; a kept direction costs none, so this is a
+    # bound); GMRES forms the residual, Laplacian and partials at its
+    # solution by linearity, so a call adds no transform of its own.  A
+    # warm substep, one that starts GMRES at solve_u's guess, takes the
+    # guess's partials directly (2 more).  Each stored slice's geometry
+    # build adds its own 2.
     tally = {}
     step, gmres = bartnik._imex_step, bartnik.gmres
 
@@ -228,6 +227,6 @@ def test_solve_u_transform_budget(setup, counted, monkeypatch):
         # round leaves never warm a substep; perturbed ones warm most
         assert (tally["warm"] > tally["substeps"] // 2 if modes
                 else tally["warm"] == 0)
-        budget = (4 * windows + 2 * tally["substeps"] + 2 * tally["warm"]
-                  + 4 * tally["iterations"] + 2 * len(fol))
+        budget = (2 * windows + 2 * tally["warm"] + 2 * tally["iterations"]
+                  + 2 * len(fol))
         assert counted["analyze"] + counted["synthesize"] <= budget
