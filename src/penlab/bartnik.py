@@ -145,24 +145,16 @@ def _audit(grid, b: _Bundle, u) -> tuple:
             slice_energy_rate(grid, bracket, density, u))
 
 
-def _laplacian(grid, b: _Bundle, v: np.ndarray, parts=None) -> np.ndarray:
-    """Δ_σ v, b.lap's stencil on v's partials; parts, the caller's
-    grid.partials(v), saves their two transforms."""
-    if parts is None:
-        parts = grid.partials(v)
+def _laplacian(b: _Bundle, parts) -> np.ndarray:
+    """Δ_σ v, b.lap's stencil on v's partials (v_θ, v_φ, v_θθ, v_θφ, v_φφ),
+    at no transform: every caller takes grid.partials(v) itself."""
     return np.einsum("kij,kij->ij", b.lap, parts)
 
 
-def _operators(grid, b: _Bundle, v: np.ndarray):
-    """(L_b(v), partials of v): the pair one substep hands the next."""
-    parts = grid.partials(v)
-    return _laplacian(grid, b, v, parts), parts
-
-
-def _rate(grid, b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
+def _rate(b: _Bundle, u: np.ndarray, ops) -> np.ndarray:
     lap, parts = ops
     out = (u**2 * lap + (u - u**3) * b.c) / b.H0
-    return out + advected_derivative(grid, u, b.tau_t, b.tau_p, parts[:2])
+    return out + advected_derivative(b.tau_t, b.tau_p, parts[:2])
 
 
 def _combine(base, coef, vectors):
@@ -175,20 +167,20 @@ def _combine(base, coef, vectors):
     return base + (coef @ stack).reshape(base.shape)
 
 
-def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
+def gmres(b, x0, ax0, MA, callback=None, kept=()):
     """Solve A x = b by restarted GMRES, right-preconditioned by M.
 
-    A maps a flat array x to a tuple of arrays that are linear in x, whose
-    first entry is the flat A x.  MA maps a flat v to (z, A's tuple at z)
-    with z = M(v), so a preconditioner that yields more than z (here the
-    partials of the Helmholtz inverse) hands them to A.  Arnoldi runs
-    modified Gram-Schmidt on the directions Z[j] and Givens rotations on
-    Python floats, so each iteration costs one MA.  gmres keeps the tuple
-    MA returned for each Z[j], and forms x = x0 + Z y and its tuple
-    A x0 + Σ y_j A Z[j] by linearity, with no further call: one
-    multiply-add per array for a cycle of one direction, one matrix
-    product per array (_combine) for more (flexible
-    GMRES keeps its directions the same way: Saad, Iterative Methods for
+    A is never called: it is known through tuples of arrays that are
+    linear in x, whose first entry is the flat A x.  ax0 is A's tuple at
+    x0, and MA maps a flat v to (z, A's tuple at z) with z = M(v), so a
+    preconditioner that yields more than z (here the partials of the
+    Helmholtz inverse) hands them on.  Arnoldi runs modified Gram-Schmidt
+    on the directions Z[j] and Givens rotations on Python floats, so each
+    iteration costs one MA.  gmres keeps the tuple MA returned for each
+    Z[j], and forms x = x0 + Z y and its tuple A x0 + Σ y_j A Z[j] by
+    linearity: one multiply-add per array for a cycle of one direction,
+    one matrix product per array (_combine) for more (flexible GMRES
+    keeps its directions the same way: Saad, Iterative Methods for
     Sparse Linear Systems, §9.4).  With right preconditioning the rotated
     Hessenberg residual estimates the true residual ‖b − A x‖ (§9.3).
     That estimate ends a cycle, but a call succeeds only once the
@@ -212,16 +204,14 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
     callback and the cap alike; one that vanishes after orthogonalization
     is dropped, with no callback, and is not a breakdown.
 
-    A is called only at x0, and not when the caller passes the tuple
-    there as ax0.  Returns (x, the tuple at x, info): info is 0 on
-    success, and the number of iterations made (at least 1) when the
-    total cap _GMRES_MAXITER is reached or an Arnoldi column from MA
-    vanishes.  x0 is not modified, and is returned as is, with its
-    tuple, when it already solves the system.
+    Returns (x, the tuple at x, info): info is 0 on success, and the
+    number of iterations made (at least 1) when the total cap
+    _GMRES_MAXITER is reached or an Arnoldi column from MA vanishes.  x0
+    is not modified, and is returned as is, with ax0, when it already
+    solves the system.
     """
     target = max(_GMRES_ATOL, _GMRES_RTOL * math.sqrt(b @ b))
-    x = x0
-    ax = A(x) if ax0 is None else ax0
+    x, ax = x0, ax0
     r = b - ax[0]
     beta = math.sqrt(r @ r)
     allowance = 0.0   # rounding in a residual formed by linearity
@@ -291,18 +281,19 @@ def gmres(A, b, x0, MA, callback=None, ax0=None, kept=()):
 def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
     """One trapezoidal step, Laplacian implicit with frozen u² coefficient.
 
-    ops0 is _operators(grid, b0, u0).  Returns the end state v, the pair
+    ops0 is (L_b0(u0), partials of u0).  Returns the end state v, the pair
     (L_b1(v), partials of v) for the next substep, the most GMRES
     iterations a pass made and the iterations of the first pass.  Each
     pass's operator returns (x − scale L_b1(x), L_b1(x), partials of x),
-    all linear in x, so GMRES hands back the pair at its solution, formed
-    by linearity, and the next pass and the next substep read it from
-    there: no Laplacian or partial is taken twice.  A GMRES direction z
-    comes from the round-sphere Helmholtz inverse with its five partials,
-    at a gain a pass sets up on its first preconditioner call (a pass that
-    converges on a kept direction sets none up), so the Laplacian of z is
-    b1's stencil on them, at no transform: an iteration costs the
-    inverse's two.
+    all linear in x.  GMRES gets that tuple at its start and with each
+    direction, never applies the operator itself, and hands back the
+    pair at its solution, formed by linearity; the next pass and the
+    next substep read it from there: no Laplacian or partial is taken
+    twice.  A GMRES direction z comes from the round-sphere Helmholtz
+    inverse with its five partials, at a gain a pass sets up on its first
+    preconditioner call (a pass that converges on a kept direction sets
+    none up), so the Laplacian of z is b1's stencil on them, at no
+    transform: an iteration costs the inverse's two.
 
     Every pass solves against the same L_b1; only scale and the right-
     hand side change.  So a pass's correction d = v_new − x from its
@@ -333,10 +324,10 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
     left its maximum-principle bounds.
     """
     shape = u0.shape
-    base = u0 + 0.5 * ds * _rate(grid, b0, u0, ops0)
+    base = u0 + 0.5 * ds * _rate(b0, u0, ops0)
     v, parts = u0, ops0[1]   # the state a pass freezes, and its partials
     x, parts_x = (v, parts) if guess is None else (guess, grid.partials(guess))
-    lap_x = _laplacian(grid, b1, x, parts_x)   # at GMRES's start x
+    lap_x = _laplacian(b1, parts_x)   # at GMRES's start x
     made = []   # GMRES iterations per pass
     last = None   # the start x of a pass whose correction the next one keeps
     for _ in range(_FIXED_POINT_PASSES):
@@ -344,15 +335,11 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
         scale = 0.5 * ds * coef
 
         def tuple_at(x, p):
-            lap = _laplacian(grid, b1, x, p)
+            lap = _laplacian(b1, p)
             return (x - scale * lap).ravel(), lap, p
 
-        def matvec(x):
-            x = x.reshape(shape)
-            return tuple_at(x, grid.partials(x))
-
         rhs = base + 0.5 * ds * ((v - v**3) * b1.c / b1.H0)
-        rhs = rhs + 0.5 * ds * advected_derivative(grid, v, b1.tau_t, b1.tau_p,
+        rhs = rhs + 0.5 * ds * advected_derivative(b1.tau_t, b1.tau_p,
                                                    parts[:2])
 
         gain = None
@@ -379,8 +366,9 @@ def _imex_step(grid, u0, ops0, b0, b1, ds, guess=None):
             count[0] += 1
 
         sol, (_, lap_new, parts_new), info = gmres(
-            matvec, rhs.ravel(), x.ravel(), precond_matvec, callback=cb,
-            ax0=((x - scale * lap_x).ravel(), lap_x, parts_x), kept=kept)
+            rhs.ravel(), x.ravel(),
+            ((x - scale * lap_x).ravel(), lap_x, parts_x), precond_matvec,
+            callback=cb, kept=kept)
         if info != 0:
             # non-convergence means the step size overwhelmed the
             # frozen-coefficient linearization; callers retry smaller
@@ -419,16 +407,6 @@ class UField:
     halvings: int
     max_gmres_iters: int
     residual: np.ndarray | None = None
-
-    def series_csv(self) -> str:
-        dev = self.max_u_minus_1
-        res = (np.full(len(self.u), np.nan) if self.residual is None
-               else np.max(np.abs(self.residual), axis=(1, 2)))
-        lines = ["s,max_u_minus_1,min_u,max_residual"]
-        for i in range(len(self.u)):
-            lines.append(f"{self.s[i]:.17g},{dev[i]:.17g},"
-                         f"{float(np.min(self.u[i])):.17g},{res[i]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
@@ -485,8 +463,11 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
     dev0 = float(np.max(np.abs(u - 1.0)))
     for k, nodes, nb in zip(range(n - 1), neighbour_windows(fol.s),
                             neighbour_windows(checked_bundles())):
-        # slice k sits first in the first window and in the middle after
-        energy[k], rate[k] = _audit(grid, nb[min(k, 1)], u)
+        # slice k sits first in the first window and in the middle after;
+        # lagrange3 at a node weighs that slice 1 and the others 0, so its
+        # own bundle is the window's start blend
+        b_start = nb[min(k, 1)]
+        energy[k], rate[k] = _audit(grid, b_start, u)
         window = fol.s[k + 1] - fol.s[k]
         dev = float(np.abs(u - 1.0).max())
         if dev0 == 0.0 or dev == 0.0:
@@ -494,8 +475,8 @@ def solve_u(fol: Foliation, u0, dt_max: float = 0.01,
         else:
             dt_allow = dt_max * min(4.0, (dev0 / dev) ** (1.0 / 3.0))
         n_sub = max(1, int(np.ceil(window / dt_allow - 1e-12)))
-        b_start = _blend(nb, lagrange3(nodes, fol.s[k])[0])
-        ops_start = _operators(grid, b_start, u)
+        parts = grid.partials(u)
+        ops_start = (_laplacian(b_start, parts), parts)
         # the window's start state is the last substep's end, placed at
         # the stored s; a halving retry restarts from this history
         start = history[:-1] + ((fol.s[k], u),), warm
@@ -577,13 +558,15 @@ def scalar_residual(fol: Foliation, ufield: UField) -> np.ndarray:
         def traj_dh(w):
             fd = sum(d * gi.H0 / wi for d, gi, wi in zip(slopes, geoms, w))
             here = g.H0 / w[at]
-            return fd - advected_derivative(grid, here, b.tau_t, b.tau_p)
+            return fd - advected_derivative(b.tau_t, b.tau_p,
+                                            grid.gradient(here))
 
         def num(w):
             # one functional for both fields so the two evaluations cancel
             # bitwise when u is exactly 1
             wk = w[at]
-            return (-(2.0 / wk) * (traj_dh(w) + _laplacian(grid, b, wk))
+            lap = _laplacian(b, grid.partials(wk))
+            return (-(2.0 / wk) * (traj_dh(w) + lap)
                     - (g.a0_sq + g.H0**2) / wk**2)
 
         u = u_win[at]

@@ -187,6 +187,13 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header, then row i of every column at repr precision."""
+    rows = [header] + [",".join(f"{v:.17g}" for v in row)
+                       for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1,
                                default=_jsonify) + "\n")
@@ -242,11 +249,8 @@ def cmd_profile(cfg: dict, args) -> int:
     rho = np.asarray(profile.rho_of_r(r), dtype=float)
     F = np.sqrt(r / rho)
     V = ref.potential(r, ref.phi(r), ref.dphi(r))[0]
-    lines = ["r,rho,F,V"]
-    lines += [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}"
-              for a, b, c, d in zip(r, rho, F, V)]
     path = out / "profile.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv("r,rho,F,V", r, rho, F, V))
     print(f"wrote {path} ({len(r)} rows)")
     return 0
 
@@ -278,7 +282,10 @@ def _flow_from_config(cfg: dict):
 def cmd_flow(cfg: dict, args) -> int:
     out = _out_dir(args)
     fol = _flow_from_config(cfg)
-    (out / "flow_series.csv").write_text(fol.series_csv())
+    keys = ("min_cos_theta", "min_kappa_rho2", "min_rho", "passed")
+    (out / "flow_series.csv").write_text(_csv(
+        "s,min_cos_theta,min_kappa_rho2,min_rho,condition_flags", fol.s,
+        *([sm[key] for sm in fol.summaries] for key in keys)))
     report = {
         "slices": len(fol),
         "s_final": fol.s[-1],
@@ -307,7 +314,11 @@ def cmd_solve(cfg: dict, args) -> int:
                   f"Ric(nu,nu) not positive on slice {i}", file=sys.stderr)
             return 3
     uf = solve_u(fol, **cfg["solver"])
-    (out / "u_series.csv").write_text(uf.series_csv())
+    res = (np.full(len(uf.u), np.nan) if uf.residual is None
+           else np.max(np.abs(uf.residual), axis=(1, 2)))
+    (out / "u_series.csv").write_text(_csv(
+        "s,max_u_minus_1,min_u,max_residual", uf.s, uf.max_u_minus_1,
+        [float(np.min(u)) for u in uf.u], res))
     report = {
         "decay_bounded": uf.decay_bounded,
         "halvings": uf.halvings,
@@ -463,7 +474,9 @@ def _scenario_worker(sc: Scenario):
         rep = penrose_report(sc)
     except (FlowError, StepRejected) as exc:
         return {"verdict": "error", "error": _abort_message(exc)}, None
-    csv = None if rep.trace is None else rep.trace.series_csv()
+    t = rep.trace
+    csv = None if t is None else _csv("s,E,dEds_numeric,dEds_formula", t.s,
+                                      t.energy, t.rate_numeric, t.rate_formula)
     return rep.report, csv
 
 

@@ -87,14 +87,6 @@ class EnergyTrace:
     max_mismatch: float
     max_rate: float
 
-    def series_csv(self) -> str:
-        lines = ["s,E,dEds_numeric,dEds_formula"]
-        for i in range(len(self.s)):
-            lines.append(f"{self.s[i]:.17g},{self.energy[i]:.17g},"
-                         f"{self.rate_numeric[i]:.17g},"
-                         f"{self.rate_formula[i]:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def monotonicity_check(ufield: UField) -> EnergyTrace:
     """Audit dE/ds along the run against its closed-form expression.
@@ -118,14 +110,15 @@ def monotonicity_check(ufield: UField) -> EnergyTrace:
     )
 
 
-def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None) -> dict:
-    """Extrapolate the energy series to s -> infinity.
+def adm_extrapolate(ufield: UField) -> dict:
+    """Extrapolate the march's energy series to s -> infinity.
 
     Fits E(s) = E_inf + a/s + b/s^2 by least squares over the trailing
     third of the samples.  The limit is the total mass of the
-    deformed extension minus the reference mass.  Requires a monotone
-    tail of at least 10 samples with s > 0; when a ufield is supplied
-    its decay flag must be clean.
+    deformed extension minus the reference mass.  Reads s, the energy
+    series and the decay flag from the march's record, so it builds
+    nothing.  Requires a monotone tail of at least 10 samples with s > 0
+    and a clean decay flag.
 
     Returns
     -------
@@ -133,8 +126,8 @@ def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None) -> dict:
         E_inf, the fit coefficients a and b, the rms fit residual, and
         the sample window.
     """
-    s = np.asarray(trace.s, dtype=float)
-    energy = np.asarray(trace.energy, dtype=float)
+    s = np.asarray(ufield.s, dtype=float)
+    energy = np.asarray(ufield.energy, dtype=float)
     n = len(s)
     i0 = int(np.floor(n * (1.0 - _TAIL_FRACTION)))
     if n - i0 < 10:
@@ -144,7 +137,7 @@ def adm_extrapolate(trace: EnergyTrace, ufield: UField | None = None) -> dict:
         raise ValueError("extrapolation tail must have s > 0")
     if not np.all(np.diff(et) <= _MONOTONE_TOL):
         raise ValueError("energy tail is not monotone nonincreasing")
-    if ufield is not None and not ufield.decay_bounded:
+    if not ufield.decay_bounded:
         raise ValueError("u decay is not bounded; tail not asymptotic")
     basis = np.column_stack([np.ones_like(st), 1.0 / st, 1.0 / st**2])
     coef, _, _, _ = np.linalg.lstsq(basis, et, rcond=None)
@@ -288,15 +281,17 @@ def _profile_range(ref, r0: float, s_max: float):
 
     It runs from just outside the horizon (the table's inner end for a
     tabulated reference without one) out to 1.5 (r0 + s_max), clipped to
-    a table's own range.  Raises ValueError unless r0 lies above r_lo.
+    a table's own range.  Raises ValueError unless r0 lies above r_lo
+    and is finite.
     """
     r_far = (r0 + s_max) * 1.5
     r_lo = ref.r_horizon * 1.0005 if ref.r_horizon > 0 else ref.r_min
     if ref.kind == "tabulated":
         r_lo = max(r_lo, ref.r_min * 1.000001)
         r_far = min(r_far, ref.r_max * 0.999999)
-    if r_lo >= r0:
-        raise ValueError("r0 is below the usable profile range")
+    if not r_lo < r0 < np.inf:   # written so that NaN fails too
+        raise ValueError("r0 must be finite and above the usable profile "
+                         "range's inner end")
     return r_lo, r_far
 
 
@@ -406,7 +401,7 @@ def penrose_report(sc: Scenario) -> PenroseReport:
                              with_residual=sc.with_residual)
             trace = monotonicity_check(ufield)
             try:
-                fit = adm_extrapolate(trace, ufield)
+                fit = adm_extrapolate(ufield)
                 e_inf = fit["E_inf"]
             except ValueError as exc:
                 fit = {"fit_residual": None, "error": str(exc)}

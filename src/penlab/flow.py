@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .refgeom import ConformalProfile, _cone, _ricci, _trace
-from .sphere import SphereGrid
 from .surfgeom import (
     CurvedGeometry,
     StarSurface,
@@ -122,13 +121,10 @@ def drift_fields(geom: CurvedGeometry):
                   geom.grid.sin_theta[:, None])
 
 
-def advected_derivative(grid: SphereGrid, fieldval: np.ndarray, tau_t, tau_p,
-                        grad=None):
-    """τ^a ∂_a field, the drift correction for trajectory derivatives.
-
-    grad, when given, is the caller's grid.gradient(fieldval).
-    """
-    d_t, d_p = grid.gradient(fieldval) if grad is None else grad
+def advected_derivative(tau_t, tau_p, grad):
+    """τ^a ∂_a field, the drift correction for trajectory derivatives, from
+    the caller's grad = (field_θ, field_φ), at no transform."""
+    d_t, d_p = grad
     return tau_t * d_t + tau_p * d_p
 
 
@@ -194,15 +190,6 @@ class Foliation:
 
     def geometry(self, i: int) -> CurvedGeometry:
         return curved_geometry(self.surfaces[i], self.profile)
-
-    def series_csv(self) -> str:
-        lines = ["s,min_cos_theta,min_kappa_rho2,min_rho,condition_flags"]
-        for sv, sm in zip(self.s, self.summaries):
-            lines.append(
-                f"{sv:.17g},{sm['min_cos_theta']:.17g},{sm['min_kappa_rho2']:.17g},"
-                f"{sm['min_rho']:.17g},{int(sm['passed'])}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _slice_summary(geom: CurvedGeometry) -> dict:

@@ -88,13 +88,15 @@ def make_reference(kind: str, m: float | None = None, e: float = 0.0,
             r = np.asarray(r, dtype=float)
             return 1.0 - 2.0 * m_ / r + e_**2 / r**2
 
+        # φ′ and φ″ in powers of m/r and e/r, which stay finite for a
+        # tiny mass where r³ and r⁴ underflow
         def dphi(r):
             r = np.asarray(r, dtype=float)
-            return 2.0 * m_ / r**2 - 2.0 * e_**2 / r**3
+            return (2.0 / r) * (m_ / r - (e_ / r) ** 2)
 
         def potential(r, p, dp):
             # V = √φ and its r-derivatives over φ and φ′ given at r
-            d2p = -4.0 * m_ / r**3 + 6.0 * e_**2 / r**4
+            d2p = (2.0 / r**2) * (3.0 * (e_ / r) ** 2 - 2.0 * m_ / r)
             v = np.sqrt(p)
             return v, dp / (2.0 * v), (d2p - dp**2 / (2.0 * p)) / (2.0 * v)
 

@@ -172,14 +172,14 @@ def brioschi_curvature(E, F, G, E_u, E_v, E_vv, F_u, F_v, F_uv, G_u, G_v, G_uu):
     return (det1 - det2) / (E * G - F * F) ** 2
 
 
-def metric_partials(surface: StarSurface, profile: ConformalProfile | None = None):
+def metric_partials(surface: StarSurface, profile: ConformalProfile):
     """Induced-metric components and the partials the curvature formula needs.
 
     Everything is assembled by the product rule from spectral derivatives
     of the smooth scalar G (tensor components themselves are not
-    pole-regular, so they are never differentiated spectrally).  With a
-    profile the metric is the physical one, F⁴(G) × flat; without, the
-    flat-chart metric itself.
+    pole-regular, so they are never differentiated spectrally).  The
+    metric is the physical one, F⁴(G) times the flat chart's; a flat
+    reference (φ = V = 1) has F = 1 and gives the flat-chart metric.
     """
     g = surface.grid
     G0 = surface.G
@@ -187,13 +187,8 @@ def metric_partials(surface: StarSurface, profile: ConformalProfile | None = Non
     s = g.sin_theta[:, None]
     c = g.cos_theta[:, None]
 
-    if profile is None:
-        f = np.ones_like(G0)
-        f1 = np.zeros_like(G0)
-        f2 = np.zeros_like(G0)
-    else:
-        radial = profile.radial_factors(G0)
-        f, f1, f2 = radial.F, radial.dF, radial.d2F
+    radial = profile.radial_factors(G0)
+    f, f1, f2 = radial.F, radial.dF, radial.d2F
 
     w4 = f**4
     c4 = 4.0 * f**3 * f1

@@ -131,7 +131,8 @@ def evolution_diagnostics(fol: Foliation) -> dict:
         def traj(field):
             # trajectory s-derivative of field(slice) at the window centre
             fd = sum(w * field(gi) for w, gi in zip(slopes, geoms))
-            return fd - advected_derivative(grid, field(geom), tau_t, tau_p)
+            grad = grid.gradient(field(geom))
+            return fd - advected_derivative(tau_t, tau_p, grad)
 
         da = traj(lambda gi: gi.flat.surface.G)
         res_a.append(np.max(np.abs(da - flat.cos_theta / geom.F**2)))

@@ -143,8 +143,12 @@ def test_flow_and_solve_outputs(tmp_path):
         "solver": {"u0": 1.2},
     })
     assert console_main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
-    series = (tmp_path / "flow_series.csv").read_text()
-    assert series.startswith("s,min_cos_theta,min_kappa_rho2,min_rho")
+    series = (tmp_path / "flow_series.csv").read_text().strip().split("\n")
+    assert series[0] == ("s,min_cos_theta,min_kappa_rho2,min_rho,"
+                         "condition_flags")
+    # one row per stored slice, each slice's condition flag set
+    assert len(series) == 11 + 1
+    assert all(row.endswith(",1") for row in series[1:])
     report = json.loads((tmp_path / "flow_report.json").read_text())
     assert report["all_conditions_passed"] and not report["aborted"]
 

@@ -6,7 +6,7 @@ import pytest
 
 from diagnostics import DisplacedSphere
 from penlab.bartnik import solve_u
-from penlab.energy import quasilocal_energy
+from penlab.energy import adm_extrapolate, quasilocal_energy
 from penlab.flow import FlowConfig, run_flow
 from penlab.sphere import SphereGrid
 from penlab.surfgeom import StarSurface, curved_geometry
@@ -47,6 +47,17 @@ def test_constant_lapse_and_energy_are_exact(fol):
 def test_energy_at_the_start_is_exact(fol):
     e0 = quasilocal_energy(curved_geometry(fol.surfaces[0], fol.profile), U0)
     assert abs(e0 - SPHERE.energy(U0, 0.0)) < 1e-12
+
+
+def test_energy_limit_is_exact():
+    # E(s) = r (1 − 1/u) tends to (1 − u0⁻²) a/2 as r = a + s grows; the
+    # 1/s fit over the last third of a march to s = 40 meets it
+    grid = SphereGrid(8, 16)
+    far = run_flow(StarSurface(grid, SPHERE.G(grid)), SPHERE.profile(),
+                   FlowConfig(ds=0.1, s_max=40.0, store_every=1))
+    uf = solve_u(far, U0, dt_max=0.01, with_residual=False)
+    exact = (1.0 - U0**-2) * SPHERE.a / 2.0
+    assert abs(adm_extrapolate(uf)["E_inf"] - exact) < 1e-4
 
 
 def test_translated_lapse_is_the_centred_solution(grid, fol):

@@ -1,12 +1,15 @@
 """Energy series, the rate identity, extrapolation, and scenario verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 
 import penlab.energy
 from diagnostics import nonincreasing
 from penlab.bartnik import UField, solve_u
-from penlab.energy import (EnergyTrace, Scenario, _hypothesis_block,
+from penlab.cli import console_main
+from penlab.energy import (Scenario, _hypothesis_block,
                            adm_extrapolate, monotonicity_check,
                            penrose_report, quasilocal_energy)
 from penlab.flow import FlowConfig, FlowError, run_flow
@@ -126,26 +129,32 @@ def test_march_records_energy_of_each_slice_build(with_residual):
     assert np.any(trace.energy != 0.0) and np.all(trace.rate_formula < 0.0)
 
 
-def test_trace_csv(grid, schw_profile):
-    fol = run_round(grid, schw_profile, 0.02, 0.2)
-    uf = solve_u(fol, 1.1, with_residual=False)
-    trace = monotonicity_check(uf)
-    lines = trace.series_csv().strip().split("\n")
+def test_trace_csv(tmp_path):
+    # penlab scenario writes the audit's series, one row per stored slice
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"inner_m": 1.2, "r0": 4.0,
+                                            "s_max": 0.5}}))
+    assert console_main(["scenario", "--config", str(cfg), "--resolution",
+                         "8x16", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "energy_trace.csv").read_text()
+    lines = text.strip().split("\n")
     assert lines[0] == "s,E,dEds_numeric,dEds_formula"
-    assert len(lines) == len(fol) + 1
-    assert "nan" not in trace.series_csv()
+    assert len(lines) == 6 + 1
+    assert "nan" not in text
 
 
-def _flat_trace(s, energy):
+def _record(s, energy, decay_bounded=True):
+    """A march's record holding only what adm_extrapolate reads."""
     z = np.zeros_like(s)
-    return EnergyTrace(s=s, energy=energy, rate_numeric=z, rate_formula=z,
-                       max_mismatch=0.0, max_rate=0.0)
+    return UField(s=s, u=[], max_u_minus_1=z, energy=energy, rate_formula=z,
+                  bounds=(1.0, 1.0), decay_bounded=decay_bounded, halvings=0,
+                  max_gmres_iters=0)
 
 
 def test_adm_extrapolate_model():
     s = np.linspace(2.0, 50.0, 60)
     energy = 0.25 + 0.3 / s + 0.1 / s**2
-    out = adm_extrapolate(_flat_trace(s, energy))
+    out = adm_extrapolate(_record(s, energy))
     assert abs(out["E_inf"] - 0.25) < 1e-12
     assert abs(out["a"] - 0.3) < 1e-10
     assert out["fit_residual"] < 1e-14
@@ -154,29 +163,25 @@ def test_adm_extrapolate_model():
 def test_adm_extrapolate_guards():
     s = np.linspace(1.0, 5.0, 12)
     with pytest.raises(ValueError, match="at least 10"):
-        adm_extrapolate(_flat_trace(s, 0.2 + 1.0 / s))
+        adm_extrapolate(_record(s, 0.2 + 1.0 / s))
     # the fitted tail is the last third: samples 20..29, from s = 0
     s0 = np.linspace(-20.0, 9.0, 30)
     with pytest.raises(ValueError, match="s > 0"):
-        adm_extrapolate(_flat_trace(s0, np.linspace(1, 0.5, 30)))
+        adm_extrapolate(_record(s0, np.linspace(1, 0.5, 30)))
     s = np.linspace(1.0, 40.0, 60)
     with pytest.raises(ValueError, match="monotone"):
-        adm_extrapolate(_flat_trace(s, 0.2 - 1.0 / s))
+        adm_extrapolate(_record(s, 0.2 - 1.0 / s))
     # a step in the tail stays monotone but is nowhere near 1/s shaped
     step = np.where(s < 33.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="asymptotic"):
-        adm_extrapolate(_flat_trace(s, step))
+        adm_extrapolate(_record(s, step))
 
 
 def test_adm_requires_clean_decay_flag():
     s = np.linspace(2.0, 50.0, 60)
-    trace = _flat_trace(s, 0.25 + 0.3 / s)
-    dirty = UField(s=s, u=[], max_u_minus_1=np.zeros_like(s),
-                   energy=trace.energy, rate_formula=trace.rate_formula,
-                   bounds=(1.0, 1.0), decay_bounded=False, halvings=0,
-                   max_gmres_iters=0)
+    dirty = _record(s, 0.25 + 0.3 / s, decay_bounded=False)
     with pytest.raises(ValueError, match="decay"):
-        adm_extrapolate(trace, dirty)
+        adm_extrapolate(dirty)
 
 
 def test_scenario_validation():

@@ -163,11 +163,8 @@ def test_perturbed_run_keeps_conditions(grid, schw_profile):
     assert not fol.aborted
     # the flow rounds surfaces out, so the angle margin improves
     assert fol.summaries[-1]["angle_margin"] > fol.summaries[0]["angle_margin"]
-    csv = fol.series_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "s,min_cos_theta,min_kappa_rho2,min_rho,condition_flags"
-    assert len(lines) == len(fol) + 1
-    assert all(row.endswith(",1") for row in lines[1:])
+    assert len(fol) == 5
+    assert all(summary["passed"] for summary in fol.summaries)
 
 
 def test_default_flow_step_error_below_march_error():

@@ -69,11 +69,21 @@ configs = st.fixed_dictionaries({"flow": flows, "scenario": scenarios}, optional
 })
 
 
+# two draws that once escaped as RuntimeWarnings: a reference mass so
+# small that r³ underflows on the default profile range, and an infinite
+# first-leaf radius handed on to the profile's radial grid
+_SHORT = {"flow": {"resolution": [8, 16], "ds": 0.0625, "s_max": 0.25},
+          "scenario": {"s_max": 0.25, "ds": 0.0625, "inner_m": None}}
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["profile", "constants", "flow", "solve",
                                 "scenario"]),
        cfg=configs)
+@example(command="profile",
+         cfg={**_SHORT, "reference": {"m": 1.4798934659984397e-139}})
+@example(command="flow", cfg={**_SHORT, "surface": {"r0": float("inf")}})
 def test_cli_random_config(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"

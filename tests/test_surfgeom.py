@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diagnostics import (gauss_curvature, potential_at, ricci_normal,
-                         scalar_curvature, t_function)
+from diagnostics import (DisplacedSphere, gauss_curvature, potential_at,
+                         ricci_normal, scalar_curvature, t_function)
 from penlab.bartnik import _laplacian, _make_bundle
 from penlab.flow import _slice_summary
 from penlab.sphere import SphereGrid
@@ -39,13 +39,6 @@ def schw_profile(schw):
 def rn_profile():
     rn = make_reference("reissner_nordstrom", m=1.0, e=0.5)
     return isothermal_profile(rn, np.geomspace(1.9, 500.0, 400))
-
-
-def _brioschi(surface, profile=None):
-    p = metric_partials(surface, profile)
-    return brioschi_curvature(
-        p["E"], p["F"], p["G"], p["E_u"], p["E_v"], p["E_vv"],
-        p["F_u"], p["F_v"], p["F_uv"], p["G_u"], p["G_v"], p["G_uu"])
 
 
 def test_surface_validation(grid):
@@ -131,7 +124,9 @@ def test_rn_t_field_off_radial(grid, rn_profile):
 def test_flat_brioschi_matches_shape_operator(grid):
     surf = perturbed_surface(grid, 3.0, {(2, 0): 0.05, (3, 1): 0.02, (2, -2): 0.015})
     geom = flat_geometry(surf)
-    K_intrinsic = _brioschi(surf)
+    # the flat table φ = V = 1 has F = 1, so its metric is the flat chart's
+    K_intrinsic = brioschi_curvature(**metric_partials(
+        surf, DisplacedSphere.profile()))
     K_extrinsic = gauss_curvature(geom)
     assert np.max(np.abs(K_intrinsic - K_extrinsic)) < 1e-9
 
@@ -182,7 +177,8 @@ def test_laplacian_round_eigenfunction(schw_profile):
                     C[0, m, part, ell] = 1.0
                     Y = g.synthesize(C, 0)
                     lam = ell * (ell + 1) / 16.0
-                    err = np.max(np.abs(_laplacian(g, b, Y) + lam * Y))
+                    lap = _laplacian(b, g.partials(Y))
+                    err = np.max(np.abs(lap + lam * Y))
                     assert err <= 1e-10 * max(lam, 1.0) * np.max(np.abs(Y)), (
                         shape, ell, m, part, err)
 
@@ -199,8 +195,8 @@ def test_laplacian_is_self_adjoint_off_the_round_leaf(schw_profile):
     x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
     f = np.exp(0.5 * x) * (1.0 + 0.2 * y * z)
     h = np.cos(1.5 * y) + 0.3 * x * x * z
-    hf = g.integrate(h * _laplacian(g, b, f) * geom.area_density)
-    fh = g.integrate(f * _laplacian(g, b, h) * geom.area_density)
+    hf = g.integrate(h * _laplacian(b, g.partials(f)) * geom.area_density)
+    fh = g.integrate(f * _laplacian(b, g.partials(h)) * geom.area_density)
     assert abs(hf - fh) <= 1e-12 * abs(hf)
 
 
@@ -209,7 +205,7 @@ def test_laplacian_integrates_to_zero(grid, schw_profile):
     geom = curved_geometry(surf, schw_profile)
     x = grid.cos_theta[:, None]
     field = np.broadcast_to(x**3, geom.H0.shape) + 0.1 * np.cos(grid.phi)[None, :] * np.sin(grid.theta)[:, None]
-    lap = _laplacian(grid, _make_bundle(geom), field)
+    lap = _laplacian(_make_bundle(geom), grid.partials(field))
     assert abs(grid.integrate(lap * geom.area_density)) < 1e-9
 
 

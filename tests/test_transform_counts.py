@@ -53,13 +53,10 @@ OPERATORS = {
     "flow_speed": (lambda x: flow_speed(x.surf, x.profile), 1, 1),
     "curved_geometry": (lambda x: curved_geometry(x.surf, x.profile), 1, 1),
     "bartnik._laplacian": (
-        lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field), 1, 1),
-    "bartnik._laplacian with parts": (
-        lambda x: _laplacian(x.grid, _make_bundle(x.geom), x.field, x.parts),
-        0, 0),
+        lambda x: _laplacian(_make_bundle(x.geom), x.parts), 0, 0),
     "advected_derivative": (
-        lambda x: advected_derivative(x.grid, x.field, x.geom.H0, x.geom.H0),
-        1, 1),
+        lambda x: advected_derivative(x.geom.H0, x.geom.H0, x.parts[:2]),
+        0, 0),
     "round_helmholtz_inverse": (
         lambda x: x.grid.round_helmholtz_inverse(
             x.field, x.grid.round_helmholtz_gain(0.1)), 1, 1),
@@ -108,7 +105,7 @@ def test_imex_step_operator_counts(setup, monkeypatch):
         return gmres(*args, callback=counting, **kwargs)
 
     bundle = _make_bundle(setup.geom)
-    ops = bartnik._operators(setup.grid, bundle, setup.field)
+    ops = _laplacian(bundle, setup.parts), setup.parts
     monkeypatch.setattr(SphereGrid, "round_helmholtz_inverse", counted_helmholtz)
     monkeypatch.setattr(bartnik, "_laplacian", counted_laplacian)
     monkeypatch.setattr(bartnik, "gmres", counted_gmres)
@@ -126,7 +123,8 @@ def round_leaf(setup):
     bundle = _make_bundle(curved_geometry(
         round_surface(grid, schwarzschild_rho(1.0, 4.0)), setup.profile))
     u0 = np.full((grid.n_theta, grid.n_phi), 1.2)
-    return grid, bundle, u0, bartnik._operators(grid, bundle, u0)
+    parts = grid.partials(u0)
+    return grid, bundle, u0, (_laplacian(bundle, parts), parts)
 
 
 def test_imex_step_round_second_pass_makes_no_helmholtz_inverse(round_leaf,
