@@ -52,7 +52,12 @@ OPERATORS = {
     "step_flow": (lambda x: step_flow(x.surf, x.profile, 0.01), 5, 5),
     "flow_speed": (lambda x: flow_speed(x.surf, x.profile), 1, 1),
     "curved_geometry": (lambda x: curved_geometry(x.surf, x.profile), 1, 1),
+    # a field's Laplacian costs its partials' one transform pair; the
+    # stencil on partials in hand costs none
     "bartnik._laplacian": (
+        lambda x: _laplacian(_make_bundle(x.geom), x.grid.partials(x.field)),
+        1, 1),
+    "bartnik._laplacian with parts": (
         lambda x: _laplacian(_make_bundle(x.geom), x.parts), 0, 0),
     "advected_derivative": (
         lambda x: advected_derivative(x.geom.H0, x.geom.H0, x.parts[:2]),
